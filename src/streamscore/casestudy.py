@@ -24,6 +24,7 @@ from .model import (
 )
 from .quantities import (
     Dimension,
+    coerce_quantity,
     parse_quantity,
     parse_rate,
     parse_seconds,
@@ -196,30 +197,24 @@ def _parse_compute(value) -> float:
     return float(value)
 
 
-def _coerce(value, parser) -> float:
-    if isinstance(value, str):
-        return parser(value)
-    return float(value)
-
-
 def study_from_mapping(raw: dict) -> CaseStudyInput:
     try:
         workflows = tuple(
             Workflow(
                 name=str(w["name"]),
-                throughput=_coerce(w["throughput"], parse_rate),
+                throughput=coerce_quantity(w["throughput"], parse_rate),
                 compute=_parse_compute(w["compute"]),
             )
             for w in raw["workflows"]
         )
         link_raw = raw["link"]
         link = LinkSpec(
-            bandwidth=_coerce(link_raw["bandwidth"], parse_rate),
+            bandwidth=coerce_quantity(link_raw["bandwidth"], parse_rate),
             alpha=float(link_raw.get("alpha", 1.0)),
-            rtt=_coerce(link_raw.get("rtt", 0.0), parse_seconds),
+            rtt=coerce_quantity(link_raw.get("rtt", 0.0), parse_seconds),
         )
         curve = tuple(
-            (float(u), _coerce(worst, parse_seconds))
+            (float(u), coerce_quantity(worst, parse_seconds))
             for u, worst in raw["worst_fct_curve"]
         )
     except (KeyError, TypeError) as exc:
@@ -230,7 +225,7 @@ def study_from_mapping(raw: dict) -> CaseStudyInput:
         tiers = DEFAULT_TIER_POLICY
     else:
         tiers = TierPolicy(
-            tuple((str(name), _coerce(d, parse_seconds)) for name, d in tiers_raw)
+            tuple((str(name), coerce_quantity(d, parse_seconds)) for name, d in tiers_raw)
         )
     return CaseStudyInput(workflows=workflows, link=link, tiers=tiers, worst_fct_curve=curve)
 

@@ -403,8 +403,9 @@ def cmd_measure_serve(args) -> int:
     last_port = config.ports[-1]
     server = loadgen.TransferServer(config)
     server.start()
-    print(f"listening on {args.bind}:{config.base_port}-{last_port}", flush=True)
     try:
+        # inside the try: an interrupt right after this line must still stop the server
+        print(f"listening on {args.bind}:{config.base_port}-{last_port}", flush=True)
         while True:
             time.sleep(1.0)
     except KeyboardInterrupt:

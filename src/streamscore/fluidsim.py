@@ -3,9 +3,18 @@
 Clients spawn on a schedule, wait out a startup latency, then share the
 link's effective capacity equally (max-min fair at client granularity;
 a client's parallel flows split its allocation, so they change nothing at
-the bottleneck). Between events every active client's residual bytes drain
-linearly; events are client activations and completions. The client
+the bottleneck). Events are client activations and completions. The client
 population is finite, so the run terminates even under overload.
+
+Every client carries the same bytes and gets the same share, so clients
+finish in activation order and the active set is always a contiguous id
+range ``[lo, hi)``. The loop therefore keeps one service clock instead of
+per-client residuals (generalized processor sharing virtual time): ``served``
+counts the bytes every active client has received so far, an admitted client
+is done when the clock reaches ``served + transfer_bytes`` at its admission,
+and the next completion is always client ``lo``. Each event costs O(1), each
+trace interval stores its clients as a ``range``, and a run costs
+O(N + intervals) time and memory for N clients.
 
 Identical scenario inputs produce bit-identical results: the event loop is
 single-threaded, events are ordered, and simultaneous completions resolve
@@ -20,11 +29,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .model import LinkSpec, streaming_speed_score, theoretical_transfer_time
-from .quantities import (
-    parse_bytes,
-    parse_rate,
-    parse_seconds,
-)
+from .quantities import coerce_quantity, parse_bytes, parse_rate, parse_seconds
 from .records import FlowRecord
 from .schedule import SpawnMode, spawn_offsets
 
@@ -80,13 +85,13 @@ class Scenario:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AllocationInterval:
     """A span during which a fixed client set shared the link equally."""
 
     start: float
     end: float
-    client_ids: tuple[int, ...]
+    client_ids: range
     rate_per_client: float  # bytes/s
 
 
@@ -116,61 +121,45 @@ def simulate(scenario: Scenario) -> SimResult:
         raise ValueError("scenario spawns zero clients")
 
     capacity = scenario.link.effective_rate
-    startup = scenario.startup
-    residual_eps = scenario.transfer_bytes * 1e-12
-
-    # (activation, client_id); offsets are already non-decreasing
-    pending: list[tuple[float, int]] = [
-        (spawn + startup, cid) for cid, spawn in enumerate(spawns)
-    ]
-    next_pending = 0
-    active: dict[int, float] = {}
-    completions: dict[int, float] = {}
+    size = scenario.transfer_bytes
+    residual_eps = size * 1e-12
+    # offsets are non-decreasing, so client ids are in activation order
+    activations = [spawn + scenario.startup for spawn in spawns]
+    total = len(activations)
+    finish_at = [0.0] * total  # service-clock reading at which a client is done
+    completions = [0.0] * total
     trace: list[AllocationInterval] = []
 
-    t = pending[0][0]
+    lo = hi = 0  # the active clients are range(lo, hi)
+    served = 0.0  # bytes every active client has received so far
+    t = activations[0]
+    while lo < total:
+        if lo == hi:
+            # idle link: nobody holds a mark, so the clock restarts at zero
+            t, served = activations[hi], 0.0
+        while hi < total and activations[hi] <= t + _EVENT_EPS:
+            finish_at[hi] = served + size
+            hi += 1
 
-    def admit(now: float) -> None:
-        nonlocal next_pending
-        while next_pending < len(pending) and pending[next_pending][0] <= now + _EVENT_EPS:
-            active[pending[next_pending][1]] = scenario.transfer_bytes
-            next_pending += 1
-
-    admit(t)
-    while active or next_pending < len(pending):
-        if not active:
-            t = max(t, pending[next_pending][0])
-            admit(t)
-            continue
-
-        n = len(active)
+        n = hi - lo
         rate = capacity / n
-        min_residual = min(active.values())
         # multiply before dividing keeps equal-share completions exact
-        finish_dt = min_residual * n / capacity
-        t_finish = t + finish_dt
-        t_arrival = pending[next_pending][0] if next_pending < len(pending) else math.inf
+        t_finish = t + (finish_at[lo] - served) * n / capacity
+        t_arrival = activations[hi] if hi < total else math.inf
 
-        ids = tuple(sorted(active))
         if t_arrival < t_finish - _EVENT_EPS:
-            drained = capacity * (t_arrival - t) / n
-            for cid in active:
-                active[cid] -= drained
-            trace.append(AllocationInterval(t, t_arrival, ids, rate))
+            served += capacity * (t_arrival - t) / n
+            trace.append(AllocationInterval(t, t_arrival, range(lo, hi), rate))
             t = t_arrival
-            admit(t)
         else:
-            for cid in active:
-                active[cid] -= min_residual
-            trace.append(AllocationInterval(t, t_finish, ids, rate))
+            served = finish_at[lo]
+            trace.append(AllocationInterval(t, t_finish, range(lo, hi), rate))
             t = t_finish
-            done = sorted(cid for cid, left in active.items() if left <= residual_eps)
-            for cid in done:
-                completions[cid] = t
-                del active[cid]
-            admit(t)
+            while lo < hi and finish_at[lo] - served <= residual_eps:
+                completions[lo] = t
+                lo += 1
 
-    nbytes = int(round(scenario.transfer_bytes))
+    nbytes = int(round(size))
     records = tuple(
         FlowRecord(
             client_id=cid,
@@ -183,10 +172,9 @@ def simulate(scenario: Scenario) -> SimResult:
         for cid, spawn in enumerate(spawns)
     )
 
-    first_active = pending[0][0]
-    last_complete = max(completions.values())
-    span = last_complete - first_active
-    delivered = scenario.transfer_bytes * len(spawns)
+    # clients complete in id order, so the last one finishes the run
+    span = completions[-1] - activations[0]
+    delivered = size * total
     utilization = min(1.0, delivered / (capacity * span)) if span > 0 else 1.0
 
     return SimResult(
@@ -223,25 +211,34 @@ def sweep(
 ) -> list[SweepRow]:
     """Simulate every concurrency x parallel-flows combination of a scenario.
 
-    Rows come back in input order (concurrency outer, parallel inner).
+    Parallel flows split a client's share without changing bottleneck
+    sharing, so each distinct concurrency is simulated once and its outcome
+    fills the rows of every flow count. Rows come back in input order
+    (concurrency outer, parallel inner).
     """
     if not concurrency_values or not parallel_values:
         raise ValueError("sweep value lists must be non-empty")
+    for flows in parallel_values:
+        if flows <= 0:
+            raise ValueError(f"parallel_flows must be > 0, got {flows}")
     theoretical = theoretical_transfer_time(base.transfer_bytes, base.link)
+    outcomes: dict[float, tuple[float, float]] = {}
     rows = []
     for concurrency in concurrency_values:
+        if concurrency not in outcomes:
+            result = simulate(replace(base, concurrency=concurrency))
+            outcomes[concurrency] = (result.max_fct, result.utilization)
+        worst, utilization = outcomes[concurrency]
         for flows in parallel_values:
-            scenario = replace(base, concurrency=concurrency, parallel_flows=flows)
-            result = simulate(scenario)
             rows.append(
                 SweepRow(
                     concurrency=concurrency,
                     parallel_flows=flows,
-                    mode=scenario.mode,
+                    mode=base.mode,
                     offered_load=concurrency * base.transfer_bytes / base.link.bandwidth,
-                    worst_fct=result.max_fct,
-                    sss=streaming_speed_score(result.max_fct, theoretical),
-                    utilization=result.utilization,
+                    worst_fct=worst,
+                    sss=streaming_speed_score(worst, theoretical),
+                    utilization=utilization,
                 )
             )
     return rows
@@ -258,12 +255,6 @@ _SCENARIO_KEYS = {
     "mode",
     "startup_latency",
 }
-
-
-def _coerce(value, parser) -> float:
-    if isinstance(value, str):
-        return parser(value)
-    return float(value)
 
 
 def scenario_from_mapping(raw: dict) -> Scenario:
@@ -286,19 +277,19 @@ def scenario_from_mapping(raw: dict) -> Scenario:
         raise ValueError(f"scenario is missing required fields: {sorted(missing)}")
 
     link = LinkSpec(
-        bandwidth=_coerce(flat["bandwidth"], parse_rate),
+        bandwidth=coerce_quantity(flat["bandwidth"], parse_rate),
         alpha=float(flat.get("alpha", 1.0)),
-        rtt=_coerce(flat.get("rtt", 0.0), parse_seconds),
+        rtt=coerce_quantity(flat.get("rtt", 0.0), parse_seconds),
     )
     startup = flat.get("startup_latency")
     return Scenario(
         link=link,
-        duration=_coerce(flat["duration"], parse_seconds),
+        duration=coerce_quantity(flat["duration"], parse_seconds),
         concurrency=float(flat["concurrency"]),
-        transfer_bytes=_coerce(flat["transfer_bytes"], parse_bytes),
+        transfer_bytes=coerce_quantity(flat["transfer_bytes"], parse_bytes),
         parallel_flows=int(flat.get("parallel_flows", 1)),
         mode=SpawnMode.parse(str(flat.get("mode", "simultaneous"))),
-        startup_latency=None if startup is None else _coerce(startup, parse_seconds),
+        startup_latency=None if startup is None else coerce_quantity(startup, parse_seconds),
     )
 
 

@@ -129,3 +129,10 @@ def parse_work(text: str) -> float:
 def parse_seconds(text: str) -> float:
     """Duration in seconds (ms, s, min)."""
     return _parse_dimension(text, Dimension.SECONDS, "a duration")
+
+
+def coerce_quantity(value, parser) -> float:
+    """A config value in SI: literals go through ``parser``, numbers pass as is."""
+    if isinstance(value, str):
+        return parser(value)
+    return float(value)

@@ -1,0 +1,104 @@
+"""Small-N reference oracle for the fluid simulator.
+
+This is the original O(active)-per-event loop: it drains every active
+client's residual bytes at each event and stores the sorted active id tuple
+in every interval. It is slow under overload but obviously correct, so the
+property tests check the linear-time core in ``streamscore.fluidsim``
+against it.
+"""
+
+from __future__ import annotations
+
+import math
+
+from streamscore.fluidsim import _EVENT_EPS, AllocationInterval, Scenario, SimResult
+from streamscore.records import FlowRecord
+
+
+def simulate_reference(scenario: Scenario) -> SimResult:
+    """Run the event loop to the last completion and collect flow records."""
+    spawns = scenario.spawn_times()
+    if not spawns:
+        raise ValueError("scenario spawns zero clients")
+
+    capacity = scenario.link.effective_rate
+    startup = scenario.startup
+    residual_eps = scenario.transfer_bytes * 1e-12
+
+    # (activation, client_id); offsets are already non-decreasing
+    pending: list[tuple[float, int]] = [
+        (spawn + startup, cid) for cid, spawn in enumerate(spawns)
+    ]
+    next_pending = 0
+    active: dict[int, float] = {}
+    completions: dict[int, float] = {}
+    trace: list[AllocationInterval] = []
+
+    t = pending[0][0]
+
+    def admit(now: float) -> None:
+        nonlocal next_pending
+        while next_pending < len(pending) and pending[next_pending][0] <= now + _EVENT_EPS:
+            active[pending[next_pending][1]] = scenario.transfer_bytes
+            next_pending += 1
+
+    admit(t)
+    while active or next_pending < len(pending):
+        if not active:
+            t = max(t, pending[next_pending][0])
+            admit(t)
+            continue
+
+        n = len(active)
+        rate = capacity / n
+        min_residual = min(active.values())
+        # multiply before dividing keeps equal-share completions exact
+        finish_dt = min_residual * n / capacity
+        t_finish = t + finish_dt
+        t_arrival = pending[next_pending][0] if next_pending < len(pending) else math.inf
+
+        ids = tuple(sorted(active))
+        if t_arrival < t_finish - _EVENT_EPS:
+            drained = capacity * (t_arrival - t) / n
+            for cid in active:
+                active[cid] -= drained
+            trace.append(AllocationInterval(t, t_arrival, ids, rate))
+            t = t_arrival
+            admit(t)
+        else:
+            for cid in active:
+                active[cid] -= min_residual
+            trace.append(AllocationInterval(t, t_finish, ids, rate))
+            t = t_finish
+            done = sorted(cid for cid, left in active.items() if left <= residual_eps)
+            for cid in done:
+                completions[cid] = t
+                del active[cid]
+            admit(t)
+
+    nbytes = int(round(scenario.transfer_bytes))
+    records = tuple(
+        FlowRecord(
+            client_id=cid,
+            spawn_s=spawn,
+            complete_s=completions[cid],
+            fct_s=completions[cid] - spawn,
+            bytes=nbytes,
+            flows=scenario.parallel_flows,
+        )
+        for cid, spawn in enumerate(spawns)
+    )
+
+    first_active = pending[0][0]
+    last_complete = max(completions.values())
+    span = last_complete - first_active
+    delivered = scenario.transfer_bytes * len(spawns)
+    utilization = min(1.0, delivered / (capacity * span)) if span > 0 else 1.0
+
+    return SimResult(
+        scenario=scenario,
+        records=records,
+        trace=tuple(trace),
+        utilization=utilization,
+        max_fct=max(r.fct_s for r in records),
+    )

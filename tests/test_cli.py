@@ -312,6 +312,28 @@ def test_measure_serve_subprocess_end_to_end():
             proc.wait(timeout=5)
 
 
+def test_measure_serve_sigint_right_after_listening_exits_0():
+    # the interrupt arrives as soon as the listening line is out
+    for _ in range(3):
+        base = find_free_port_block(2)
+        with subprocess.Popen(
+            [
+                sys.executable, "-m", "streamscore", "measure", "serve",
+                "--base-port", str(base), "--pool-size", "2",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                assert "listening" in proc.stdout.readline()
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10) == 0, proc.stderr.read()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+
+
 def test_measure_serve_port_conflict_exits_2(capsys):
     base = find_free_port_block(2)
     blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

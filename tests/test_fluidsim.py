@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from collections import defaultdict
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from streamscore import fluidsim
 from streamscore.fluidsim import (
     AllocationInterval,
     Scenario,
@@ -15,6 +19,8 @@ from streamscore.fluidsim import (
 )
 from streamscore.model import LinkSpec
 from streamscore.schedule import SpawnMode, spawn_offsets
+
+from fluidsim_reference import simulate_reference
 
 GBPS_25 = 25e9 / 8
 LINK = LinkSpec(bandwidth=GBPS_25)
@@ -177,6 +183,103 @@ def test_rejects_zero_clients():
         spawn_offsets(SpawnMode.SIMULTANEOUS, 1, 0.0)
 
 
+# --- reference oracle ---
+
+
+def _rel_close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= tol * max(abs(a), abs(b))
+
+
+@given(
+    mode=st.sampled_from(list(SpawnMode)),
+    concurrency=st.floats(min_value=0.5, max_value=12.0),
+    duration=st.floats(min_value=1.0, max_value=20.0),
+    size=st.floats(min_value=5e7, max_value=5e9),
+    alpha=st.floats(min_value=0.1, max_value=1.0),
+    startup=st.one_of(st.just(0.0), st.none(), st.floats(min_value=0.0, max_value=0.1)),
+)
+# overloaded runs, so the active set grows for the whole spawn window
+@example(mode=SpawnMode.SCHEDULED, concurrency=8.0, duration=10.0, size=0.5e9,
+         alpha=1.0, startup=0.016)
+@example(mode=SpawnMode.SIMULTANEOUS, concurrency=7.0, duration=20.0, size=0.5e9,
+         alpha=1.0, startup=0.0)
+@example(mode=SpawnMode.SCHEDULED, concurrency=12.0, duration=20.0, size=2e9,
+         alpha=0.5, startup=None)
+def test_matches_reference_oracle(mode, concurrency, duration, size, alpha, startup):
+    s = Scenario(
+        link=LinkSpec(bandwidth=GBPS_25, alpha=alpha, rtt=0.01),
+        duration=duration,
+        concurrency=concurrency,
+        transfer_bytes=size,
+        mode=mode,
+        startup_latency=startup,
+    )
+    fast, slow = simulate(s), simulate_reference(s)
+
+    assert len(fast.trace) == len(slow.trace)
+    for got, want in zip(fast.trace, slow.trace):
+        assert tuple(got.client_ids) == want.client_ids
+        assert _rel_close(got.start, want.start, 1e-12)
+        assert _rel_close(got.end, want.end, 1e-12)
+        assert got.rate_per_client == want.rate_per_client
+
+    assert len(fast.records) == len(slow.records)
+    for got, want in zip(fast.records, slow.records):
+        assert (got.client_id, got.spawn_s, got.bytes, got.flows) == (
+            want.client_id, want.spawn_s, want.bytes, want.flows
+        )
+        assert _rel_close(got.fct_s, want.fct_s, 1e-12)
+    assert _rel_close(fast.utilization, slow.utilization, 1e-12)
+    assert _rel_close(fast.max_fct, slow.max_fct, 1e-12)
+
+    delivered = _per_client_bytes(fast.trace)
+    assert sorted(delivered) == list(range(len(fast.records)))
+    for total in delivered.values():
+        assert _rel_close(total, size, 1e-9)
+
+
+def test_idle_separated_clients_match_reference_bit_for_bit():
+    # the service clock restarts whenever the link idles, so 4,000 clients
+    # in a row lose no precision to a growing clock
+    s = scenario(duration=2000.0, concurrency=2.0, mode=SpawnMode.SCHEDULED,
+                 transfer_bytes=503_517_133.7, startup_latency=0.016)
+    fast, slow = simulate(s), simulate_reference(s)
+    assert fast.records == slow.records
+    assert fast.utilization == slow.utilization
+
+
+# --- scaling guards (deterministic: memory and call counts, no wall clock) ---
+
+
+def test_overloaded_run_memory_is_linear():
+    # 8,000 clients at 1.28x load: the active set grows past 3,000 clients, so
+    # per-interval id tuples would hold ~26 M ids; ranges keep the trace small
+    s = scenario(duration=1000.0, concurrency=8.0, mode=SpawnMode.SCHEDULED,
+                 startup_latency=0.016)
+    tracemalloc.start()
+    try:
+        result = simulate(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.records) == 8000
+    assert result.max_fct > 100 * 0.16  # the run really queues
+    assert peak < 64 * 2**20
+
+
+def test_sweep_simulates_each_concurrency_once(monkeypatch):
+    calls = []
+
+    def counting(s):
+        calls.append(s.concurrency)
+        return simulate(s)
+
+    monkeypatch.setattr(fluidsim, "simulate", counting)
+    rows = sweep(scenario(duration=10.0), [1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 4, 8])
+    assert len(rows) == 32
+    assert calls == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
 # --- congestion behavior ---
 
 
@@ -222,6 +325,11 @@ def test_sweep_single_combination():
     assert len(rows) == 1
     assert rows[0].offered_load == pytest.approx(4 * 0.5e9 / GBPS_25, rel=1e-12)
     assert rows[0].sss == pytest.approx(rows[0].worst_fct / 0.16, rel=1e-9)
+
+
+def test_sweep_rejects_nonpositive_flows():
+    with pytest.raises(ValueError, match="parallel_flows"):
+        sweep(scenario(), [1, 2], [2, 0])
 
 
 def test_parallel_flows_only_annotate_records():
