@@ -82,10 +82,9 @@ def nearest_rank(sorted_values: Sequence[float], percentile: int) -> float:
     return sorted_values[index - 1]
 
 
-def summarize_values(fcts: Sequence[float], failures: int = 0) -> FctStats:
-    if not fcts:
+def _stats_of_sorted(ordered: Sequence[float], failures: int) -> FctStats:
+    if not ordered:
         raise ValueError("no successful records to summarize")
-    ordered = sorted(fcts)
     return FctStats(
         count=len(ordered),
         failures=failures,
@@ -98,11 +97,26 @@ def summarize_values(fcts: Sequence[float], failures: int = 0) -> FctStats:
     )
 
 
+def _cdf_of_sorted(ordered: Sequence[float]) -> list[tuple[float, float]]:
+    if not ordered:
+        raise ValueError("no successful records for a CDF")
+    n = len(ordered)
+    series: list[tuple[float, float]] = []
+    for i, value in enumerate(ordered, start=1):
+        if i == n or ordered[i] != value:
+            series.append((value, i / n))
+    return series
+
+
+def summarize_values(fcts: Sequence[float], failures: int = 0) -> FctStats:
+    return _stats_of_sorted(sorted(fcts), failures)
+
+
 def summarize(records: Iterable[FlowRecord]) -> FctStats:
     """FCT statistics over successful records; failures only counted."""
     records = list(records)
-    failures = sum(1 for r in records if not r.ok)
-    return summarize_values(_ok_fcts(records), failures=failures)
+    fcts = _ok_fcts(records)
+    return summarize_values(fcts, failures=len(records) - len(fcts))
 
 
 def empirical_cdf(records: Iterable[FlowRecord]) -> list[tuple[float, float]]:
@@ -111,16 +125,7 @@ def empirical_cdf(records: Iterable[FlowRecord]) -> list[tuple[float, float]]:
     Duplicate values coalesce to their highest rank, so probabilities
     strictly increase across entries.
     """
-    fcts = _ok_fcts(records)
-    if not fcts:
-        raise ValueError("no successful records for a CDF")
-    ordered = sorted(fcts)
-    n = len(ordered)
-    series: list[tuple[float, float]] = []
-    for i, value in enumerate(ordered, start=1):
-        if i == n or ordered[i] != value:
-            series.append((value, i / n))
-    return series
+    return _cdf_of_sorted(sorted(_ok_fcts(records)))
 
 
 def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) -> Regime:
@@ -194,8 +199,8 @@ def stats_ratios(a: FctStats, b: FctStats) -> dict[str, float | None]:
     return out
 
 
-def _modal_bytes(records: list[FlowRecord]) -> int | None:
-    sizes = Counter(r.bytes for r in records if r.ok and r.bytes > 0)
+def _modal_bytes(ok_records: list[FlowRecord]) -> int | None:
+    sizes = Counter(r.bytes for r in ok_records if r.bytes > 0)
     if not sizes:
         return None
     return sizes.most_common(1)[0][0]
@@ -216,9 +221,11 @@ def build_report(
     comparator with its optimistic-baseline tag.
     """
     records = list(records)
-    stats = summarize(records)
-    cdf_series = empirical_cdf(records)
     ok_records = [r for r in records if r.ok]
+    # one sort feeds the stats, the CDF and the embedded inputs
+    fct_values = sorted(r.fct_s for r in ok_records)
+    stats = _stats_of_sorted(fct_values, failures=len(records) - len(ok_records))
+    cdf_series = _cdf_of_sorted(fct_values)
 
     sss_value: float | None = None
     util: float | None = None
@@ -231,7 +238,7 @@ def build_report(
             sss_value = streaming_speed_score(stats.max, theoretical)
         window = max(r.complete_s for r in ok_records)
         if window > 0:
-            util = utilization(records, link, window)
+            util = utilization(ok_records, link, window)
         # the fitted-efficiency question is open: report both candidates
         efficiency = {
             "alpha_from_mean_fct": (modal / stats.mean) / link.bandwidth,
@@ -269,7 +276,7 @@ def build_report(
         "transfer_efficiency": efficiency,
         "delay_model": delay_block,
         "inputs": {
-            "fct_values": sorted(_ok_fcts(records)),
+            "fct_values": fct_values,
             "failures": stats.failures,
             "bytes": modal,
         },
@@ -282,14 +289,27 @@ def reanalyze(report: dict) -> FctStats:
     return summarize_values(inputs["fct_values"], failures=inputs["failures"])
 
 
-def write_report(report: dict, out_dir: Path | str) -> list[Path]:
-    """Write report.json and the CSV series for external plotting."""
+def report_json(report: dict) -> str:
+    """The report's JSON text, as report.json and ``analyze --json`` hold it."""
+    return json.dumps(report, indent=2)
+
+
+def write_report(
+    report: dict, out_dir: Path | str, text: str | None = None
+) -> list[Path]:
+    """Write report.json and the CSV series for external plotting.
+
+    ``text`` is ``report_json(report)`` when the caller has already encoded
+    it, so a report that is also printed is encoded once.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
     report_path = out / "report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    if text is None:
+        text = report_json(report)
+    report_path.write_text(text + "\n", encoding="utf-8")
     written.append(report_path)
 
     cdf_path = out / "series_cdf.csv"

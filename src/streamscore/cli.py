@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import analysis, casestudy, fluidsim, loadgen
+from . import analysis, fluidsim
 from .model import (
     Choice,
     ComputeSpec,
@@ -397,6 +397,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure_serve(args) -> int:
+    from . import loadgen
+
     config = loadgen.ServerConfig(
         base_port=args.base_port, pool_size=args.pool_size, bind_address=args.bind
     )
@@ -416,6 +418,8 @@ def cmd_measure_serve(args) -> int:
 
 
 def cmd_measure_run(args) -> int:
+    from . import loadgen
+
     config = loadgen.ClientRunConfig(
         server_address=args.server,
         base_port=args.base_port,
@@ -473,11 +477,12 @@ def cmd_analyze(args) -> int:
         policy=args.tiers,
         compare_records=compare_records,
     )
+    text = analysis.report_json(report) if args.out or args.json else None
     if args.out:
-        analysis.write_report(report, args.out)
+        analysis.write_report(report, args.out, text)
 
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(text)
     else:
         stats = report["stats"]
         rows = [
@@ -508,6 +513,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
+    from . import casestudy
+
     study = (
         casestudy.load_case_study(args.input)
         if args.input
@@ -583,9 +590,6 @@ def main(argv=None) -> int:
     except (QuantityError, LogFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except loadgen.ServerStartupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -123,8 +124,9 @@ def simulate(scenario: Scenario) -> SimResult:
     capacity = scenario.link.effective_rate
     size = scenario.transfer_bytes
     residual_eps = size * 1e-12
+    startup = scenario.startup
     # offsets are non-decreasing, so client ids are in activation order
-    activations = [spawn + scenario.startup for spawn in spawns]
+    activations = [spawn + startup for spawn in spawns]
     total = len(activations)
     finish_at = [0.0] * total  # service-clock reading at which a client is done
     completions = [0.0] * total
@@ -160,16 +162,11 @@ def simulate(scenario: Scenario) -> SimResult:
                 lo += 1
 
     nbytes = int(round(size))
+    flows = scenario.parallel_flows
+    fcts = list(map(operator.sub, completions, spawns))
     records = tuple(
-        FlowRecord(
-            client_id=cid,
-            spawn_s=spawn,
-            complete_s=completions[cid],
-            fct_s=completions[cid] - spawn,
-            bytes=nbytes,
-            flows=scenario.parallel_flows,
-        )
-        for cid, spawn in enumerate(spawns)
+        FlowRecord(cid, spawn, done, fct, nbytes, flows)
+        for cid, (spawn, done, fct) in enumerate(zip(spawns, completions, fcts))
     )
 
     # clients complete in id order, so the last one finishes the run
@@ -182,7 +179,7 @@ def simulate(scenario: Scenario) -> SimResult:
         records=records,
         trace=tuple(trace),
         utilization=utilization,
-        max_fct=max(r.fct_s for r in records),
+        max_fct=max(fcts),
     )
 
 

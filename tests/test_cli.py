@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 import signal
 import socket
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from streamscore.records import read_jsonl
 
 from conftest import find_free_port_block
 
+GOLDEN = Path(__file__).parent / "golden"
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -196,9 +199,52 @@ def test_simulate_then_analyze_pipeline(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["regime"]["regime"] in ("low", "moderate", "severe")
-    assert (out_dir / "report.json").exists()
+    # --json prints the very text written to report.json
+    assert out == (out_dir / "report.json").read_text(encoding="utf-8")
     assert (out_dir / "series_cdf.csv").exists()
     assert report["delay_model"]["label"] == "optimistic baseline"
+
+
+def test_simulate_and_analyze_match_golden_bytes(capsys, tmp_path):
+    # fixed inputs, overloaded scheduled run: the log (apart from its wall
+    # clock stamp), report.json and the CDF series keep their exact bytes
+    log = tmp_path / "log.jsonl"
+    code, _, _ = run_cli(
+        capsys,
+        "simulate", "--bw", "10Gbps", "--size", "0.3GB", "--rtt", "7ms",
+        "--duration", "3s", "--concurrency", "5.5", "--mode", "scheduled",
+        "--parallel", "3", "--out", str(log), "--json",
+    )
+    assert code == 0
+    text = log.read_text(encoding="utf-8")
+    assert re.sub(r', "started_unix_ms": \d+', "", text, count=1) == (
+        GOLDEN / "simulate_log.jsonl"
+    ).read_text(encoding="utf-8")
+    out_dir = tmp_path / "report"
+    code, out, _ = run_cli(
+        capsys,
+        "analyze", "--in", str(log), "--link-bw", "10Gbps", "--rtt", "7ms",
+        "--out", str(out_dir), "--json",
+    )
+    assert code == 0
+    for name in ("report.json", "series_cdf.csv"):
+        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert out.encode("utf-8") == (GOLDEN / "report.json").read_bytes()
+
+
+def test_analyze_rejects_bad_records_naming_the_line(capsys, tmp_path):
+    # this log used to analyze to min=nan, p50=-7.0 and exit 0
+    log = tmp_path / "bad.jsonl"
+    log.write_text(
+        '{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}\n'
+        '{"client_id": 1, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": NaN, "bytes": 9, "flows": 1}\n'
+        '{"client_id": 2, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": -7, "bytes": -5, "flows": 0}\n'
+        '{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}\n'
+    )
+    code, out, err = run_cli(capsys, "analyze", "--in", str(log), "--json")
+    assert code == 1
+    assert out == ""
+    assert "line 2: " in err and "NaN" in err
 
 
 def test_analyze_compare_runs(capsys, tmp_path):
@@ -288,7 +334,7 @@ def test_measure_run_all_failed_exits_2(capsys, tmp_path):
 
 def test_measure_serve_subprocess_end_to_end():
     base = find_free_port_block(2)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [
             sys.executable, "-m", "streamscore", "measure", "serve",
             "--base-port", str(base), "--pool-size", "2",
@@ -296,20 +342,20 @@ def test_measure_serve_subprocess_end_to_end():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
-    )
-    try:
-        line = proc.stdout.readline()
-        assert "listening" in line
-        with socket.create_connection(("127.0.0.1", base), timeout=5) as sock:
-            sock.sendall(pack_header(100) + b"\x00" * 100)
-            assert sock.recv(1) == ACK
-    finally:
-        proc.send_signal(signal.SIGINT)
+    ) as proc:
         try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=5)
+            line = proc.stdout.readline()
+            assert "listening" in line
+            with socket.create_connection(("127.0.0.1", base), timeout=5) as sock:
+                sock.sendall(pack_header(100) + b"\x00" * 100)
+                assert sock.recv(1) == ACK
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=5)
 
 
 def test_measure_serve_sigint_right_after_listening_exits_0():
@@ -363,3 +409,15 @@ def test_bad_quantity_exits_1(capsys):
     code, _, err = run_cli(capsys, "model", "--size", "0.5gb", "--bw", "25Gbps")
     assert code == 1
     assert "0.5gb" in err
+
+
+def test_cli_import_leaves_harness_and_case_study_unloaded():
+    # only `measure` and `casestudy` need them; every other command skips the import
+    code = (
+        "import sys, streamscore.cli; "
+        "print(sorted(m for m in ('streamscore.loadgen', 'streamscore.casestudy') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, check=True
+    )
+    assert done.stdout.strip() == "[]"

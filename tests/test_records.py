@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streamscore.records import FlowRecord, LogFormatError, read_jsonl, write_jsonl
 
@@ -76,3 +79,109 @@ def test_record_validation():
         FlowRecord(
             client_id=0, spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows=1, status="meh"
         )
+
+
+VALID = dict(client_id=0, spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("spawn_s", math.nan),
+        ("spawn_s", -math.inf),
+        ("complete_s", math.nan),
+        ("complete_s", math.inf),
+        ("fct_s", math.nan),
+        ("fct_s", math.inf),
+        ("fct_s", -7.0),
+        ("bytes", -5),
+        ("flows", 0),
+    ],
+)
+def test_record_rejects_non_finite_and_negative(field, value):
+    with pytest.raises(ValueError, match=field):
+        FlowRecord(**{**VALID, field: value})
+
+
+# each bad line follows one valid record; the first three are the records of
+# a log that used to analyze to min=nan and p50=-7.0 without an error
+GOOD_LINE = '{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1, "status": "ok"}'
+BAD_LINES = [
+    ('{"client_id": 1, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": NaN, "bytes": 9, "flows": 1}', "NaN"),
+    ('{"client_id": 2, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": -7, "bytes": -5, "flows": 0}', "fct_s"),
+    ('{"client_id": 0, "spawn_s": 2.0, "complete_s": 3.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "duplicate client_id 0"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1e400, "fct_s": 1.0, "bytes": 9, "flows": 1}', "complete_s"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": Infinity, "flows": 1}', "Infinity"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 1e400, "flows": 1}', "infinity"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9}', "missing field 'flows'"),
+    ('{"client_id": 3, "spawn_s": "soon", "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "bad flow record"),
+]
+
+
+@pytest.mark.parametrize("bad, reason", BAD_LINES)
+def test_read_rejects_bad_records_naming_the_line(bad, reason):
+    body = '{"run": {}}\n' + GOOD_LINE + "\n\n" + bad + "\n"
+    with pytest.raises(LogFormatError, match=r"^line 4: ") as info:
+        read_jsonl(io.StringIO(body))
+    assert reason in str(info.value)
+
+
+@pytest.mark.parametrize("line", ["not json", '{"a": 1} x', '{"a": 1}  {}', "{", '{"a": 1} \t]'])
+def test_read_reports_json_errors_like_json_loads(line):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line)
+    with pytest.raises(LogFormatError) as info:
+        read_jsonl(io.StringIO(line + "\n"))
+    assert str(info.value) == f"line 1: invalid JSON: {expected.value}"
+
+
+# --- writer: one %-template line per record, equal to json.dumps of the schema ---
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+times = st.one_of(finite, st.integers(-(2**53), 2**53))
+
+
+@st.composite
+def flow_records(draw):
+    spawn, complete = sorted((draw(times), draw(times)))
+    return FlowRecord(
+        client_id=draw(st.integers()),
+        spawn_s=spawn,
+        complete_s=complete,
+        fct_s=draw(st.one_of(st.just(-0.0), finite.map(abs), st.integers(0, 2**53))),
+        bytes=draw(st.integers(min_value=0)),
+        flows=draw(st.integers(min_value=1)),
+        status=draw(st.sampled_from(["ok", "error"])),
+        error=draw(st.one_of(st.none(), st.text())),
+    )
+
+
+def schema_dict(record: FlowRecord) -> dict:
+    # README field order; error only when set
+    obj = {
+        "client_id": record.client_id,
+        "spawn_s": record.spawn_s,
+        "complete_s": record.complete_s,
+        "fct_s": record.fct_s,
+        "bytes": record.bytes,
+        "flows": record.flows,
+        "status": record.status,
+    }
+    if record.error is not None:
+        obj["error"] = record.error
+    return obj
+
+
+@given(st.lists(flow_records(), max_size=8, unique_by=lambda r: r.client_id))
+@example([
+    FlowRecord(-1, -0.0, 5e-324, -0.0, 0, 1, "error", 'say "hi" \\ \x00\x1f\u2028 caf\u00e9 \U0001f600'),
+    FlowRecord(2**70, -1.7976931348623157e308, 1.7976931348623157e308, 1e-310, 2**64, 7),
+])
+def test_written_lines_equal_json_dumps_and_read_back(records):
+    buf = io.StringIO()
+    write_jsonl(buf, records, run_meta={"source": "test"})
+    lines = buf.getvalue().splitlines(keepends=True)
+    assert lines[0] == '{"run": {"source": "test"}}\n'
+    assert lines[1:] == [json.dumps(schema_dict(r)) + "\n" for r in records]
+    buf.seek(0)
+    assert read_jsonl(buf) == ({"source": "test"}, records)
