@@ -373,14 +373,14 @@ def cmd_simulate(args) -> int:
         comparison = report["comparison"]
 
     if args.json:
-        doc = {"summary": summary, "clients": len(result.records)}
+        doc = {"summary": summary, "clients": len(result.spawns)}
         if comparison is not None:
             doc["comparison"] = comparison
         print(json.dumps(doc, indent=2))
     else:
         _emit_table(
             [
-                ("clients", str(len(result.records))),
+                ("clients", str(len(result.spawns))),
                 ("worst fct", f"{_fmt(summary['max_fct'])} s"),
                 ("utilization", _fmt(summary["utilization"])),
                 ("sss", _fmt(summary["sss"])),

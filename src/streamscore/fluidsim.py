@@ -13,8 +13,14 @@ per-client residuals (generalized processor sharing virtual time): ``served``
 counts the bytes every active client has received so far, an admitted client
 is done when the clock reaches ``served + transfer_bytes`` at its admission,
 and the next completion is always client ``lo``. Each event costs O(1), each
-trace interval stores its clients as a ``range``, and a run costs
+trace interval stores its clients as an id range, and a run costs
 O(N + intervals) time and memory for N clients.
+
+``simulate`` keeps only the loop's own columns: spawn, completion and FCT
+times per client and ``(start, end, lo, hi, rate)`` rows per interval, plus
+the ``utilization`` and ``max_fct`` summary. ``SimResult.records`` and
+``SimResult.trace`` are built from them on first read, so ``sweep``, which
+reads only the summary, builds neither.
 
 Identical scenario inputs produce bit-identical results: the event loop is
 single-threaded, events are ordered, and simultaneous completions resolve
@@ -27,6 +33,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 from .model import LinkSpec, streaming_speed_score, theoretical_transfer_time
@@ -98,11 +105,38 @@ class AllocationInterval:
 
 @dataclass(frozen=True)
 class SimResult:
+    """The event loop's columns and summary; records and trace on demand.
+
+    ``records`` and ``trace`` are built on first read and cached on the
+    instance; equality and hashing use the fields, not these views. A sweep
+    reads neither.
+    """
+
     scenario: Scenario
-    records: tuple[FlowRecord, ...]
-    trace: tuple[AllocationInterval, ...]
+    spawns: tuple[float, ...]  # per client id
+    completions: tuple[float, ...]
+    fcts: tuple[float, ...]
+    intervals: tuple[tuple[float, float, int, int, float], ...]  # (start, end, lo, hi, rate)
     utilization: float  # delivered bytes over capacity x busy span
     max_fct: float
+
+    @cached_property
+    def records(self) -> tuple[FlowRecord, ...]:
+        nbytes = int(round(self.scenario.transfer_bytes))
+        flows = self.scenario.parallel_flows
+        return tuple(
+            FlowRecord(cid, spawn, done, fct, nbytes, flows)
+            for cid, (spawn, done, fct) in enumerate(
+                zip(self.spawns, self.completions, self.fcts)
+            )
+        )
+
+    @cached_property
+    def trace(self) -> tuple[AllocationInterval, ...]:
+        return tuple(
+            AllocationInterval(start, end, range(lo, hi), rate)
+            for start, end, lo, hi, rate in self.intervals
+        )
 
     def summary(self) -> dict:
         return {
@@ -116,8 +150,8 @@ class SimResult:
 
 
 def simulate(scenario: Scenario) -> SimResult:
-    """Run the event loop to the last completion and collect flow records."""
-    spawns = scenario.spawn_times()
+    """Run the event loop to the last completion and keep its columns."""
+    spawns = tuple(scenario.spawn_times())
     if not spawns:
         raise ValueError("scenario spawns zero clients")
 
@@ -130,7 +164,7 @@ def simulate(scenario: Scenario) -> SimResult:
     total = len(activations)
     finish_at = [0.0] * total  # service-clock reading at which a client is done
     completions = [0.0] * total
-    trace: list[AllocationInterval] = []
+    intervals: list[tuple[float, float, int, int, float]] = []
 
     lo = hi = 0  # the active clients are range(lo, hi)
     served = 0.0  # bytes every active client has received so far
@@ -151,23 +185,17 @@ def simulate(scenario: Scenario) -> SimResult:
 
         if t_arrival < t_finish - _EVENT_EPS:
             served += capacity * (t_arrival - t) / n
-            trace.append(AllocationInterval(t, t_arrival, range(lo, hi), rate))
+            intervals.append((t, t_arrival, lo, hi, rate))
             t = t_arrival
         else:
             served = finish_at[lo]
-            trace.append(AllocationInterval(t, t_finish, range(lo, hi), rate))
+            intervals.append((t, t_finish, lo, hi, rate))
             t = t_finish
             while lo < hi and finish_at[lo] - served <= residual_eps:
                 completions[lo] = t
                 lo += 1
 
-    nbytes = int(round(size))
-    flows = scenario.parallel_flows
-    fcts = list(map(operator.sub, completions, spawns))
-    records = tuple(
-        FlowRecord(cid, spawn, done, fct, nbytes, flows)
-        for cid, (spawn, done, fct) in enumerate(zip(spawns, completions, fcts))
-    )
+    fcts = tuple(map(operator.sub, completions, spawns))
 
     # clients complete in id order, so the last one finishes the run
     span = completions[-1] - activations[0]
@@ -176,18 +204,13 @@ def simulate(scenario: Scenario) -> SimResult:
 
     return SimResult(
         scenario=scenario,
-        records=records,
-        trace=tuple(trace),
+        spawns=spawns,
+        completions=tuple(completions),
+        fcts=fcts,
+        intervals=tuple(intervals),
         utilization=utilization,
         max_fct=max(fcts),
     )
-
-
-def worst_fct(result: SimResult) -> float:
-    """Maximum flow completion time across the run's records."""
-    if not result.records:
-        raise ValueError("result has no records")
-    return max(r.fct_s for r in result.records)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ that ``Gbps`` (bits) and ``GBps`` (bytes) stay distinct.
 
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 
@@ -94,7 +95,10 @@ def parse_quantity(text: str) -> tuple[float, Dimension]:
             f"(units are case-sensitive: Gbps is bits/s, GBps is bytes/s)"
         )
     factor, dimension = entry
-    return float(number) * factor, dimension
+    value = float(number) * factor
+    if not math.isfinite(value):
+        raise QuantityError(f"quantity {text!r} overflows to {value}")
+    return value, dimension
 
 
 def _parse_dimension(text: str, want: Dimension, what: str) -> float:
@@ -132,7 +136,10 @@ def parse_seconds(text: str) -> float:
 
 
 def coerce_quantity(value, parser) -> float:
-    """A config value in SI: literals go through ``parser``, numbers pass as is."""
+    """A config value in SI: literals go through ``parser``, finite numbers pass as is."""
     if isinstance(value, str):
         return parser(value)
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise QuantityError(f"quantity {value!r} is not finite")
+    return number

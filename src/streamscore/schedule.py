@@ -35,6 +35,8 @@ def spawn_offsets(mode: SpawnMode, concurrency: float, duration: float) -> list[
         raise ValueError(f"concurrency must be > 0, got {concurrency}")
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
+    if not (math.isfinite(concurrency) and math.isfinite(duration)):
+        raise ValueError(f"concurrency and duration must be finite, got {concurrency}, {duration}")
 
     if mode is SpawnMode.SIMULTANEOUS:
         batch = math.ceil(concurrency)

@@ -10,12 +10,21 @@ against it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from streamscore.fluidsim import _EVENT_EPS, AllocationInterval, Scenario, SimResult
+from streamscore.fluidsim import _EVENT_EPS, AllocationInterval, Scenario
 from streamscore.records import FlowRecord
 
 
-def simulate_reference(scenario: Scenario) -> SimResult:
+@dataclass(frozen=True)
+class ReferenceResult:
+    records: tuple[FlowRecord, ...]
+    trace: tuple[AllocationInterval, ...]
+    utilization: float
+    max_fct: float
+
+
+def simulate_reference(scenario: Scenario) -> ReferenceResult:
     """Run the event loop to the last completion and collect flow records."""
     spawns = scenario.spawn_times()
     if not spawns:
@@ -95,8 +104,7 @@ def simulate_reference(scenario: Scenario) -> SimResult:
     delivered = scenario.transfer_bytes * len(spawns)
     utilization = min(1.0, delivered / (capacity * span)) if span > 0 else 1.0
 
-    return SimResult(
-        scenario=scenario,
+    return ReferenceResult(
         records=records,
         trace=tuple(trace),
         utilization=utilization,

@@ -152,6 +152,31 @@ def test_simulate_missing_flags_exit_1(capsys):
     assert "--duration" in err
 
 
+def test_simulate_overflowing_quantity_exits_1_without_a_log(capsys, tmp_path):
+    out_path = tmp_path / "sim.jsonl"
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--bw", "1e400bps", "--size", "1GB", "--duration", "1s",
+        "--concurrency", "1", "--out", str(out_path),
+    )
+    assert code == 1
+    assert "1e400bps" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("field", ["bandwidth", "concurrency"])
+def test_simulate_scenario_with_overflowing_number_exits_1(capsys, tmp_path, field):
+    raw = {"bandwidth": '"25Gbps"', "duration": '"1s"', "concurrency": "1", "transfer_bytes": '"1GB"'}
+    raw[field] = "1e400"  # json.dumps cannot write it; json.loads reads it as inf
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("{" + ", ".join(f'"{key}": {value}' for key, value in raw.items()) + "}")
+    out_path = tmp_path / "sim.jsonl"
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out_path))
+    assert code == 1
+    assert "finite" in err
+    assert not out_path.exists()
+
+
 def test_simulate_compare_overlays_measured_log(capsys, tmp_path):
     measured = tmp_path / "measured.jsonl"
     run_cli(
@@ -412,12 +437,19 @@ def test_bad_quantity_exits_1(capsys):
 
 
 def test_cli_import_leaves_harness_and_case_study_unloaded():
-    # only `measure` and `casestudy` need them; every other command skips the import
+    # only `measure` and `casestudy` need them; every other command skips the import.
+    # The layer modules must load with the CLI: perfbench/spans.py patches layer
+    # functions only in modules loaded when `import streamscore.cli` returns, so a
+    # lazily imported layer would go untraced.
+    layers = ("fluidsim", "analysis", "records", "model")
     code = (
-        "import sys, streamscore.cli; "
-        "print(sorted(m for m in ('streamscore.loadgen', 'streamscore.casestudy') if m in sys.modules))"
+        "import json, sys, streamscore.cli; "
+        "print(json.dumps(sorted(m.split('.')[1] for m in sys.modules "
+        "if m.startswith('streamscore.'))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, check=True
     )
-    assert done.stdout.strip() == "[]"
+    loaded = set(json.loads(done.stdout))
+    assert not loaded & {"loadgen", "casestudy"}
+    assert set(layers) <= loaded

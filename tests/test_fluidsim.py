@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import json
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
@@ -15,7 +16,6 @@ from streamscore.fluidsim import (
     load_scenario,
     simulate,
     sweep,
-    worst_fct,
 )
 from streamscore.model import LinkSpec
 from streamscore.schedule import SpawnMode, spawn_offsets
@@ -102,27 +102,10 @@ def test_startup_latency_defaults_to_rtt_and_adds_to_fct():
 
 
 def test_worst_fct_matches_max():
-    result = simulate(scenario(duration=10.0))
-    assert worst_fct(result) == max(r.fct_s for r in result.records)
-
-
-def test_worst_fct_mixed_records_and_empty():
-    import dataclasses
-
-    from streamscore.records import FlowRecord
-
-    result = simulate(scenario())
-    mixed = dataclasses.replace(
-        result,
-        records=tuple(
-            FlowRecord(client_id=i, spawn_s=0.0, complete_s=f, fct_s=f, bytes=1, flows=1)
-            for i, f in enumerate([0.2, 5.1, 1.3])
-        ),
-    )
-    assert worst_fct(mixed) == 5.1
-    empty = dataclasses.replace(result, records=())
-    with pytest.raises(ValueError):
-        worst_fct(empty)
+    # the summary comes from the FCT column; records are built from it later
+    for mode in SpawnMode:
+        result = simulate(scenario(duration=10.0, concurrency=7.5, mode=mode))
+        assert result.max_fct == max(r.fct_s for r in result.records)
 
 
 # --- conservation invariants ---
@@ -167,9 +150,13 @@ def test_total_delivered_bytes_counts_whole_clients():
 def test_determinism_bit_identical():
     a = simulate(scenario(duration=10.0))
     b = simulate(scenario(duration=10.0))
+    # the columns are tuples, so a result stays hashable
+    assert a == b and hash(a) == hash(b)
     assert a.records == b.records
     assert a.trace == b.trace
     assert a.utilization == b.utilization
+    # reading the lazy views changes neither equality nor the hash
+    assert a == b and hash(a) == hash(b)
 
 
 def test_utilization_bounds_and_equal_share_case():
@@ -181,6 +168,13 @@ def test_utilization_bounds_and_equal_share_case():
 def test_rejects_zero_clients():
     with pytest.raises(ValueError):
         spawn_offsets(SpawnMode.SIMULTANEOUS, 1, 0.0)
+
+
+@pytest.mark.parametrize("mode", list(SpawnMode))
+@pytest.mark.parametrize("concurrency, duration", [(1e400, 1.0), (1.0, 1e400), (float("nan"), 1.0)])
+def test_rejects_non_finite_schedules(mode, concurrency, duration):
+    with pytest.raises(ValueError, match="finite"):
+        spawn_offsets(mode, concurrency, duration)
 
 
 # --- reference oracle ---
@@ -278,6 +272,69 @@ def test_sweep_simulates_each_concurrency_once(monkeypatch):
     rows = sweep(scenario(duration=10.0), [1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 4, 8])
     assert len(rows) == 32
     assert calls == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+# --- lazy records and trace ---
+
+
+def _count_constructions(monkeypatch) -> Counter:
+    built: Counter = Counter()
+
+    def counting(cls):
+        def construct(*args):
+            built[cls.__name__] += 1
+            return cls(*args)
+
+        return construct
+
+    for name in ("FlowRecord", "AllocationInterval"):
+        monkeypatch.setattr(fluidsim, name, counting(getattr(fluidsim, name)))
+    return built
+
+
+def test_records_and_trace_are_built_on_first_read(monkeypatch):
+    built = _count_constructions(monkeypatch)
+    result = simulate(scenario(duration=10.0, concurrency=7.0, mode=SpawnMode.SCHEDULED))
+    assert "records" not in vars(result) and "trace" not in vars(result)
+    assert not built
+
+    records = result.records
+    assert built == {"FlowRecord": 70}
+    assert [r.fct_s for r in records] == list(result.fcts)
+    trace = result.trace
+    assert built["AllocationInterval"] == len(result.intervals) > 70
+    assert result.records is records and result.trace is trace  # cached, built once
+
+
+def test_sweep_builds_no_records_or_trace(monkeypatch):
+    built = _count_constructions(monkeypatch)
+    base = scenario(duration=10.0, mode=SpawnMode.SCHEDULED)
+    rows = sweep(base, [1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 4, 8])
+    assert len(rows) == 32
+    assert not built
+
+
+@pytest.mark.parametrize("mode", list(SpawnMode))
+@pytest.mark.parametrize("startup", [0.0, None])
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_sweep_rows_equal_single_simulations(mode, startup, alpha):
+    base = Scenario(
+        link=LinkSpec(bandwidth=GBPS_25, alpha=alpha, rtt=0.016),
+        duration=10.0,
+        concurrency=1.0,
+        transfer_bytes=0.5e9,
+        mode=mode,
+        startup_latency=startup,
+    )
+    concurrencies = [1.0, 2.5, 5.0, 6.0, 7.25, 8.0]
+    rows = sweep(base, concurrencies, [1, 4])
+    for index, concurrency in enumerate(concurrencies):
+        summary = simulate(replace(base, concurrency=concurrency)).summary()
+        for row in rows[2 * index : 2 * index + 2]:
+            assert row.concurrency == concurrency
+            assert (row.worst_fct, row.utilization, row.sss) == (
+                summary["max_fct"], summary["utilization"], summary["sss"]
+            )
 
 
 # --- congestion behavior ---

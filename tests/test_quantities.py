@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from streamscore.quantities import (
     Dimension,
     QuantityError,
+    coerce_quantity,
     parse_bytes,
     parse_compute_rate,
     parse_quantity,
@@ -84,6 +87,7 @@ def test_times(text, expected):
 def test_scientific_notation_and_whitespace():
     assert parse_bytes(" 5e8 B ") == 5e8
     assert parse_seconds("1e-3s") == 1e-3
+    assert parse_bytes("1.5e308B") == 1.5e308  # large but finite
 
 
 def test_dimension_tagging():
@@ -112,3 +116,23 @@ def test_wrong_dimension_rejected():
         parse_compute_rate("34TFLOP")
     with pytest.raises(QuantityError, match="expects seconds"):
         parse_seconds("25Gbps")
+
+
+@pytest.mark.parametrize("text", ["1e400Gbps", "1e309B", "1e308TB", "2e307min", "1e300PF"])
+def test_overflowing_literals_rejected(text):
+    # the decimal or its unit factor overflows a float; inf is not a quantity
+    with pytest.raises(QuantityError, match="overflows"):
+        parse_quantity(text)
+
+
+@pytest.mark.parametrize("value", [1e400, -1e400, math.nan])
+def test_coerce_rejects_non_finite_numbers(value):
+    with pytest.raises(QuantityError, match="finite"):
+        coerce_quantity(value, parse_rate)
+
+
+def test_coerce_passes_finite_numbers_and_parses_literals():
+    assert coerce_quantity(3, parse_rate) == 3.0
+    assert coerce_quantity("25Gbps", parse_rate) == 25e9 / 8
+    with pytest.raises(QuantityError, match="overflows"):
+        coerce_quantity("1e400Gbps", parse_rate)
