@@ -206,6 +206,27 @@ def _modal_bytes(ok_records: list[FlowRecord]) -> int | None:
     return sizes.most_common(1)[0][0]
 
 
+# result fields whose JSON and CSV keys carry their unit
+_ROW_KEYS = {
+    "worst_fct": "worst_fct_s",
+    "throughput": "throughput_bytes_per_s",
+    "required_remote_rate": "required_remote_rate_flops",
+}
+
+
+def _enum_values(pairs) -> dict:
+    return {key: value.value if isinstance(value, Enum) else value for key, value in pairs}
+
+
+def _row_values(pairs) -> dict:
+    return _enum_values((_ROW_KEYS.get(key, key), value) for key, value in pairs)
+
+
+def row_dict(row) -> dict:
+    """A sweep or case-study row as its JSON/CSV object, in field order."""
+    return asdict(row, dict_factory=_row_values)
+
+
 def build_report(
     records: Iterable[FlowRecord],
     link: LinkSpec | None = None,
@@ -263,13 +284,7 @@ def build_report(
         "schema": REPORT_SCHEMA,
         "stats": asdict(stats),
         "cdf": [[value, probability] for value, probability in cdf_series],
-        "regime": {
-            "regime": regime.regime.value,
-            "worst_fct": regime.worst_fct,
-            "utilization": regime.utilization,
-            "sss": regime.sss,
-            "tier_feasibility": regime.tier_feasibility,
-        },
+        "regime": asdict(regime, dict_factory=_enum_values),
         "sss": sss_value,
         "decision": decision,
         "comparison": comparison,
@@ -322,34 +337,14 @@ def write_report(
 
 
 def write_sweep_csv(rows, path: Path | str) -> Path:
-    """Worst-FCT-versus-load series from fluidsim sweep rows."""
+    """Worst-FCT-versus-load series from (non-empty) fluidsim sweep rows."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    table = [row_dict(row) for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "concurrency",
-                "parallel_flows",
-                "mode",
-                "offered_load",
-                "worst_fct_s",
-                "sss",
-                "utilization",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.concurrency,
-                    row.parallel_flows,
-                    row.mode.value,
-                    row.offered_load,
-                    row.worst_fct,
-                    row.sss,
-                    row.utilization,
-                ]
-            )
+        writer.writerow(table[0])
+        writer.writerows(row.values() for row in table)
     return path
 
 

@@ -274,47 +274,45 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
+def _given(**flags) -> dict:
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _scenario_from_args(args) -> fluidsim.Scenario:
+    link_flags = _given(bandwidth=args.bw, alpha=args.alpha, rtt=args.rtt)
     if args.scenario:
         base = fluidsim.load_scenario(args.scenario)
-        link = LinkSpec(
-            bandwidth=args.bw if args.bw is not None else base.link.bandwidth,
-            alpha=args.alpha if args.alpha is not None else base.link.alpha,
-            rtt=args.rtt if args.rtt is not None else base.link.rtt,
+    else:
+        missing = [
+            flag
+            for flag, value in (
+                ("--bw", args.bw),
+                ("--duration", args.duration),
+                ("--concurrency", args.concurrency),
+                ("--size", args.size),
+            )
+            if value is None
+        ]
+        if missing:
+            raise UsageError(f"simulate requires {', '.join(missing)} (or --scenario)")
+        # the link first, so a bad link flag is the error reported first
+        base = fluidsim.Scenario(
+            link=LinkSpec(**link_flags),
+            duration=args.duration,
+            concurrency=args.concurrency,
+            transfer_bytes=args.size,
         )
-        return fluidsim.Scenario(
-            link=link,
-            duration=args.duration if args.duration is not None else base.duration,
-            concurrency=args.concurrency if args.concurrency is not None else base.concurrency,
-            transfer_bytes=args.size if args.size is not None else base.transfer_bytes,
-            parallel_flows=args.parallel if args.parallel is not None else base.parallel_flows,
-            mode=args.mode if args.mode is not None else base.mode,
-            startup_latency=args.startup if args.startup is not None else base.startup_latency,
-        )
-    missing = [
-        flag
-        for flag, value in (
-            ("--bw", args.bw),
-            ("--duration", args.duration),
-            ("--concurrency", args.concurrency),
-            ("--size", args.size),
-        )
-        if value is None
-    ]
-    if missing:
-        raise UsageError(f"simulate requires {', '.join(missing)} (or --scenario)")
-    return fluidsim.Scenario(
-        link=LinkSpec(
-            bandwidth=args.bw,
-            alpha=args.alpha if args.alpha is not None else 1.0,
-            rtt=args.rtt if args.rtt is not None else 0.0,
+    return dataclasses.replace(
+        base,
+        link=dataclasses.replace(base.link, **link_flags),
+        **_given(
+            duration=args.duration,
+            concurrency=args.concurrency,
+            transfer_bytes=args.size,
+            parallel_flows=args.parallel,
+            mode=args.mode,
+            startup_latency=args.startup,
         ),
-        duration=args.duration,
-        concurrency=args.concurrency,
-        transfer_bytes=args.size,
-        parallel_flows=args.parallel if args.parallel is not None else 1,
-        mode=args.mode if args.mode is not None else SpawnMode.SIMULTANEOUS,
-        startup_latency=args.startup,
     )
 
 
@@ -327,23 +325,7 @@ def cmd_simulate(args) -> int:
         if args.out:
             analysis.write_sweep_csv(rows, args.out)
         if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "concurrency": row.concurrency,
-                            "parallel_flows": row.parallel_flows,
-                            "mode": row.mode.value,
-                            "offered_load": row.offered_load,
-                            "worst_fct_s": row.worst_fct,
-                            "sss": row.sss,
-                            "utilization": row.utilization,
-                        }
-                        for row in rows
-                    ],
-                    indent=2,
-                )
-            )
+            print(json.dumps([analysis.row_dict(row) for row in rows], indent=2))
         else:
             print("concurrency  parallel  mode          load    worst_fct  sss")
             for row in rows:
@@ -523,29 +505,7 @@ def cmd_casestudy(args) -> int:
     results = casestudy.evaluate(study)
 
     if args.json:
-        doc = []
-        for row in results:
-            doc.append(
-                {
-                    "name": row.name,
-                    "throughput_bytes_per_s": row.throughput,
-                    "utilization": row.utilization,
-                    "infeasible": row.infeasible,
-                    "worst_fct_s": row.worst_fct,
-                    "extrapolated": row.extrapolated,
-                    "tiers": [
-                        {
-                            "tier": t.tier,
-                            "deadline_s": t.deadline_s,
-                            "budget_s": t.budget_s,
-                            "required_remote_rate_flops": t.required_remote_rate,
-                        }
-                        for t in row.tiers
-                    ],
-                    "note": row.note,
-                    "error": row.error,
-                }
-            )
+        doc = [analysis.row_dict(row) for row in results]
         _write_or_print(json.dumps(doc, indent=2), args.out)
     else:
         lines = []

@@ -1,6 +1,7 @@
 """Deterministic fluid simulation of a single bottleneck link.
 
-Clients spawn on a schedule, wait out a startup latency, then share the
+A ``Scenario`` is the shared ``schedule.LoadSpec`` plus a link and a startup
+latency. Clients spawn on its schedule, wait out the startup, then share the
 link's effective capacity equally (max-min fair at client granularity;
 a client's parallel flows split its allocation, so they change nothing at
 the bottleneck). Events are client activations and completions. The client
@@ -32,40 +33,30 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
 from .model import LinkSpec, streaming_speed_score, theoretical_transfer_time
 from .quantities import coerce_quantity, parse_bytes, parse_rate, parse_seconds
 from .records import FlowRecord
-from .schedule import SpawnMode, spawn_offsets
+from .schedule import LoadSpec, SpawnMode
 
 # events closer than this are processed at the same instant
 _EVENT_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, kw_only=True)
+class Scenario(LoadSpec):
     """One simulated load-generation run against a bottleneck link."""
 
     link: LinkSpec
-    duration: float  # seconds of client spawning
-    concurrency: float  # clients per second
-    transfer_bytes: float  # bytes per client
-    parallel_flows: int = 1
-    mode: SpawnMode = SpawnMode.SIMULTANEOUS
     startup_latency: float | None = None  # None: one RTT, approximating connection setup
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.concurrency <= 0:
-            raise ValueError(f"concurrency must be > 0, got {self.concurrency}")
+        super().__post_init__()
         if self.transfer_bytes <= 0:
             raise ValueError(f"transfer_bytes must be > 0, got {self.transfer_bytes}")
-        if self.parallel_flows <= 0:
-            raise ValueError(f"parallel_flows must be > 0, got {self.parallel_flows}")
         if self.startup_latency is not None and self.startup_latency < 0:
             raise ValueError(
                 f"startup_latency must be >= 0, got {self.startup_latency}"
@@ -75,20 +66,13 @@ class Scenario:
     def startup(self) -> float:
         return self.link.rtt if self.startup_latency is None else self.startup_latency
 
-    def spawn_times(self) -> list[float]:
-        return spawn_offsets(self.mode, self.concurrency, self.duration)
-
     def config_echo(self) -> dict:
         return {
             "source": "fluidsim",
             "bandwidth": self.link.bandwidth,
             "alpha": self.link.alpha,
             "rtt": self.link.rtt,
-            "duration": self.duration,
-            "concurrency": self.concurrency,
-            "parallel_flows": self.parallel_flows,
-            "transfer_bytes": self.transfer_bytes,
-            "mode": self.mode.value,
+            **self.load_echo(),
             "startup_latency": self.startup,
         }
 
@@ -264,17 +248,10 @@ def sweep(
     return rows
 
 
-_SCENARIO_KEYS = {
-    "bandwidth",
-    "alpha",
-    "rtt",
-    "duration",
-    "concurrency",
-    "parallel_flows",
-    "transfer_bytes",
-    "mode",
-    "startup_latency",
-}
+# a scenario file holds the link's fields beside the scenario's own
+_SCENARIO_KEYS = {f.name for f in fields(LinkSpec)} | (
+    {f.name for f in fields(Scenario)} - {"link"}
+)
 
 
 def scenario_from_mapping(raw: dict) -> Scenario:

@@ -3,9 +3,10 @@
 The server binds a pool of sequential ports; each accepted connection is
 handled independently (read the declared payload to exhaustion, acknowledge
 with one byte, repeat until the peer closes), so server-side contention is
-limited to the NIC and kernel. The client side spawns transfer clients on
-the same schedule the simulator uses and logs one FlowRecord per client from
-a monotonic clock.
+limited to the NIC and kernel. ``ClientRunConfig`` is the shared
+``schedule.LoadSpec`` plus the server and timeouts, so the client side spawns
+transfer clients on the simulator's schedule, echoes the same load keys, and
+logs one FlowRecord per client from a monotonic clock.
 
 Wire format, per connection: a 16-byte header (magic ``SGTE``, version 0x01,
 3 reserved zero bytes, payload length as big-endian u64) followed by exactly
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .records import FlowRecord
-from .schedule import SpawnMode, spawn_offsets
+from .schedule import LoadSpec
 
 MAGIC = b"SGTE"
 PROTOCOL_VERSION = 1
@@ -203,50 +204,26 @@ class TransferServer:
                         if not chunk:
                             return
                         remaining -= len(chunk)
+                    # counted before the ack: a client holding its ack sees its transfer
+                    with self._stats_lock:
+                        self.transfers_served += 1
                     conn.sendall(ACK)
                 except OSError:
                     return
-                with self._stats_lock:
-                    self.transfers_served += 1
 
 
-def serve_forever(config: ServerConfig) -> None:
-    """Blocking variant for CLI use: run until KeyboardInterrupt."""
-    server = TransferServer(config)
-    server.start()
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-
-
-@dataclass(frozen=True)
-class ClientRunConfig:
-    """Client orchestration parameters; mirrors the simulator's Scenario."""
+@dataclass(frozen=True, kw_only=True)
+class ClientRunConfig(LoadSpec):
+    """A measured run: the shared load spec plus where and how to connect."""
 
     server_address: str
     base_port: int
-    duration: float  # seconds of client spawning
-    concurrency: float  # clients per second
-    transfer_bytes: int  # bytes per client
-    parallel_flows: int = 1
-    mode: SpawnMode = SpawnMode.SIMULTANEOUS
     pool_size: int = 8  # client i targets base_port + (i mod pool_size)
     connect_timeout: float = 10.0
     transfer_timeout: float = 120.0
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.concurrency <= 0:
-            raise ValueError(f"concurrency must be > 0, got {self.concurrency}")
-        if self.transfer_bytes < 0:
-            raise ValueError(f"transfer_bytes must be >= 0, got {self.transfer_bytes}")
-        if self.parallel_flows <= 0:
-            raise ValueError(f"parallel_flows must be > 0, got {self.parallel_flows}")
+        super().__post_init__()
         if self.pool_size <= 0:
             raise ValueError(f"pool_size must be > 0, got {self.pool_size}")
         if self.connect_timeout <= 0 or self.transfer_timeout <= 0:
@@ -258,11 +235,7 @@ class ClientRunConfig:
             "server_address": self.server_address,
             "base_port": self.base_port,
             "pool_size": self.pool_size,
-            "duration": self.duration,
-            "concurrency": self.concurrency,
-            "parallel_flows": self.parallel_flows,
-            "transfer_bytes": self.transfer_bytes,
-            "mode": self.mode.value,
+            **self.load_echo(),
             "connect_timeout": self.connect_timeout,
             "transfer_timeout": self.transfer_timeout,
         }
@@ -362,7 +335,7 @@ def run_clients(
     interface counters (or any external byte source) can be attached to the
     log without this module knowing how to collect them.
     """
-    offsets = spawn_offsets(config.mode, config.concurrency, config.duration)
+    offsets = config.spawn_times()
     results: list[FlowRecord] = []
     results_lock = threading.Lock()
 

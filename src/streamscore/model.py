@@ -69,10 +69,6 @@ class ComputeSpec:
         if self.remote_rate <= 0:
             raise ValueError(f"remote_rate must be > 0, got {self.remote_rate}")
 
-    @property
-    def remote_local_ratio(self) -> float:
-        return self.remote_rate / self.local_rate
-
 
 @dataclass(frozen=True)
 class LinkSpec:

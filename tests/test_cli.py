@@ -257,6 +257,24 @@ def test_simulate_and_analyze_match_golden_bytes(capsys, tmp_path):
     assert out.encode("utf-8") == (GOLDEN / "report.json").read_bytes()
 
 
+def test_sweep_and_casestudy_match_golden_bytes(capsys, tmp_path):
+    # the sweep JSON and CSV and the case study JSON keep their exact bytes
+    csv_path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--bw", "10Gbps", "--alpha", "0.7", "--size", "0.3GB",
+        "--rtt", "7ms", "--duration", "3s", "--concurrency", "1",
+        "--mode", "scheduled", "--sweep", "1,2.5,4,5.5",
+        "--parallel-list", "1,2,8", "--json", "--out", str(csv_path),
+    )
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "sweep.json").read_bytes()
+    assert csv_path.read_bytes() == (GOLDEN / "sweep.csv").read_bytes()
+    code, out, _ = run_cli(capsys, "casestudy", "--json")
+    assert code == 2  # the bundled study holds an infeasible workflow
+    assert out.encode("utf-8") == (GOLDEN / "casestudy.json").read_bytes()
+
+
 def test_analyze_rejects_bad_records_naming_the_line(capsys, tmp_path):
     # this log used to analyze to min=nan, p50=-7.0 and exit 0
     log = tmp_path / "bad.jsonl"

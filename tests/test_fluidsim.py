@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -240,6 +241,33 @@ def test_idle_separated_clients_match_reference_bit_for_bit():
     fast, slow = simulate(s), simulate_reference(s)
     assert fast.records == slow.records
     assert fast.utilization == slow.utilization
+
+
+# --- oracle-free invariants at 10^5 clients ---
+
+
+@pytest.mark.parametrize("mode", list(SpawnMode))
+@pytest.mark.parametrize("load", [0.5, 0.95, 1.2, 3.0])
+def test_trace_conserves_bytes_and_obeys_littles_law(mode, load):
+    # exact identities need no oracle, so they hold at any scale: the trace
+    # delivers every client's bytes, and the time clients spend on the link
+    # (Little's law) equals the integral of the active count over the trace
+    size, clients = 1e6, 100_000
+    link = LinkSpec(bandwidth=1e9, alpha=0.8, rtt=0.007)
+    concurrency = load * link.bandwidth / size
+    result = simulate(
+        Scenario(link=link, duration=clients / concurrency, concurrency=concurrency,
+                 transfer_bytes=size, mode=mode)
+    )
+    count = len(result.spawns)
+    assert count >= clients
+    delivered = math.fsum(rate * (end - start) * (hi - lo)
+                          for start, end, lo, hi, rate in result.intervals)
+    assert delivered == pytest.approx(count * size, rel=1e-9, abs=0)
+    on_link = math.fsum(fct - link.rtt for fct in result.fcts)
+    occupancy = math.fsum((end - start) * (hi - lo)
+                          for start, end, lo, hi, _ in result.intervals)
+    assert on_link == pytest.approx(occupancy, rel=1e-9, abs=0)
 
 
 # --- scaling guards (deterministic: memory and call counts, no wall clock) ---

@@ -227,6 +227,34 @@ def test_port_assignment_round_robins_over_pool():
         assert server.transfers_served == 4
 
 
+def test_transfer_is_counted_before_its_ack(monkeypatch):
+    # a client that holds its ack must find its transfer counted
+    base = find_free_port_block(1)
+    counts_at_ack = []
+    real_sendall = socket.socket.sendall
+    with TransferServer(ServerConfig(base_port=base, pool_size=1)) as server:
+
+        def sendall(sock, data, *args):
+            if data == ACK:
+                counts_at_ack.append(server.transfers_served)
+            return real_sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", sendall)
+        log = run_clients(
+            ClientRunConfig(
+                server_address="127.0.0.1",
+                base_port=base,
+                pool_size=1,
+                duration=1.0,
+                concurrency=2.0,
+                transfer_bytes=1000,
+                mode=SpawnMode.SCHEDULED,
+            )
+        )
+    assert log.failures == 0
+    assert counts_at_ack == [1, 2]
+
+
 def test_counter_sampler_hook_recorded_in_meta():
     base = find_free_port_block(1)
     samples = iter([100, 200])
@@ -260,5 +288,19 @@ def test_run_meta_echoes_config():
         log = run_clients(config)
     for key, value in config.config_echo().items():
         assert log.meta[key] == value
-    assert "started_unix_ms" in log.meta
-    assert "monotonic_epoch_s" in log.meta
+    # the header's key order is part of the log format
+    assert list(log.meta) == [
+        "source",
+        "server_address",
+        "base_port",
+        "pool_size",
+        "duration",
+        "concurrency",
+        "parallel_flows",
+        "transfer_bytes",
+        "mode",
+        "connect_timeout",
+        "transfer_timeout",
+        "started_unix_ms",
+        "monotonic_epoch_s",
+    ]
