@@ -36,7 +36,7 @@ from .quantities import (
     parse_seconds,
     parse_work,
 )
-from .records import LogFormatError, read_jsonl, write_jsonl
+from .records import read_jsonl, write_jsonl
 from .schedule import SpawnMode
 
 EXIT_OK = 0
@@ -71,6 +71,14 @@ def _int_list(text: str) -> list[int]:
 
 def _fmt(value: float) -> str:
     return f"{value:.6g}"
+
+
+def _delay_row(block: dict) -> tuple[str, str]:
+    return (
+        "delay total",
+        f"{_fmt(block['total_s'])} s (propagation only "
+        f"{_fmt(block['propagation_only_s'])} s, {block['label']})",
+    )
 
 
 def _emit_table(rows: list[tuple[str, str]]) -> None:
@@ -251,14 +259,7 @@ def cmd_model(args) -> int:
         ]
         if sss_value is not None:
             rows.append(("sss", _fmt(sss_value)))
-        rows.append(
-            (
-                "delay total",
-                f"{_fmt(delay_block['total_s'])} s "
-                f"(propagation only {_fmt(delay_block['propagation_only_s'])} s, "
-                f"{delay_block['label']})",
-            )
-        )
+        rows.append(_delay_row(delay_block))
         if decision is not None:
             rows.append(
                 (
@@ -379,22 +380,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_measure_serve(args) -> int:
+    import signal
+
     from . import loadgen
 
     config = loadgen.ServerConfig(
         base_port=args.base_port, pool_size=args.pool_size, bind_address=args.bind
     )
-    last_port = config.ports[-1]
     server = loadgen.TransferServer(config)
     server.start()
+    previous = signal.getsignal(signal.SIGTERM)
     try:
+        signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on SIGINT
         # inside the try: an interrupt right after this line must still stop the server
-        print(f"listening on {args.bind}:{config.base_port}-{last_port}", flush=True)
+        print(f"listening on {args.bind}:{config.base_port}-{config.ports[-1]}", flush=True)
         while True:
             time.sleep(1.0)
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.stop()
     return EXIT_OK
 
@@ -480,14 +485,7 @@ def cmd_analyze(args) -> int:
         if report["regime"]["utilization"] is not None:
             rows.append(("utilization", _fmt(report["regime"]["utilization"])))
         if report["delay_model"] is not None:
-            block = report["delay_model"]
-            rows.append(
-                (
-                    "delay total",
-                    f"{_fmt(block['total_s'])} s (propagation only "
-                    f"{_fmt(block['propagation_only_s'])} s, {block['label']})",
-                )
-            )
+            rows.append(_delay_row(report["delay_model"]))
         _emit_table(rows)
         for name, feasible in report["regime"]["tier_feasibility"].items():
             print(f"  {name}: {'yes' if feasible else 'no'}")
@@ -544,13 +542,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (QuantityError, LogFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    # QuantityError and LogFormatError are ValueErrors; this clause must precede OSError's
+    except (UsageError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

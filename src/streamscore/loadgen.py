@@ -1,9 +1,15 @@
 """Live TCP load generation: pooled receive servers and a client orchestrator.
 
-The server binds a pool of sequential ports; each accepted connection is
-handled independently (read the declared payload to exhaustion, acknowledge
-with one byte, repeat until the peer closes), so server-side contention is
-limited to the NIC and kernel. ``ClientRunConfig`` is the shared
+Each side is one ``selectors`` loop, with no thread per client, flow or
+connection: every socket is driven by one small generator that yields
+``(sock, event, timeout)`` before each call on it, and the loop resumes it once
+the socket is ready, or throws ``socket.timeout`` into it when the wait's
+deadline passes first. The server binds a pool of sequential ports and runs one
+loop thread for the whole pool; each accepted connection reads the declared
+payload into the loop's one buffer, is acknowledged with one byte, and repeats
+until the peer closes, and ``stop()`` closes every live connection.
+``run_clients`` runs its loop on the calling thread and spawns each client at
+its offset from the loop's timer. ``ClientRunConfig`` is the shared
 ``schedule.LoadSpec`` plus the server and timeouts, so the client side spawns
 transfer clients on the simulator's schedule, echoes the same load keys, and
 logs one FlowRecord per client from a monotonic clock.
@@ -16,6 +22,11 @@ byte 0x06 once the server has read everything.
 
 from __future__ import annotations
 
+import errno
+import itertools
+import math
+import os
+import selectors
 import socket
 import struct
 import threading
@@ -32,8 +43,10 @@ ACK = b"\x06"
 _HEADER = struct.Struct(">4sB3xQ")
 HEADER_SIZE = _HEADER.size  # 16
 
-_CHUNK = 256 * 256  # 64 KiB, a multiple of 256 so the byte cycle stays aligned
-_PATTERN_BLOCK = bytes(range(256)) * 256
+_CHUNK = 256 * 4096  # 1 MiB, a multiple of 256 so the byte cycle stays aligned
+_PATTERN_BLOCK = memoryview(bytes(range(256)) * 4096)
+_STALLED_PEER_S = 300.0  # the server's wait deadline, well above any test load
+_SPAWN_POLL_S = 0.002  # epoll can wake ~2 ms late: the spawn timer polls the last stretch
 
 
 class WireProtocolError(ValueError):
@@ -77,26 +90,57 @@ def split_bytes(total: int, flows: int) -> list[int]:
 
 
 def payload_chunks(length: int):
-    """Yield the deterministic payload pattern in cycle-aligned chunks."""
-    sent = 0
-    while sent < length:
-        take = min(_CHUNK, length - sent)
-        yield _PATTERN_BLOCK[:take]
-        sent += take
+    """Yield the deterministic payload pattern in cycle-aligned, zero-copy chunks."""
+    for start in range(0, length, _CHUNK):
+        yield _PATTERN_BLOCK[: min(_CHUNK, length - start)]
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    parts = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, _CHUNK))
-        if not chunk:
-            raise ConnectionError(
-                f"connection closed with {remaining} of {count} bytes outstanding"
-            )
-        parts.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(parts)
+class _Loop:
+    """One selector driving socket generators, each wait bounded by a deadline.
+
+    A generator yields ``(sock, event, timeout)`` before each call on ``sock``.
+    The loop resumes it once ``sock`` is ready for ``event``, or throws
+    ``socket.timeout`` into it when ``timeout`` seconds pass first (``None``
+    waits without a deadline). Every live generator is parked on one socket.
+    """
+
+    def __init__(self) -> None:
+        self._selector = selectors.DefaultSelector()
+
+    def resume(self, gen, error: OSError | None = None) -> None:
+        """Run ``gen`` (new, or just woken) to its next wait and park it there."""
+        try:
+            sock, event, timeout = gen.send(None) if error is None else gen.throw(error)
+        except StopIteration:
+            return
+        deadline = math.inf if timeout is None else time.monotonic() + timeout
+        self._selector.register(sock, event, (gen, deadline))
+
+    def _wake(self, key: selectors.SelectorKey, error: OSError | None = None) -> None:
+        self._selector.unregister(key.fileobj)
+        self.resume(key.data[0], error)
+
+    def run_once(self, max_wait: float = math.inf) -> None:
+        """Serve the ready sockets and the expired waits, blocking at most ``max_wait`` s."""
+        deadline = min((key.data[1] for key in self._selector.get_map().values()), default=math.inf)
+        timeout = min(max_wait, deadline - time.monotonic())
+        for key, _ in self._selector.select(None if timeout == math.inf else timeout):
+            self._wake(key)
+        now = time.monotonic()
+        if now >= deadline:
+            for key in [key for key in self._selector.get_map().values() if key.data[1] <= now]:
+                self._wake(key, socket.timeout("timed out"))
+
+    def close(self) -> None:
+        """Close every parked generator; each closes the sockets it owns."""
+        for key in list(self._selector.get_map().values()):
+            self._selector.unregister(key.fileobj)
+            key.data[0].close()
+        self._selector.close()
+
+
+def _until_readable(sock: socket.socket):
+    yield sock, selectors.EVENT_READ, None
 
 
 @dataclass(frozen=True)
@@ -119,15 +163,13 @@ class ServerConfig:
 
 
 class TransferServer:
-    """Pool of acknowledge-on-receipt listeners on sequential ports."""
+    """Pool of acknowledge-on-receipt listeners on sequential ports, one loop thread."""
 
     def __init__(self, config: ServerConfig):
         self.config = config
-        self._listeners: list[socket.socket] = []
-        self._threads: list[threading.Thread] = []
-        self._stopping = threading.Event()
-        self.transfers_served = 0
-        self._stats_lock = threading.Lock()
+        self.transfers_served = 0  # written only by the loop thread
+        self._thread: threading.Thread | None = None
+        self._wake: tuple[socket.socket, ...] = ()  # a byte on [1] ends the loop's wait on [0]
 
     def start(self) -> None:
         """Bind every port in the pool; on any failure release them all."""
@@ -138,33 +180,31 @@ class TransferServer:
             try:
                 sock.bind((self.config.bind_address, port))
                 sock.listen(128)
-                # periodic wakeups let stop() terminate accept loops promptly
-                sock.settimeout(0.2)
             except OSError as exc:
                 sock.close()
                 for other in bound:
                     other.close()
                 raise ServerStartupError(port, exc) from exc
+            sock.setblocking(False)
             bound.append(sock)
-        self._listeners = bound
+        loop = _Loop()
+        buffer = memoryview(bytearray(_CHUNK))  # every connection reads into it, discarding
         for sock in bound:
-            thread = threading.Thread(
-                target=self._accept_loop, args=(sock,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
+            loop.resume(self._accept(loop, sock, buffer))
+        self._wake = socket.socketpair()
+        loop.resume(_until_readable(self._wake[0]))
+        self._thread = threading.Thread(target=self._serve, args=(loop,), daemon=True)
+        self._thread.start()
 
     def stop(self) -> None:
-        self._stopping.set()
-        for sock in self._listeners:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-        self._listeners = []
-        self._threads = []
+        """End the loop thread, closing every listener and live connection."""
+        thread, self._thread = self._thread, None  # the loop thread ends once it sees None
+        if thread is None:
+            return
+        self._wake[1].send(b"\0")
+        thread.join()  # both ends stay open until here: the loop may end before the byte lands
+        for end in self._wake:
+            end.close()
 
     def __enter__(self) -> TransferServer:
         self.start()
@@ -173,43 +213,47 @@ class TransferServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed
-            conn.settimeout(300.0)  # stalled-peer guard, well above any test load
-            threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            ).start()
+    def _serve(self, loop: _Loop) -> None:
+        try:
+            while self._thread is not None:
+                loop.run_once()
+        finally:
+            loop.close()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        with conn:
+    def _accept(self, loop: _Loop, listener: socket.socket, buffer: memoryview):
+        with listener:
             while True:
+                yield listener, selectors.EVENT_READ, None
                 try:
-                    first = conn.recv(1)
-                    if not first:
-                        return  # clean close between transfers
-                    raw = first + _recv_exact(conn, HEADER_SIZE - 1)
-                    length = parse_header(raw)
-                except (WireProtocolError, ConnectionError, OSError):
-                    return  # drop without acknowledgment
-                try:
-                    remaining = length
-                    while remaining > 0:
-                        chunk = conn.recv(min(remaining, _CHUNK))
-                        if not chunk:
-                            return
-                        remaining -= len(chunk)
-                    # counted before the ack: a client holding its ack sees its transfer
-                    with self._stats_lock:
-                        self.transfers_served += 1
-                    conn.sendall(ACK)
+                    conn, _addr = listener.accept()
                 except OSError:
-                    return
+                    continue  # the peer left first, or no descriptor is free until one closes
+                conn.setblocking(False)
+                loop.resume(self._serve_connection(conn, buffer))
+
+    def _serve_connection(self, conn: socket.socket, buffer: memoryview):
+        with conn:
+            try:
+                while True:
+                    header = b""
+                    while len(header) < HEADER_SIZE:
+                        yield conn, selectors.EVENT_READ, _STALLED_PEER_S
+                        part = conn.recv(HEADER_SIZE - len(header))
+                        if not part:
+                            return  # clean close between transfers, or a cut header
+                        header += part
+                    remaining = parse_header(header)
+                    while remaining > 0:
+                        yield conn, selectors.EVENT_READ, _STALLED_PEER_S
+                        got = conn.recv_into(buffer, min(remaining, _CHUNK))
+                        if not got:
+                            return
+                        remaining -= got
+                    # counted before the ack: a client holding its ack sees its transfer
+                    self.transfers_served += 1
+                    conn.sendall(ACK)
+            except (WireProtocolError, OSError):
+                return  # drop without acknowledgment
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -251,78 +295,40 @@ class TransferLog:
         return sum(1 for r in self.records if not r.ok)
 
 
-def _run_flow(
-    address: tuple[str, int],
-    nbytes: int,
-    connect_timeout: float,
-    transfer_timeout: float,
-) -> int:
-    """Send one flow's payload and wait for the acknowledgment byte."""
-    with socket.create_connection(address, timeout=connect_timeout) as sock:
-        sock.settimeout(transfer_timeout)
-        sock.sendall(pack_header(nbytes))
-        for chunk in payload_chunks(nbytes):
-            sock.sendall(chunk)
-        ack = sock.recv(1)
-        if ack != ACK:
-            raise WireProtocolError(
-                "missing acknowledgment" if not ack else f"unexpected reply {ack!r}"
-            )
-    return nbytes
+def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_timeout: float):
+    """One flow on the client loop: connect, send the payload and await the ack.
 
-
-def _run_client(
-    client_id: int,
-    config: ClientRunConfig,
-    epoch: float,
-    sink: Callable[[FlowRecord], None],
-) -> None:
-    port = config.base_port + (client_id % config.pool_size)
-    address = (config.server_address, port)
-    sizes = split_bytes(config.transfer_bytes, config.parallel_flows)
-
-    acked = [0] * len(sizes)
-    errors: list[str] = []
-    errors_lock = threading.Lock()
-
-    def flow_worker(index: int, size: int) -> None:
-        try:
-            acked[index] = _run_flow(
-                address, size, config.connect_timeout, config.transfer_timeout
-            )
-        except (OSError, WireProtocolError) as exc:
-            with errors_lock:
-                errors.append(f"flow {index}: {exc}")
-
-    spawn_s = time.monotonic() - epoch
-    if len(sizes) == 1:
-        flow_worker(0, sizes[0])
-    else:
-        flow_threads = [
-            threading.Thread(target=flow_worker, args=(i, size), daemon=True)
-            for i, size in enumerate(sizes)
-        ]
-        for thread in flow_threads:
-            thread.start()
-        for thread in flow_threads:
-            thread.join(timeout=config.transfer_timeout + config.connect_timeout)
-            if thread.is_alive():
-                with errors_lock:
-                    errors.append("flow join timed out")
-    complete_s = time.monotonic() - epoch
-
-    sink(
-        FlowRecord(
-            client_id=client_id,
-            spawn_s=spawn_s,
-            complete_s=complete_s,
-            fct_s=complete_s - spawn_s,
-            bytes=sum(acked),
-            flows=config.parallel_flows,
-            status="ok" if not errors else "error",
-            error=None if not errors else "; ".join(errors),
-        )
-    )
+    ``targets`` is the resolver's address list, tried in order, the last
+    address's error raised, as ``socket.create_connection`` does; or it is the
+    resolver's error, which every flow then raises.
+    """
+    if isinstance(targets, OSError):
+        raise targets.with_traceback(None)
+    for attempt, (family, kind, proto, _, sockaddr) in enumerate(targets, 1):
+        with socket.socket(family, kind, proto) as sock:
+            sock.setblocking(False)
+            try:
+                code = sock.connect_ex((sockaddr[0], port, *sockaddr[2:]))
+                if code == errno.EINPROGRESS:
+                    yield sock, selectors.EVENT_WRITE, connect_timeout
+                    code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+                if code:
+                    raise OSError(code, os.strerror(code))
+            except OSError:
+                if attempt == len(targets):
+                    raise
+                continue
+            for chunk in itertools.chain([pack_header(nbytes)], payload_chunks(nbytes)):
+                while chunk:
+                    yield sock, selectors.EVENT_WRITE, transfer_timeout
+                    chunk = chunk[sock.send(chunk) :]
+            yield sock, selectors.EVENT_READ, transfer_timeout
+            ack = sock.recv(1)
+            if ack != ACK:
+                raise WireProtocolError(
+                    "missing acknowledgment" if not ack else f"unexpected reply {ack!r}"
+                )
+            return nbytes
 
 
 def run_clients(
@@ -336,51 +342,53 @@ def run_clients(
     log without this module knowing how to collect them.
     """
     offsets = config.spawn_times()
-    results: list[FlowRecord] = []
-    results_lock = threading.Lock()
+    sizes = split_bytes(config.transfer_bytes, config.parallel_flows)
+    try:  # once per run, so a slow resolver cannot stall the spawn timer
+        targets = socket.getaddrinfo(config.server_address, None, type=socket.SOCK_STREAM)
+    except OSError as exc:
+        targets = exc
+    records: list[FlowRecord] = []
+    loop = _Loop()
 
-    def sink(record: FlowRecord) -> None:
-        with results_lock:
-            results.append(record)
+    def start_client(client_id: int) -> None:
+        port = config.base_port + (client_id % config.pool_size)
+        spawn_s = time.monotonic() - epoch
+        acked = [0] * len(sizes)
+        errors = [""] * len(sizes)
+        open_flows = len(sizes)
+
+        def flow(index: int):
+            nonlocal open_flows
+            try:
+                acked[index] = yield from _transfer(
+                    targets, port, sizes[index], config.connect_timeout, config.transfer_timeout
+                )
+            except (OSError, WireProtocolError) as exc:
+                errors[index] = f"flow {index}: {exc}"
+            open_flows -= 1
+            if open_flows == 0:  # each flow ends by ack, error or deadline
+                complete_s = time.monotonic() - epoch
+                error = "; ".join(filter(None, errors))
+                records.append(FlowRecord(
+                    client_id, spawn_s, complete_s, complete_s - spawn_s, sum(acked),
+                    config.parallel_flows, "error" if error else "ok", error or None,
+                ))
+
+        for index in range(len(sizes)):
+            loop.resume(flow(index))
 
     started_unix_ms = int(time.time() * 1000)
     epoch = time.monotonic()
     counter_start = counter_sampler() if counter_sampler is not None else None
-
-    client_threads: list[threading.Thread] = []
-    for client_id, offset in enumerate(offsets):
-        delay = epoch + offset - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        thread = threading.Thread(
-            target=_run_client, args=(client_id, config, epoch, sink), daemon=True
-        )
-        thread.start()
-        client_threads.append(thread)
-
-    join_budget = config.connect_timeout + config.transfer_timeout + 5.0
-    deadline = time.monotonic() + join_budget
-    for thread in client_threads:
-        thread.join(timeout=max(0.1, deadline - time.monotonic()))
-
-    # one record per spawned client, even if a worker wedged past its timeouts
-    with results_lock:
-        seen = {r.client_id for r in results}
-    now = time.monotonic() - epoch
-    for client_id, offset in enumerate(offsets):
-        if client_id not in seen:
-            sink(
-                FlowRecord(
-                    client_id=client_id,
-                    spawn_s=offset,
-                    complete_s=max(now, offset),
-                    fct_s=max(now - offset, 0.0),
-                    bytes=0,
-                    flows=config.parallel_flows,
-                    status="error",
-                    error="client did not report before the join deadline",
-                )
-            )
+    try:
+        for client_id, offset in enumerate(offsets):
+            while (wait := epoch + offset - time.monotonic()) > 0:
+                loop.run_once(wait - _SPAWN_POLL_S)
+            start_client(client_id)
+        while len(records) < len(offsets):  # every client reports
+            loop.run_once()
+    finally:
+        loop.close()
 
     meta = dict(config.config_echo())
     meta["started_unix_ms"] = started_unix_ms
@@ -389,6 +397,4 @@ def run_clients(
         meta["interface_bytes_start"] = counter_start
         meta["interface_bytes_end"] = counter_sampler()
 
-    with results_lock:
-        records = sorted(results, key=lambda r: r.client_id)
-    return TransferLog(meta=meta, records=records)
+    return TransferLog(meta=meta, records=sorted(records, key=lambda r: r.client_id))

@@ -423,6 +423,50 @@ def test_measure_serve_sigint_right_after_listening_exits_0():
                     proc.kill()
 
 
+def test_measure_serve_sigterm_exits_0():
+    # a background job has SIGINT ignored; SIGTERM must still stop the server cleanly
+    base = find_free_port_block(2)
+    with subprocess.Popen(
+        [
+            sys.executable, "-m", "streamscore", "measure", "serve",
+            "--base-port", str(base), "--pool-size", "2",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        try:
+            assert "listening" in proc.stdout.readline()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 0, proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+
+
+def test_measure_run_unresolvable_server_logs_every_client_and_exits_2(
+    capsys, tmp_path, monkeypatch
+):
+    def getaddrinfo(*args, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    out_path = tmp_path / "measured.jsonl"
+    code, _, _ = run_cli(
+        capsys,
+        "measure", "run", "--server", "dtn.example.org", "--base-port", "5201",
+        "--duration", "1s", "--concurrency", "2", "--parallel", "2", "--size", "1KB",
+        "--out", str(out_path),
+    )
+    assert code == 2
+    _, records = read_jsonl(out_path)
+    assert [r.client_id for r in records] == [0, 1]
+    expected = f"[Errno {socket.EAI_NONAME}] Name or service not known"
+    for record in records:
+        assert record.error == f"flow 0: {expected}; flow 1: {expected}"
+        assert record.bytes == 0
+
+
 def test_measure_serve_port_conflict_exits_2(capsys):
     base = find_free_port_block(2)
     blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)

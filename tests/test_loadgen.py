@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
+import time
 
 import pytest
 
@@ -304,3 +306,141 @@ def test_run_meta_echoes_config():
         "started_unix_ms",
         "monotonic_epoch_s",
     ]
+
+
+# --- one selector loop per side ---
+
+
+def count_threads(monkeypatch) -> list:
+    """Gather every threading.Thread constructed from now until the test ends."""
+    created = []
+
+    class Counted(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return created
+
+
+def test_run_clients_starts_no_thread(monkeypatch):
+    base = find_free_port_block(2)
+    with TransferServer(ServerConfig(base_port=base, pool_size=2)):
+        created = count_threads(monkeypatch)  # the server's own thread already runs
+        log = run_clients(
+            ClientRunConfig(
+                server_address="127.0.0.1",
+                base_port=base,
+                pool_size=2,
+                duration=1.0,
+                concurrency=3.0,
+                transfer_bytes=1000,
+                parallel_flows=2,
+            )
+        )
+    assert len(log.records) == 3
+    assert log.failures == 0
+    assert created == []
+
+
+def test_server_runs_one_thread_for_all_connections(monkeypatch):
+    base = find_free_port_block(2)
+    created = count_threads(monkeypatch)
+    with TransferServer(ServerConfig(base_port=base, pool_size=2)) as server:
+        socks = [
+            socket.create_connection(("127.0.0.1", base + i % 2), timeout=5) for i in range(3)
+        ]
+        try:
+            for sock in socks:  # all three stay open while the others transfer
+                sock.sendall(pack_header(1000) + bytes(1000))
+                assert sock.recv(1) == ACK
+            assert server.transfers_served == 3
+        finally:
+            for sock in socks:
+                sock.close()
+    assert len(created) == 1
+
+
+def test_stop_closes_live_connections():
+    base = find_free_port_block(1)
+    server = TransferServer(ServerConfig(base_port=base, pool_size=1))
+    server.start()
+    try:
+        with socket.create_connection(("127.0.0.1", base), timeout=5) as sock:
+            sock.sendall(pack_header(0))
+            assert sock.recv(1) == ACK  # accepted and served, now idle
+            server.stop()
+            sock.settimeout(2)
+            assert sock.recv(1) == b""  # the server closed it
+    finally:
+        server.stop()
+
+
+def test_stop_after_the_loop_saw_the_request_and_ended():
+    # stop() flags the loop, then wakes it; the loop may see the flag and end first
+    base = find_free_port_block(1)
+    server = TransferServer(ServerConfig(base_port=base, pool_size=1))
+    server.start()
+    thread, server._thread = server._thread, None
+    with socket.create_connection(("127.0.0.1", base), timeout=5):
+        thread.join(timeout=5)  # the accept woke the loop, and it ended
+    assert not thread.is_alive()
+    server._thread = thread
+    server.stop()
+
+
+@pytest.mark.parametrize("payload", [1_000, 50_000_000])
+def test_timeouts_hold_against_a_listener_that_never_accepts(payload):
+    base = find_free_port_block(1)
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(("127.0.0.1", base))
+        listener.listen(8)  # the kernel completes both handshakes; nobody reads
+        started = time.monotonic()
+        log = run_clients(
+            ClientRunConfig(
+                server_address="127.0.0.1",
+                base_port=base,
+                pool_size=1,
+                duration=1.0,
+                concurrency=1.0,
+                transfer_bytes=payload,
+                parallel_flows=2,
+                connect_timeout=0.5,
+                transfer_timeout=0.5,
+            )
+        )
+        elapsed = time.monotonic() - started
+    assert [r.error for r in log.records] == ["flow 0: timed out; flow 1: timed out"]
+    assert elapsed < 2.0
+
+
+def test_host_name_resolved_once_per_run_in_resolver_order(monkeypatch):
+    # the name resolves to ::1 first, where nothing listens, then to 127.0.0.1
+    base = find_free_port_block(2)
+    lookups = []
+
+    def getaddrinfo(host, port, *args, **kwargs):
+        lookups.append(host)
+        return [
+            (socket.AF_INET6, socket.SOCK_STREAM, 6, "", ("::1", port or 0, 0, 0)),
+            (socket.AF_INET, socket.SOCK_STREAM, 6, "", ("127.0.0.1", port or 0)),
+        ]
+
+    with TransferServer(ServerConfig(base_port=base, pool_size=2)):
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        log = run_clients(
+            ClientRunConfig(
+                server_address="dtn.example.org",
+                base_port=base,
+                pool_size=2,
+                duration=1.0,
+                concurrency=3.0,
+                transfer_bytes=1000,
+                parallel_flows=2,
+            )
+        )
+    assert log.failures == 0
+    assert [r.bytes for r in log.records] == [1000] * 3
+    assert lookups == ["dtn.example.org"]
