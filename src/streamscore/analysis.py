@@ -1,8 +1,10 @@
 """Statistics and reporting over transfer logs, measured or simulated.
 
-Tail-focused summaries (max, nearest-rank percentiles, empirical CDF),
-operational-regime classification against a tier policy, utilization
-estimates from application bytes, and a JSON report plus CSV series meant
+``build_report`` is the path from flow records to statistics. It sorts the
+successful FCTs once and feeds two primitives over that sorted list:
+``fct_stats`` (max, mean, nearest-rank percentiles) and ``fct_cdf`` (the
+empirical CDF). The report adds the operational regime against a tier
+policy, utilization from application bytes, and a JSON text plus CSV series
 for external plotting. Failed transfers never enter FCT statistics; they are
 surfaced as a failure count instead.
 """
@@ -23,7 +25,6 @@ from .model import (
     DelayDecomposition,
     LinkSpec,
     TierPolicy,
-    classify_tier,
     propagation_only_delay,
     streaming_speed_score,
     theoretical_transfer_time,
@@ -58,19 +59,6 @@ class Regime(Enum):
     SEVERE = "severe"
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    regime: Regime
-    worst_fct: float
-    utilization: float | None
-    sss: float | None
-    tier_feasibility: dict[str, bool]  # tier name -> worst transfer meets deadline
-
-
-def _ok_fcts(records: Iterable[FlowRecord]) -> list[float]:
-    return [r.fct_s for r in records if r.ok]
-
-
 def nearest_rank(sorted_values: Sequence[float], percentile: int) -> float:
     """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value."""
     n = len(sorted_values)
@@ -82,50 +70,36 @@ def nearest_rank(sorted_values: Sequence[float], percentile: int) -> float:
     return sorted_values[index - 1]
 
 
-def _stats_of_sorted(ordered: Sequence[float], failures: int) -> FctStats:
-    if not ordered:
+def fct_stats(sorted_fcts: Sequence[float], failures: int = 0) -> FctStats:
+    """FCT statistics over an ascending list of successful FCTs."""
+    if not sorted_fcts:
         raise ValueError("no successful records to summarize")
     return FctStats(
-        count=len(ordered),
+        count=len(sorted_fcts),
         failures=failures,
-        min=ordered[0],
-        max=ordered[-1],
-        mean=sum(ordered) / len(ordered),
-        p50=nearest_rank(ordered, 50),
-        p90=nearest_rank(ordered, 90),
-        p99=nearest_rank(ordered, 99),
+        min=sorted_fcts[0],
+        max=sorted_fcts[-1],
+        mean=sum(sorted_fcts) / len(sorted_fcts),
+        p50=nearest_rank(sorted_fcts, 50),
+        p90=nearest_rank(sorted_fcts, 90),
+        p99=nearest_rank(sorted_fcts, 99),
     )
 
 
-def _cdf_of_sorted(ordered: Sequence[float]) -> list[tuple[float, float]]:
-    if not ordered:
-        raise ValueError("no successful records for a CDF")
-    n = len(ordered)
-    series: list[tuple[float, float]] = []
-    for i, value in enumerate(ordered, start=1):
-        if i == n or ordered[i] != value:
-            series.append((value, i / n))
-    return series
-
-
-def summarize_values(fcts: Sequence[float], failures: int = 0) -> FctStats:
-    return _stats_of_sorted(sorted(fcts), failures)
-
-
-def summarize(records: Iterable[FlowRecord]) -> FctStats:
-    """FCT statistics over successful records; failures only counted."""
-    records = list(records)
-    fcts = _ok_fcts(records)
-    return summarize_values(fcts, failures=len(records) - len(fcts))
-
-
-def empirical_cdf(records: Iterable[FlowRecord]) -> list[tuple[float, float]]:
-    """Empirical CDF as (fct, cumulative probability) steps ending at 1.0.
+def fct_cdf(sorted_fcts: Sequence[float]) -> list[tuple[float, float]]:
+    """Empirical CDF of an ascending FCT list, as (fct, probability) steps.
 
     Duplicate values coalesce to their highest rank, so probabilities
-    strictly increase across entries.
+    strictly increase across entries and the last one is exactly 1.0.
     """
-    return _cdf_of_sorted(sorted(_ok_fcts(records)))
+    if not sorted_fcts:
+        raise ValueError("no successful records for a CDF")
+    n = len(sorted_fcts)
+    series: list[tuple[float, float]] = []
+    for i, value in enumerate(sorted_fcts, start=1):
+        if i == n or sorted_fcts[i] != value:
+            series.append((value, i / n))
+    return series
 
 
 def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) -> Regime:
@@ -140,23 +114,6 @@ def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) 
     if worst_fct >= severe_cut:
         return Regime.SEVERE
     return Regime.MODERATE
-
-
-def regime_report(
-    worst_fct: float,
-    policy: TierPolicy = DEFAULT_TIER_POLICY,
-    utilization: float | None = None,
-    sss: float | None = None,
-) -> RegimeReport:
-    return RegimeReport(
-        regime=classify_regime(worst_fct, policy),
-        worst_fct=worst_fct,
-        utilization=utilization,
-        sss=sss,
-        tier_feasibility={
-            name: worst_fct < deadline for name, deadline in policy.tiers
-        },
-    )
 
 
 def utilization(
@@ -214,12 +171,11 @@ _ROW_KEYS = {
 }
 
 
-def _enum_values(pairs) -> dict:
-    return {key: value.value if isinstance(value, Enum) else value for key, value in pairs}
-
-
 def _row_values(pairs) -> dict:
-    return _enum_values((_ROW_KEYS.get(key, key), value) for key, value in pairs)
+    return {
+        _ROW_KEYS.get(key, key): value.value if isinstance(value, Enum) else value
+        for key, value in pairs
+    }
 
 
 def row_dict(row) -> dict:
@@ -227,11 +183,17 @@ def row_dict(row) -> dict:
     return asdict(row, dict_factory=_row_values)
 
 
+def _split(records: Iterable[FlowRecord]) -> tuple[list[FlowRecord], list[float], int]:
+    """The successful records, their FCTs in ascending order, and the failure count."""
+    records = list(records)
+    ok_records = [r for r in records if r.ok]
+    return ok_records, sorted(r.fct_s for r in ok_records), len(records) - len(ok_records)
+
+
 def build_report(
     records: Iterable[FlowRecord],
     link: LinkSpec | None = None,
     policy: TierPolicy = DEFAULT_TIER_POLICY,
-    decision: dict | None = None,
     compare_records: Iterable[FlowRecord] | None = None,
     comparison_labels: tuple[str, str] = ("primary", "comparison"),
 ) -> dict:
@@ -241,12 +203,9 @@ def build_report(
     efficiency estimates (mean- and worst-based, labeled), and the delay
     comparator with its optimistic-baseline tag.
     """
-    records = list(records)
-    ok_records = [r for r in records if r.ok]
     # one sort feeds the stats, the CDF and the embedded inputs
-    fct_values = sorted(r.fct_s for r in ok_records)
-    stats = _stats_of_sorted(fct_values, failures=len(records) - len(ok_records))
-    cdf_series = _cdf_of_sorted(fct_values)
+    ok_records, fct_values, failures = _split(records)
+    stats = fct_stats(fct_values, failures)
 
     sss_value: float | None = None
     util: float | None = None
@@ -268,11 +227,10 @@ def build_report(
         }
         delay_block = delay_comparator(trans_s=theoretical, prop_s=link.rtt / 2)
 
-    regime = regime_report(stats.max, policy, utilization=util, sss=sss_value)
-
     comparison: dict | None = None
     if compare_records is not None:
-        other_stats = summarize(compare_records)
+        _, other_fcts, other_failures = _split(compare_records)
+        other_stats = fct_stats(other_fcts, other_failures)
         label_a, label_b = comparison_labels
         comparison = {
             label_a: asdict(stats),
@@ -283,10 +241,17 @@ def build_report(
     return {
         "schema": REPORT_SCHEMA,
         "stats": asdict(stats),
-        "cdf": [[value, probability] for value, probability in cdf_series],
-        "regime": asdict(regime, dict_factory=_enum_values),
+        "cdf": fct_cdf(fct_values),
+        "regime": {
+            "regime": classify_regime(stats.max, policy).value,
+            "worst_fct": stats.max,
+            "utilization": util,
+            "sss": sss_value,
+            # tier name -> worst transfer meets its deadline
+            "tier_feasibility": {name: stats.max < deadline for name, deadline in policy.tiers},
+        },
         "sss": sss_value,
-        "decision": decision,
+        "decision": None,
         "comparison": comparison,
         "transfer_efficiency": efficiency,
         "delay_model": delay_block,
@@ -296,12 +261,6 @@ def build_report(
             "bytes": modal,
         },
     }
-
-
-def reanalyze(report: dict) -> FctStats:
-    """Recompute statistics from a report's embedded inputs."""
-    inputs = report["inputs"]
-    return summarize_values(inputs["fct_values"], failures=inputs["failures"])
 
 
 def report_json(report: dict) -> str:
@@ -347,7 +306,3 @@ def write_sweep_csv(rows, path: Path | str) -> Path:
         writer.writerows(row.values() for row in table)
     return path
 
-
-def tier_feasibility_line(worst_fct: float, policy: TierPolicy) -> str:
-    tier = classify_tier(worst_fct, policy)
-    return tier if tier is not None else "none"

@@ -104,11 +104,11 @@ class TierBudget:
 class WorkflowResult:
     name: str
     throughput: float
-    utilization: float
-    infeasible: bool
-    worst_fct: float | None
-    extrapolated: bool
-    tiers: tuple[TierBudget, ...]
+    utilization: float = 0.0
+    infeasible: bool = False
+    worst_fct: float | None = None
+    extrapolated: bool = False
+    tiers: tuple[TierBudget, ...] = ()
     note: str | None = None
     error: str | None = None
 
@@ -122,14 +122,7 @@ def evaluate(study: CaseStudyInput) -> list[WorkflowResult]:
         except ValueError as exc:
             results.append(
                 WorkflowResult(
-                    name=workflow.name,
-                    throughput=workflow.throughput,
-                    utilization=0.0,
-                    infeasible=False,
-                    worst_fct=None,
-                    extrapolated=False,
-                    tiers=(),
-                    error=str(exc),
+                    name=workflow.name, throughput=workflow.throughput, error=str(exc)
                 )
             )
     return results
@@ -145,9 +138,6 @@ def _evaluate_one(workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
             throughput=workflow.throughput,
             utilization=util,
             infeasible=True,
-            worst_fct=None,
-            extrapolated=False,
-            tiers=(),
             note=(
                 f"required {workflow.throughput:.6g} B/s exceeds effective link "
                 f"capacity {effective:.6g} B/s; streaming infeasible"

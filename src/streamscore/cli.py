@@ -23,6 +23,7 @@ from .model import (
     LinkSpec,
     TierPolicy,
     WorkloadSpec,
+    classify_tier,
     decide,
     remote_completion,
     streaming_speed_score,
@@ -139,9 +140,7 @@ def build_parser() -> _Parser:
     p_measure = sub.add_parser("measure", help="live measurement harness")
     measure_sub = p_measure.add_subparsers(dest="measure_command", required=True)
 
-    p_serve = measure_sub.add_parser(
-        "serve", parents=[common], help="run the listener pool until interrupted"
-    )
+    p_serve = measure_sub.add_parser("serve", help="run the listener pool until interrupted")
     p_serve.add_argument("--base-port", required=True, type=int)
     p_serve.add_argument("--pool-size", type=int, default=8)
     p_serve.add_argument("--bind", default="127.0.0.1")
@@ -208,35 +207,26 @@ def cmd_model(args) -> int:
             args.worst, theoretical_transfer_time(args.size, link)
         )
 
-    decision = None
-    if args.local_rate is not None:
-        decision = decide(
-            workload, link, compute, io, args.tiers, worst_case_transfer=args.worst
+    decision = decide(workload, link, compute, io, args.tiers, worst_case_transfer=args.worst)
+    if args.local_rate is None:
+        # without a local rate only outright infeasibility is a verdict, and
+        # its local figure is dropped since no local rate was supplied
+        decision = (
+            dataclasses.replace(decision, local_s=None)
+            if decision.choice is Choice.INFEASIBLE
+            else None
         )
-    else:
-        # still surface outright infeasibility without compute specs; drop the
-        # local figure since no local rate was actually supplied
-        needed = workload.required_stream_rate
-        if needed is not None and needed > link.effective_rate:
-            decision = dataclasses.replace(
-                decide(workload, link, compute, io, args.tiers), local_s=None
-            )
 
-    tier = analysis.tier_feasibility_line(breakdown.total_s, args.tiers)
+    tier = classify_tier(breakdown.total_s, args.tiers)
     delay_block = analysis.delay_comparator(
         trans_s=theoretical_transfer_time(args.size, link), prop_s=args.rtt / 2
     )
 
     if args.json:
         doc = {
-            "breakdown": {
-                "transfer_s": breakdown.transfer_s,
-                "io_s": breakdown.io_s,
-                "remote_s": breakdown.remote_s,
-                "total_s": breakdown.total_s,
-            },
+            "breakdown": dataclasses.asdict(breakdown),
             "sss": sss_value,
-            "tier": None if tier == "none" else tier,
+            "tier": tier,
             "delay_model": delay_block,
             "decision": None
             if decision is None
@@ -255,7 +245,7 @@ def cmd_model(args) -> int:
             ("io overhead", f"{_fmt(breakdown.io_s)} s (theta {_fmt(args.theta)})"),
             ("remote compute", f"{_fmt(breakdown.remote_s)} s"),
             ("remote total", f"{_fmt(breakdown.total_s)} s"),
-            ("tier", tier),
+            ("tier", tier or "none"),
         ]
         if sss_value is not None:
             rows.append(("sss", _fmt(sss_value)))

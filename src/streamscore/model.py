@@ -29,7 +29,6 @@ class WorkloadSpec:
     unit_size: float  # bytes per data unit
     complexity: float = 0.0  # FLOP per byte
     generation_interval: float | None = None  # seconds between units
-    frame_count: int | None = None  # units per scan, for scan-style workloads
 
     def __post_init__(self) -> None:
         if self.unit_size < 0:
@@ -40,8 +39,6 @@ class WorkloadSpec:
             raise ValueError(
                 f"generation_interval must be > 0, got {self.generation_interval}"
             )
-        if self.frame_count is not None and self.frame_count <= 0:
-            raise ValueError(f"frame_count must be > 0, got {self.frame_count}")
 
     @property
     def work(self) -> float:
@@ -109,8 +106,8 @@ class TimeBreakdown:
     """Remote-path completion time split into its additive parts."""
 
     transfer_s: float
-    remote_s: float
     io_s: float
+    remote_s: float
     total_s: float
 
     def __post_init__(self) -> None:
@@ -161,10 +158,6 @@ class TierPolicy:
     @property
     def deadlines(self) -> tuple[float, ...]:
         return tuple(d for _, d in self.tiers)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.tiers)
 
 
 DEFAULT_TIER_POLICY = TierPolicy()

@@ -8,17 +8,14 @@ import pytest
 
 from streamscore.analysis import (
     OPTIMISTIC_BASELINE_LABEL,
+    FctStats,
     Regime,
     build_report,
     classify_regime,
     delay_comparator,
-    empirical_cdf,
+    fct_stats,
     nearest_rank,
-    reanalyze,
-    regime_report,
     stats_ratios,
-    summarize,
-    summarize_values,
     utilization,
     write_report,
     write_sweep_csv,
@@ -56,6 +53,16 @@ def make_records(fcts, failures=0, nbytes=500_000_000):
             )
         )
     return records
+
+
+def summarize(records):
+    """The FCT statistics build_report gives for these records."""
+    return FctStats(**build_report(records)["stats"])
+
+
+def empirical_cdf(records):
+    """The (fct, probability) steps build_report gives for these records."""
+    return build_report(records)["cdf"]
 
 
 # --- summarize ---
@@ -138,9 +145,9 @@ def test_regime_respects_custom_tiers():
 
 
 def test_regime_report_tier_feasibility():
-    report = regime_report(2.5)
-    assert report.regime is Regime.MODERATE
-    assert report.tier_feasibility == {"Tier 1": False, "Tier 2": True, "Tier 3": True}
+    report = build_report(make_records([2.5]))["regime"]
+    assert Regime(report["regime"]) is Regime.MODERATE
+    assert report["tier_feasibility"] == {"Tier 1": False, "Tier 2": True, "Tier 3": True}
 
 
 def test_regime_monotone_and_consistent_with_tiers():
@@ -202,7 +209,7 @@ def test_report_structure_and_round_trip(tmp_path):
     assert eff["alpha_from_worst_fct"] < eff["alpha_from_mean_fct"]
 
     # a report's embedded inputs re-analyze to identical statistics
-    again = reanalyze(report)
+    again = fct_stats(report["inputs"]["fct_values"], report["inputs"]["failures"])
     for field in ("count", "failures", "min", "max", "mean", "p50", "p90", "p99"):
         assert getattr(again, field) == report["stats"][field]
 
@@ -233,8 +240,8 @@ def test_report_comparison_block():
 
 
 def test_stats_ratios_handles_zero_denominator():
-    a = summarize_values([1.0, 2.0])
-    b = summarize_values([1.0, 2.0])
+    a = fct_stats([1.0, 2.0])
+    b = fct_stats([1.0, 2.0])
     ratios = stats_ratios(a, b)
     assert ratios["max"] == 1.0
     assert ratios["p50"] == 1.0

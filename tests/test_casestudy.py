@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from streamscore.analysis import row_dict
 from streamscore.casestudy import (
     DEMO_CASE_STUDY,
     CaseStudyInput,
@@ -91,6 +92,18 @@ def test_row_errors_do_not_block_other_rows(monkeypatch):
     results = evaluate(study)
     assert len(results) == 2
     assert results[0].error == "boom"
+    # the error row's JSON object, key order included
+    assert list(row_dict(results[0]).items()) == [
+        ("name", "bad"),
+        ("throughput_bytes_per_s", 1e9),
+        ("utilization", 0.0),
+        ("infeasible", False),
+        ("worst_fct_s", None),
+        ("extrapolated", False),
+        ("tiers", ()),
+        ("note", None),
+        ("error", "boom"),
+    ]
     assert results[1].error is None
     assert results[1].worst_fct is not None
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from streamscore.cli import main
+from streamscore.cli import UsageError, build_parser, main
 from streamscore.loadgen import ACK, pack_header
 from streamscore.records import read_jsonl
 
@@ -481,6 +481,13 @@ def test_measure_serve_port_conflict_exits_2(capsys):
         assert str(base + 1) in err
     finally:
         blocker.close()
+
+
+@pytest.mark.parametrize("flag", [["--json"], ["--out", "served.json"]])
+def test_measure_serve_rejects_output_flags(flag):
+    # serve writes no document; parse only, since running it serves until interrupted
+    with pytest.raises(UsageError):
+        build_parser().parse_args(["measure", "serve", "--base-port", "5201", *flag])
 
 
 # --- unified exit codes ---
