@@ -19,6 +19,7 @@ from .model import (
     LinkSpec,
     TierPolicy,
     WorkloadSpec,
+    link_from_mapping,
     required_remote_rate,
     transfer_budget,
 )
@@ -197,12 +198,7 @@ def study_from_mapping(raw: dict) -> CaseStudyInput:
             )
             for w in raw["workflows"]
         )
-        link_raw = raw["link"]
-        link = LinkSpec(
-            bandwidth=coerce_quantity(link_raw["bandwidth"], parse_rate),
-            alpha=float(link_raw.get("alpha", 1.0)),
-            rtt=coerce_quantity(link_raw.get("rtt", 0.0), parse_seconds),
-        )
+        link = link_from_mapping(raw["link"])
         curve = tuple(
             (float(u), coerce_quantity(worst, parse_seconds))
             for u, worst in raw["worst_fct_curve"]

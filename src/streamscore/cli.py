@@ -82,10 +82,9 @@ def _delay_row(block: dict) -> tuple[str, str]:
     )
 
 
-def _emit_table(rows: list[tuple[str, str]]) -> None:
+def _table(rows: list[tuple[str, str]]) -> str:
     width = max(len(key) for key, _ in rows)
-    for key, value in rows:
-        print(f"{key:<{width}}  {value}")
+    return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
 
 
 def _write_or_print(payload: str, out: str | None) -> None:
@@ -166,7 +165,6 @@ def build_parser() -> _Parser:
     )
     p_analyze.add_argument("--in", dest="infile", required=True, help="JSONL transfer log")
     p_analyze.add_argument("--link-bw", type=parse_rate, help="link bandwidth for SSS/utilization")
-    p_analyze.add_argument("--alpha", type=float, default=1.0)
     p_analyze.add_argument("--rtt", type=parse_seconds, default=0.0)
     p_analyze.add_argument("--tiers", type=_tiers_arg, default=TierPolicy())
     p_analyze.add_argument("--compare", help="second JSONL log for per-stat ratios")
@@ -195,17 +193,13 @@ def cmd_model(args) -> int:
 
     if args.work > 0 and args.remote_rate is None:
         raise UsageError("--remote-rate is required when --work > 0")
-    remote_rate = args.remote_rate if args.remote_rate else 1.0
-    local_rate = args.local_rate if args.local_rate else remote_rate
+    remote_rate = 1.0 if args.remote_rate is None else args.remote_rate
+    local_rate = remote_rate if args.local_rate is None else args.local_rate
     compute = ComputeSpec(local_rate=local_rate, remote_rate=remote_rate)
 
     breakdown = remote_completion(workload, link, compute, io)
-
-    sss_value = None
-    if args.worst is not None:
-        sss_value = streaming_speed_score(
-            args.worst, theoretical_transfer_time(args.size, link)
-        )
+    theoretical = theoretical_transfer_time(args.size, link)
+    sss_value = None if args.worst is None else streaming_speed_score(args.worst, theoretical)
 
     decision = decide(workload, link, compute, io, args.tiers, worst_case_transfer=args.worst)
     if args.local_rate is None:
@@ -218,9 +212,7 @@ def cmd_model(args) -> int:
         )
 
     tier = classify_tier(breakdown.total_s, args.tiers)
-    delay_block = analysis.delay_comparator(
-        trans_s=theoretical_transfer_time(args.size, link), prop_s=args.rtt / 2
-    )
+    delay_block = analysis.delay_comparator(trans_s=theoretical, prop_s=args.rtt / 2)
 
     if args.json:
         doc = {
@@ -258,53 +250,41 @@ def cmd_model(args) -> int:
                     f"{decision.rationale}",
                 )
             )
-        _emit_table(rows)
+        _write_or_print(_table(rows), args.out)
 
     if decision is not None and decision.choice is Choice.INFEASIBLE:
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
-def _given(**flags) -> dict:
-    return {name: value for name, value in flags.items() if value is not None}
-
-
 def _scenario_from_args(args) -> fluidsim.Scenario:
-    link_flags = _given(bandwidth=args.bw, alpha=args.alpha, rtt=args.rtt)
+    # each given flag overrides (or fills in) its key of the scenario file
+    flags = {
+        "bandwidth": args.bw,
+        "alpha": args.alpha,
+        "rtt": args.rtt,
+        "duration": args.duration,
+        "concurrency": args.concurrency,
+        "transfer_bytes": args.size,
+        "parallel_flows": args.parallel,
+        "mode": None if args.mode is None else args.mode.value,
+        "startup_latency": args.startup,
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    raw = {}
     if args.scenario:
-        base = fluidsim.load_scenario(args.scenario)
+        raw = fluidsim.read_scenario_file(args.scenario)
     else:
-        missing = [
-            flag
-            for flag, value in (
-                ("--bw", args.bw),
-                ("--duration", args.duration),
-                ("--concurrency", args.concurrency),
-                ("--size", args.size),
-            )
-            if value is None
-        ]
+        required = (
+            ("--bw", "bandwidth"),
+            ("--duration", "duration"),
+            ("--concurrency", "concurrency"),
+            ("--size", "transfer_bytes"),
+        )
+        missing = [flag for flag, key in required if key not in overrides]
         if missing:
             raise UsageError(f"simulate requires {', '.join(missing)} (or --scenario)")
-        # the link first, so a bad link flag is the error reported first
-        base = fluidsim.Scenario(
-            link=LinkSpec(**link_flags),
-            duration=args.duration,
-            concurrency=args.concurrency,
-            transfer_bytes=args.size,
-        )
-    return dataclasses.replace(
-        base,
-        link=dataclasses.replace(base.link, **link_flags),
-        **_given(
-            duration=args.duration,
-            concurrency=args.concurrency,
-            transfer_bytes=args.size,
-            parallel_flows=args.parallel,
-            mode=args.mode,
-            startup_latency=args.startup,
-        ),
-    )
+    return fluidsim.scenario_from_mapping(raw, **overrides)
 
 
 def cmd_simulate(args) -> int:
@@ -351,14 +331,12 @@ def cmd_simulate(args) -> int:
             doc["comparison"] = comparison
         print(json.dumps(doc, indent=2))
     else:
-        _emit_table(
-            [
-                ("clients", str(len(result.spawns))),
-                ("worst fct", f"{_fmt(summary['max_fct'])} s"),
-                ("utilization", _fmt(summary["utilization"])),
-                ("sss", _fmt(summary["sss"])),
-            ]
-        )
+        print(_table([
+            ("clients", str(len(result.spawns))),
+            ("worst fct", f"{_fmt(summary['max_fct'])} s"),
+            ("utilization", _fmt(summary["utilization"])),
+            ("sss", _fmt(summary["sss"])),
+        ]))
         if comparison is not None:
             ratios = ", ".join(
                 f"{name}={_fmt(value)}"
@@ -403,7 +381,7 @@ def cmd_measure_run(args) -> int:
         pool_size=args.pool_size,
         duration=args.duration,
         concurrency=args.concurrency,
-        transfer_bytes=int(args.size),
+        transfer_bytes=args.size,
         parallel_flows=args.parallel,
         mode=args.mode,
         connect_timeout=args.connect_timeout,
@@ -413,26 +391,17 @@ def cmd_measure_run(args) -> int:
     if args.out:
         write_jsonl(args.out, log.records, run_meta=log.meta)
 
-    ok = [r for r in log.records if r.ok]
+    worst = max((r.fct_s for r in log.records if r.ok), default=None)
     if args.json:
-        doc = {
-            "records": len(log.records),
-            "failures": log.failures,
-            "max_fct_s": max((r.fct_s for r in ok), default=None),
-        }
+        doc = {"records": len(log.records), "failures": log.failures, "max_fct_s": worst}
         print(json.dumps(doc, indent=2))
     else:
-        _emit_table(
-            [
-                ("records", str(len(log.records))),
-                ("failures", str(log.failures)),
-                (
-                    "worst fct",
-                    f"{_fmt(max(r.fct_s for r in ok))} s" if ok else "n/a",
-                ),
-            ]
-        )
-    return EXIT_OK if ok else EXIT_INFEASIBLE
+        print(_table([
+            ("records", str(len(log.records))),
+            ("failures", str(log.failures)),
+            ("worst fct", "n/a" if worst is None else f"{_fmt(worst)} s"),
+        ]))
+    return EXIT_INFEASIBLE if worst is None else EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -442,7 +411,7 @@ def cmd_analyze(args) -> int:
 
     link = None
     if args.link_bw is not None:
-        link = LinkSpec(bandwidth=args.link_bw, alpha=args.alpha, rtt=args.rtt)
+        link = LinkSpec(bandwidth=args.link_bw, rtt=args.rtt)
 
     compare_records = None
     if args.compare:
@@ -476,7 +445,7 @@ def cmd_analyze(args) -> int:
             rows.append(("utilization", _fmt(report["regime"]["utilization"])))
         if report["delay_model"] is not None:
             rows.append(_delay_row(report["delay_model"]))
-        _emit_table(rows)
+        print(_table(rows))
         for name, feasible in report["regime"]["tier_feasibility"].items():
             print(f"  {name}: {'yes' if feasible else 'no'}")
     return EXIT_OK

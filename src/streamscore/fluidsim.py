@@ -37,8 +37,8 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
-from .model import LinkSpec, streaming_speed_score, theoretical_transfer_time
-from .quantities import coerce_quantity, parse_bytes, parse_rate, parse_seconds
+from .model import LinkSpec, link_from_mapping, streaming_speed_score, theoretical_transfer_time
+from .quantities import coerce_quantity, parse_bytes, parse_seconds
 from .records import FlowRecord
 from .schedule import LoadSpec, SpawnMode
 
@@ -254,17 +254,18 @@ _SCENARIO_KEYS = {f.name for f in fields(LinkSpec)} | (
 )
 
 
-def scenario_from_mapping(raw: dict) -> Scenario:
+def scenario_from_mapping(raw: dict, **overrides) -> Scenario:
     """Build a Scenario from parsed config data.
 
-    Accepts nested {"link": {...}} or flattened link fields; string values go
-    through the unit grammar, bare numbers are taken as SI.
+    Accepts nested {"link": {...}} or flattened link fields (a nested one
+    wins); ``overrides`` win over both. String values go through the unit
+    grammar, bare numbers are taken as SI.
     """
     flat = dict(raw)
     link_part = flat.pop("link", {})
     if not isinstance(link_part, dict):
         raise ValueError("'link' must be an object of link fields")
-    flat.update(link_part)
+    flat.update(link_part, **overrides)
 
     unknown = set(flat) - _SCENARIO_KEYS
     if unknown:
@@ -273,14 +274,9 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     if missing:
         raise ValueError(f"scenario is missing required fields: {sorted(missing)}")
 
-    link = LinkSpec(
-        bandwidth=coerce_quantity(flat["bandwidth"], parse_rate),
-        alpha=float(flat.get("alpha", 1.0)),
-        rtt=coerce_quantity(flat.get("rtt", 0.0), parse_seconds),
-    )
     startup = flat.get("startup_latency")
     return Scenario(
-        link=link,
+        link=link_from_mapping(flat),
         duration=coerce_quantity(flat["duration"], parse_seconds),
         concurrency=float(flat["concurrency"]),
         transfer_bytes=coerce_quantity(flat["transfer_bytes"], parse_bytes),
@@ -290,12 +286,11 @@ def scenario_from_mapping(raw: dict) -> Scenario:
     )
 
 
-def load_scenario(path: Path | str) -> Scenario:
-    """Load a scenario from JSON or flat ``key = value`` text."""
+def read_scenario_file(path: Path | str) -> dict:
+    """The raw mapping of a JSON or flat ``key = value`` scenario file."""
     text = Path(path).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return scenario_from_mapping(json.loads(text))
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
 
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -306,4 +301,9 @@ def load_scenario(path: Path | str) -> Scenario:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         raw[key] = value
-    return scenario_from_mapping(raw)
+    return raw
+
+
+def load_scenario(path: Path | str) -> Scenario:
+    """Load a scenario from JSON or flat ``key = value`` text."""
+    return scenario_from_mapping(read_scenario_file(path))

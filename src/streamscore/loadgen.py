@@ -268,6 +268,9 @@ class ClientRunConfig(LoadSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not float(self.transfer_bytes).is_integer():
+            raise ValueError(f"transfer_bytes must be whole bytes, got {self.transfer_bytes}")
+        object.__setattr__(self, "transfer_bytes", int(self.transfer_bytes))  # the wire's u64
         if self.pool_size <= 0:
             raise ValueError(f"pool_size must be > 0, got {self.pool_size}")
         if self.connect_timeout <= 0 or self.transfer_timeout <= 0:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .quantities import coerce_quantity, parse_rate, parse_seconds
+
 _BREAKDOWN_RTOL = 1e-9
 
 DEFAULT_TIERS: tuple[tuple[str, float], ...] = (
@@ -61,10 +63,11 @@ class ComputeSpec:
     remote_rate: float
 
     def __post_init__(self) -> None:
-        if self.local_rate <= 0:
-            raise ValueError(f"local_rate must be > 0, got {self.local_rate}")
+        # remote first: the CLI's default local rate is the remote one
         if self.remote_rate <= 0:
             raise ValueError(f"remote_rate must be > 0, got {self.remote_rate}")
+        if self.local_rate <= 0:
+            raise ValueError(f"local_rate must be > 0, got {self.local_rate}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,15 @@ class LinkSpec:
     def effective_rate(self) -> float:
         """Achievable transfer rate in bytes/s."""
         return self.alpha * self.bandwidth
+
+
+def link_from_mapping(raw) -> LinkSpec:
+    """A LinkSpec from config data: unit literals or SI numbers; other keys are ignored."""
+    return LinkSpec(
+        bandwidth=coerce_quantity(raw["bandwidth"], parse_rate),
+        alpha=float(raw.get("alpha", 1.0)),
+        rtt=coerce_quantity(raw.get("rtt", 0.0), parse_seconds),
+    )
 
 
 @dataclass(frozen=True)

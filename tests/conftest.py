@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import gc
 import socket
-from contextlib import closing
+import time
+from contextlib import closing, contextmanager
 
 from hypothesis import settings
+
+from streamscore.loadgen import TransferServer
 
 # fixed examples and no per-example deadline: property tests give the same
 # verdict on every run and on every machine
@@ -28,3 +32,48 @@ def find_free_port_block(count: int, start: int = 15201, end: int = 64000) -> in
             return base
         base += count + 1
     raise RuntimeError("no free port block found")
+
+
+class CountingServer(TransferServer):
+    """A TransferServer that counts its open connections; any thread may read the count."""
+
+    live_connections = 0  # written only by the loop thread
+
+    def _serve_connection(self, conn, buffer):
+        self.live_connections += 1
+        try:
+            yield from super()._serve_connection(conn, buffer)
+        finally:
+            self.live_connections -= 1
+
+
+@contextmanager
+def gc_pauses():
+    """Collect ``[start, end, generation]`` (monotonic s) of each collection in the block."""
+    pauses: list[list] = []
+
+    def note(phase: str, info: dict) -> None:
+        now = time.monotonic()
+        if phase == "start":
+            pauses.append([now, now, info["generation"]])
+        elif pauses:
+            pauses[-1][1] = now
+
+    gc.callbacks.append(note)
+    try:
+        yield pauses
+    finally:
+        gc.callbacks.remove(note)
+
+
+def spawn_diagnostics(log, pauses: list[list], live_at_start: int) -> str:
+    """The collections during a run (ms from its epoch) and the server's connections at its start."""
+    epoch = log.meta["monotonic_epoch_s"]
+    collections = [
+        (round((start - epoch) * 1e3, 3), round((end - start) * 1e3, 3), generation)
+        for start, end, generation in pauses
+    ]
+    return (
+        f"gc pauses (start ms, length ms, generation): {collections}; "
+        f"server connections open at start: {live_at_start}"
+    )

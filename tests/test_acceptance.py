@@ -16,7 +16,7 @@ from streamscore.analysis import build_report, fct_stats
 from streamscore.casestudy import evaluate, study_from_mapping
 from streamscore.cli import main
 from streamscore.fluidsim import Scenario, simulate, sweep
-from streamscore.loadgen import ClientRunConfig, ServerConfig, TransferServer, run_clients
+from streamscore.loadgen import ClientRunConfig, ServerConfig, run_clients
 from streamscore.model import (
     ComputeSpec,
     DelayDecomposition,
@@ -36,7 +36,7 @@ from streamscore.model import (
 from streamscore.records import FlowRecord
 from streamscore.schedule import SpawnMode
 
-from conftest import find_free_port_block
+from conftest import CountingServer, find_free_port_block, gc_pauses, spawn_diagnostics
 
 GBPS_25 = 25e9 / 8
 
@@ -179,7 +179,7 @@ def test_criterion_6_loadgen_loopback(capsys, tmp_path):
     with criterion(6, "12 ok records on loopback; byte audit; scheduled gaps <= 10 ms"):
         base = find_free_port_block(8)
         out_path = tmp_path / "measured.jsonl"
-        with TransferServer(ServerConfig(base_port=base, pool_size=8)):
+        with CountingServer(ServerConfig(base_port=base, pool_size=8)) as server:
             code = main(
                 [
                     "measure", "run", "--server", "127.0.0.1",
@@ -203,24 +203,26 @@ def test_criterion_6_loadgen_loopback(capsys, tmp_path):
                 assert record.fct_s > 0
 
             # scheduled spawn-gap fidelity at 3 clients/s
-            log = run_clients(
-                ClientRunConfig(
-                    server_address="127.0.0.1",
-                    base_port=base,
-                    pool_size=8,
-                    duration=2.0,
-                    concurrency=3.0,
-                    transfer_bytes=1_000_000,
-                    mode=SpawnMode.SCHEDULED,
+            live_at_start = server.live_connections
+            with gc_pauses() as pauses:
+                log = run_clients(
+                    ClientRunConfig(
+                        server_address="127.0.0.1",
+                        base_port=base,
+                        pool_size=8,
+                        duration=2.0,
+                        concurrency=3.0,
+                        transfer_bytes=1_000_000,
+                        mode=SpawnMode.SCHEDULED,
+                    )
                 )
-            )
             spawns = [r.spawn_s for r in sorted(log.records, key=lambda r: r.client_id)]
             assert len(spawns) == 6
             gaps = [b - a for a, b in zip(spawns, spawns[1:])]
             lateness_ms = [round((gap - 1.0 / 3.0) * 1e3, 3) for gap in gaps]
             assert all(
                 abs(gap - 1.0 / 3.0) <= 0.010 for gap in gaps
-            ), f"gap lateness (ms): {lateness_ms}"
+            ), f"gap lateness (ms): {lateness_ms}; {spawn_diagnostics(log, pauses, live_at_start)}"
 
 
 def test_criterion_7_randomized_invariants():

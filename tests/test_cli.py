@@ -90,6 +90,34 @@ def test_model_decision_gain(capsys):
     assert doc["decision"]["gain"] == pytest.approx(5.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "rates, field",
+    [
+        (["--remote-rate", "0TF"], "remote_rate"),
+        (["--local-rate", "0TF", "--remote-rate", "10TF", "--work", "10TFLOP"], "local_rate"),
+        (["--local-rate", "0TF"], "local_rate"),
+    ],
+)
+def test_model_zero_rate_is_rejected_by_name(capsys, rates, field):
+    # a zero rate used to be replaced: by 1 FLOP/s, or locally by the remote rate
+    code, out, err = run_cli(capsys, "model", "--size", "1GB", "--bw", "8Gbps", *rates)
+    assert code == 1
+    assert out == ""
+    assert f"{field} must be > 0" in err
+
+
+def test_model_out_writes_the_text_table(capsys, tmp_path):
+    argv = ["model", "--size", "1GB", "--bw", "8Gbps", "--work", "10TFLOP",
+            "--local-rate", "1TF", "--remote-rate", "10TF"]
+    code, table, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "model.txt"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert out == ""
+    assert out_path.read_text(encoding="utf-8") == table
+
+
 # --- simulate ---
 
 
@@ -144,6 +172,55 @@ def test_simulate_scenario_file_with_override(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["clients"] == 1
     assert doc["summary"]["max_fct"] == pytest.approx(0.16, rel=1e-9)
+
+
+def test_simulate_flag_fills_in_a_field_the_scenario_lacks(capsys, tmp_path):
+    scenario = tmp_path / "scenario.conf"
+    scenario.write_text("bandwidth = 25Gbps\nconcurrency = 2\ntransfer_bytes = 0.5GB\n")
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(scenario), "--json")
+    assert code == 1
+    assert "missing required fields: ['duration']" in err
+    code, out, _ = run_cli(
+        capsys, "simulate", "--scenario", str(scenario), "--duration", "3s", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["clients"] == 6
+
+
+@pytest.mark.parametrize(
+    "flags, max_fct",
+    [
+        ([], 0.16),  # a key under "link" wins over the same top-level key
+        (["--bw", "10Gbps"], 0.4),  # a flag wins over both
+        (["--bw", "10Gbps", "--startup", "0.1s"], 0.5),
+    ],
+)
+def test_simulate_flags_win_over_every_scenario_key(capsys, tmp_path, flags, max_fct):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "bandwidth": "1Gbps",
+        "link": {"bandwidth": "25Gbps"},
+        "duration": "1s",
+        "concurrency": 1,
+        "transfer_bytes": "0.5GB",
+        "startup_latency": "0s",
+    }))
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), *flags, "--json")
+    assert code == 0
+    assert json.loads(out)["summary"]["max_fct"] == pytest.approx(max_fct, rel=1e-9)
+
+
+@pytest.mark.parametrize("scenario_given", [False, True])
+def test_simulate_bad_mode_is_a_usage_error(capsys, tmp_path, scenario_given):
+    scenario = tmp_path / "scenario.conf"
+    scenario.write_text("bandwidth = 25Gbps\nduration = 1s\nconcurrency = 1\ntransfer_bytes = 1GB\n")
+    source = ["--scenario", str(scenario)] if scenario_given else [
+        "--bw", "25Gbps", "--duration", "1s", "--concurrency", "1", "--size", "1GB"
+    ]
+    code, out, err = run_cli(capsys, "simulate", *source, "--mode", "sideways")
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err and "argument --mode" in err
 
 
 def test_simulate_missing_flags_exit_1(capsys):
@@ -205,6 +282,15 @@ def test_analyze_empty_log_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--in", str(empty))
     assert code == 1
     assert "no successful records" in err
+
+
+def test_analyze_takes_no_alpha(capsys):
+    # the report reads only the link's bandwidth and RTT
+    log = str(GOLDEN / "simulate_log.jsonl")
+    code, out, err = run_cli(capsys, "analyze", "--in", log, "--link-bw", "10Gbps", "--alpha", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --alpha" in err
 
 
 def test_simulate_then_analyze_pipeline(capsys, tmp_path):
@@ -273,6 +359,32 @@ def test_sweep_and_casestudy_match_golden_bytes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "casestudy", "--json")
     assert code == 2  # the bundled study holds an infeasible workflow
     assert out.encode("utf-8") == (GOLDEN / "casestudy.json").read_bytes()
+
+
+_GOLDEN_LOG = str(GOLDEN / "simulate_log.jsonl")
+_GOLDEN_RUN = ("--bw", "10Gbps", "--size", "0.3GB", "--rtt", "7ms", "--duration", "3s",
+               "--mode", "scheduled")
+
+
+@pytest.mark.parametrize(
+    "golden, argv, exit_code",
+    [
+        ("analyze.txt", ["analyze", "--in", _GOLDEN_LOG, "--link-bw", "10Gbps", "--rtt", "7ms"], 0),
+        ("sweep.txt", ["simulate", *_GOLDEN_RUN, "--alpha", "0.7", "--concurrency", "1",
+                       "--sweep", "1,2.5,4,5.5", "--parallel-list", "1,2,8"], 0),
+        ("casestudy.txt", ["casestudy"], 2),
+        ("compare.txt", ["simulate", *_GOLDEN_RUN, "--concurrency", "5.5", "--parallel", "3",
+                         "--compare", _GOLDEN_LOG], 0),
+        ("model.txt", ["model", "--size", "0.3GB", "--bw", "10Gbps", "--alpha", "0.8",
+                       "--rtt", "7ms", "--theta", "1.5", "--work", "10TFLOP",
+                       "--local-rate", "10TF", "--remote-rate", "40TF", "--worst", "1.2s"], 0),
+    ],
+)
+def test_text_output_matches_golden_bytes(capsys, golden, argv, exit_code):
+    # the tables, tier lines, case study text, sweep table and ratios line
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_analyze_rejects_bad_records_naming_the_line(capsys, tmp_path):
@@ -373,6 +485,17 @@ def test_measure_run_all_failed_exits_2(capsys, tmp_path):
         "--connect-timeout", "1s", "--transfer-timeout", "1s",
     )
     assert code == 2
+
+
+def test_measure_run_fractional_size_exits_1_before_connecting(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "measure", "run", "--server", "127.0.0.1", "--base-port", "5201",
+        "--duration", "1s", "--concurrency", "1", "--size", "1.5B",
+    )
+    assert code == 1
+    assert out == ""
+    assert "transfer_bytes must be whole bytes, got 1.5" in err
 
 
 def test_measure_serve_subprocess_end_to_end():

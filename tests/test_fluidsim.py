@@ -376,6 +376,46 @@ def test_worst_fct_nondecreasing_in_concurrency():
     assert all(a <= b + 1e-12 for a, b in zip(worsts, worsts[1:]))
 
 
+@given(
+    concurrency=st.floats(min_value=0.1, max_value=64.0),
+    duration=st.floats(min_value=0.5, max_value=30.0),
+    busy=st.floats(min_value=0.001, max_value=0.999),  # ceil(c) * S / C, in seconds
+    alpha=st.floats(min_value=0.1, max_value=1.0),
+    startup=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.5)),
+)
+def test_simultaneous_worst_fct_closed_form_below_saturation(
+    concurrency, duration, busy, alpha, startup
+):
+    # each batch of ceil(c) clients shares the link alone and drains before
+    # the next second: every client in it finishes at startup + ceil(c) S / C
+    link = LinkSpec(bandwidth=GBPS_25, alpha=alpha, rtt=0.016)
+    batch = math.ceil(concurrency)
+    s = Scenario(link=link, duration=duration, concurrency=concurrency,
+                 transfer_bytes=busy * link.effective_rate / batch,
+                 mode=SpawnMode.SIMULTANEOUS, startup_latency=startup)
+    expected = s.startup + batch * s.transfer_bytes / link.effective_rate
+    # an FCT is the difference of two clock readings below 32 s, each within 4e-15 s
+    assert math.isclose(simulate(s).max_fct, expected, rel_tol=1e-12, abs_tol=1e-13)
+
+
+@given(
+    mode=st.sampled_from(list(SpawnMode)),
+    concurrencies=st.lists(st.floats(min_value=0.1, max_value=16.0), min_size=2, max_size=5),
+    duration=st.floats(min_value=1.0, max_value=10.0),
+    size=st.floats(min_value=5e7, max_value=2e9),
+    alpha=st.floats(min_value=0.1, max_value=1.0),
+    startup=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.1)),
+)
+def test_worst_fct_never_falls_as_concurrency_rises(
+    mode, concurrencies, duration, size, alpha, startup
+):
+    base = Scenario(link=LinkSpec(bandwidth=GBPS_25, alpha=alpha, rtt=0.016),
+                    duration=duration, concurrency=1.0, transfer_bytes=size,
+                    mode=mode, startup_latency=startup)
+    worsts = [simulate(replace(base, concurrency=c)).max_fct for c in sorted(concurrencies)]
+    assert all(a <= b * (1 + 1e-12) for a, b in zip(worsts, worsts[1:])), worsts
+
+
 def test_overload_grows_super_linearly():
     at6 = simulate(scenario(duration=10.0, concurrency=6.0)).max_fct
     at8 = simulate(scenario(duration=10.0, concurrency=8.0)).max_fct

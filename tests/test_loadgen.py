@@ -23,7 +23,7 @@ from streamscore.loadgen import (
 )
 from streamscore.schedule import SpawnMode
 
-from conftest import find_free_port_block
+from conftest import CountingServer, find_free_port_block, gc_pauses, spawn_diagnostics
 
 
 # --- wire protocol ---
@@ -146,6 +146,31 @@ def test_loopback_run_simultaneous_counts_and_bytes():
         assert record.fct_s > 0
 
 
+def test_whole_float_transfer_bytes_sent_as_int_and_fraction_rejected():
+    # a LoadSpec may carry a float byte count (parse_bytes returns one); the
+    # wire header packs an integer
+    base = find_free_port_block(2)
+    with TransferServer(ServerConfig(base_port=base, pool_size=2)):
+        log = run_clients(
+            ClientRunConfig(
+                server_address="127.0.0.1",
+                base_port=base,
+                pool_size=2,
+                duration=1.0,
+                concurrency=2.0,
+                transfer_bytes=1e6,
+            )
+        )
+    assert [(r.ok, r.bytes) for r in log.records] == [(True, 1_000_000)] * 2
+    assert log.meta["transfer_bytes"] == 1_000_000
+    assert type(log.meta["transfer_bytes"]) is int
+    with pytest.raises(ValueError, match="transfer_bytes must be whole bytes, got 1.5"):
+        ClientRunConfig(
+            server_address="127.0.0.1", base_port=base, duration=1.0, concurrency=1.0,
+            transfer_bytes=1.5,
+        )
+
+
 def test_simultaneous_batch_spread_under_50ms():
     base = find_free_port_block(4)
     with TransferServer(ServerConfig(base_port=base, pool_size=4)):
@@ -170,25 +195,27 @@ def test_simultaneous_batch_spread_under_50ms():
 
 def test_scheduled_spawn_gaps_within_10ms():
     base = find_free_port_block(2)
-    with TransferServer(ServerConfig(base_port=base, pool_size=2)):
-        log = run_clients(
-            ClientRunConfig(
-                server_address="127.0.0.1",
-                base_port=base,
-                pool_size=2,
-                duration=2.0,
-                concurrency=3.0,
-                transfer_bytes=10_000,
-                mode=SpawnMode.SCHEDULED,
+    with CountingServer(ServerConfig(base_port=base, pool_size=2)) as server:
+        live_at_start = server.live_connections
+        with gc_pauses() as pauses:
+            log = run_clients(
+                ClientRunConfig(
+                    server_address="127.0.0.1",
+                    base_port=base,
+                    pool_size=2,
+                    duration=2.0,
+                    concurrency=3.0,
+                    transfer_bytes=10_000,
+                    mode=SpawnMode.SCHEDULED,
+                )
             )
-        )
     spawns = [r.spawn_s for r in sorted(log.records, key=lambda r: r.client_id)]
     assert len(spawns) == 6
     gaps = [b - a for a, b in zip(spawns, spawns[1:])]
     lateness_ms = [round((gap - 1.0 / 3.0) * 1e3, 3) for gap in gaps]
     assert all(
         abs(gap - 1.0 / 3.0) < 0.010 for gap in gaps
-    ), f"gap lateness (ms): {lateness_ms}"
+    ), f"gap lateness (ms): {lateness_ms}; {spawn_diagnostics(log, pauses, live_at_start)}"
 
 
 def test_refused_connections_logged_as_failures():
