@@ -1,12 +1,13 @@
 """Statistics and reporting over transfer logs, measured or simulated.
 
-``build_report`` is the path from flow records to statistics. It sorts the
-successful FCTs once and feeds two primitives over that sorted list:
-``fct_stats`` (max, mean, nearest-rank percentiles) and ``fct_cdf`` (the
-empirical CDF). The report adds the operational regime against a tier
-policy, utilization from application bytes, and a JSON text plus CSV series
-for external plotting. Failed transfers never enter FCT statistics; they are
-surfaced as a failure count instead.
+``build_report`` is the path from flow records to statistics. It reads a
+``FlowTable``'s columns, sorts the successful FCTs once and feeds two
+primitives over that sorted list: ``fct_stats`` (max, mean, nearest-rank
+percentiles) and ``fct_cdf`` (the empirical CDF). The report adds the
+operational regime against a tier policy, utilization from application
+bytes, and a JSON text plus CSV series for external plotting. Failed
+transfers never enter FCT statistics; they are surfaced as a failure count
+instead.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import logging
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,7 +32,7 @@ from .model import (
     theoretical_transfer_time,
     total_delay,
 )
-from .records import FlowRecord
+from .records import FlowRecord, FlowTable
 
 logger = logging.getLogger(__name__)
 
@@ -117,13 +119,17 @@ def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) 
 
 
 def utilization(
-    records: Iterable[FlowRecord], link: LinkSpec, window: float
+    records: FlowTable | Iterable[FlowRecord], link: LinkSpec, window: float
 ) -> float:
     """Delivered application bytes over link capacity for the window."""
     if window <= 0:
         raise ValueError(f"window must be > 0, got {window}")
+    table = FlowTable.from_rows(records)
+    limit = window + 1e-12
     delivered = sum(
-        r.bytes for r in records if r.ok and r.complete_s <= window + 1e-12
+        nbytes
+        for nbytes, status, done in zip(table.bytes, table.status, table.complete_s)
+        if status == "ok" and done <= limit
     )
     fraction = delivered / (link.bandwidth * window)
     if fraction > 1.0:
@@ -156,13 +162,6 @@ def stats_ratios(a: FctStats, b: FctStats) -> dict[str, float | None]:
     return out
 
 
-def _modal_bytes(ok_records: list[FlowRecord]) -> int | None:
-    sizes = Counter(r.bytes for r in ok_records if r.bytes > 0)
-    if not sizes:
-        return None
-    return sizes.most_common(1)[0][0]
-
-
 # result fields whose JSON and CSV keys carry their unit
 _ROW_KEYS = {
     "worst_fct": "worst_fct_s",
@@ -183,18 +182,17 @@ def row_dict(row) -> dict:
     return asdict(row, dict_factory=_row_values)
 
 
-def _split(records: Iterable[FlowRecord]) -> tuple[list[FlowRecord], list[float], int]:
-    """The successful records, their FCTs in ascending order, and the failure count."""
-    records = list(records)
-    ok_records = [r for r in records if r.ok]
-    return ok_records, sorted(r.fct_s for r in ok_records), len(records) - len(ok_records)
+def _ok_fcts(table: FlowTable, ok: list[bool]) -> tuple[list[float], int]:
+    """The successful FCTs in ascending order, and the failure count."""
+    fcts = sorted(compress(table.fct_s, ok))
+    return fcts, len(table) - len(fcts)
 
 
 def build_report(
-    records: Iterable[FlowRecord],
+    records: FlowTable | Iterable[FlowRecord],
     link: LinkSpec | None = None,
     policy: TierPolicy = DEFAULT_TIER_POLICY,
-    compare_records: Iterable[FlowRecord] | None = None,
+    compare_records: FlowTable | Iterable[FlowRecord] | None = None,
     comparison_labels: tuple[str, str] = ("primary", "comparison"),
 ) -> dict:
     """Assemble the full JSON report for one run (plus an optional second).
@@ -203,22 +201,26 @@ def build_report(
     efficiency estimates (mean- and worst-based, labeled), and the delay
     comparator with its optimistic-baseline tag.
     """
+    table = FlowTable.from_rows(records)
+    ok = table.ok_mask()
     # one sort feeds the stats, the CDF and the embedded inputs
-    ok_records, fct_values, failures = _split(records)
+    fct_values, failures = _ok_fcts(table, ok)
     stats = fct_stats(fct_values, failures)
 
     sss_value: float | None = None
     util: float | None = None
     efficiency: dict | None = None
     delay_block: dict | None = None
-    modal = _modal_bytes(ok_records)
+    sizes = Counter(compress(table.bytes, ok))
+    sizes.pop(0, None)
+    modal = sizes.most_common(1)[0][0] if sizes else None
     if link is not None and modal is not None:
         theoretical = theoretical_transfer_time(modal, link)
         if theoretical > 0:
             sss_value = streaming_speed_score(stats.max, theoretical)
-        window = max(r.complete_s for r in ok_records)
+        window = max(compress(table.complete_s, ok))
         if window > 0:
-            util = utilization(ok_records, link, window)
+            util = utilization(table, link, window)
         # the fitted-efficiency question is open: report both candidates
         efficiency = {
             "alpha_from_mean_fct": (modal / stats.mean) / link.bandwidth,
@@ -229,8 +231,8 @@ def build_report(
 
     comparison: dict | None = None
     if compare_records is not None:
-        _, other_fcts, other_failures = _split(compare_records)
-        other_stats = fct_stats(other_fcts, other_failures)
+        other = FlowTable.from_rows(compare_records)
+        other_stats = fct_stats(*_ok_fcts(other, other.ok_mask()))
         label_a, label_b = comparison_labels
         comparison = {
             label_a: asdict(stats),
@@ -263,9 +265,40 @@ def build_report(
     }
 
 
+def _number_array(values: list, depth: int) -> str:
+    """Numbers, or pairs of numbers, as json.dumps(indent=2) lays them out at ``depth``.
+
+    The C encoder writes each number as the indent=2 encoder does, and no
+    number's text holds a bracket, comma or space: re-indenting is exact.
+    """
+    if not values:
+        return "[]"
+    pad = ["\n" + "  " * d for d in range(depth, depth + 3)]
+    text = json.dumps(values)[1:-1]
+    if isinstance(values[0], (list, tuple)):  # pairs, one level deeper
+        text = text.replace("], [", "]\x00[").replace(", ", "," + pad[2])
+        text = text.replace("[", "[" + pad[2]).replace("]", pad[1] + "]")
+        text = text.replace("\x00", "," + pad[1])
+    else:
+        text = text.replace(", ", "," + pad[1])
+    return "[" + pad[1] + text + pad[0] + "]"
+
+
 def report_json(report: dict) -> str:
-    """The report's JSON text, as report.json and ``analyze --json`` hold it."""
-    return json.dumps(report, indent=2)
+    """The report's JSON text, as report.json and ``analyze --json`` hold it.
+
+    Byte-identical to ``json.dumps(report, indent=2)``, whose pure-Python
+    encoder is slow on the two large number arrays: ``cdf`` and
+    ``inputs.fct_values`` are encoded apart and spliced in.
+    """
+    arrays = {"\x00cdf": (report["cdf"], 1), "\x00fct_values": (report["inputs"]["fct_values"], 2)}
+    inputs = {**report["inputs"], "fct_values": "\x00fct_values"}
+    text = json.dumps({**report, "cdf": "\x00cdf", "inputs": inputs}, indent=2)
+    for mark, (values, depth) in arrays.items():
+        if text.count(json.dumps(mark)) != 1:  # another string equals the mark
+            return json.dumps(report, indent=2)
+        text = text.replace(json.dumps(mark), _number_array(values, depth))
+    return text
 
 
 def write_report(

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 from . import analysis, fluidsim
@@ -391,7 +392,7 @@ def cmd_measure_run(args) -> int:
     if args.out:
         write_jsonl(args.out, log.records, run_meta=log.meta)
 
-    worst = max((r.fct_s for r in log.records if r.ok), default=None)
+    worst = max(compress(log.records.fct_s, log.records.ok_mask()), default=None)
     if args.json:
         doc = {"records": len(log.records), "failures": log.failures, "max_fct_s": worst}
         print(json.dumps(doc, indent=2))
@@ -406,7 +407,7 @@ def cmd_measure_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     _, records = read_jsonl(args.infile)
-    if not any(r.ok for r in records):
+    if "ok" not in records.status:
         raise UsageError(f"no successful records in {args.infile}")
 
     link = None

@@ -19,7 +19,8 @@ O(N + intervals) time and memory for N clients.
 
 ``simulate`` keeps only the loop's own columns: spawn, completion and FCT
 times per client and ``(start, end, lo, hi, rate)`` rows per interval, plus
-the ``utilization`` and ``max_fct`` summary. ``SimResult.records`` and
+the ``utilization`` and ``max_fct`` summary. ``SimResult.records`` (a
+``FlowTable`` over those columns, with no row objects) and
 ``SimResult.trace`` are built from them on first read, so ``sweep``, which
 reads only the summary, builds neither.
 
@@ -39,7 +40,7 @@ from pathlib import Path
 
 from .model import LinkSpec, link_from_mapping, streaming_speed_score, theoretical_transfer_time
 from .quantities import coerce_quantity, parse_bytes, parse_seconds
-from .records import FlowRecord
+from .records import FlowTable
 from .schedule import LoadSpec, SpawnMode
 
 # events closer than this are processed at the same instant
@@ -89,7 +90,7 @@ class AllocationInterval:
 
 @dataclass(frozen=True)
 class SimResult:
-    """The event loop's columns and summary; records and trace on demand.
+    """The event loop's columns and summary; record table and trace on demand.
 
     ``records`` and ``trace`` are built on first read and cached on the
     instance; equality and hashing use the fields, not these views. A sweep
@@ -105,14 +106,11 @@ class SimResult:
     max_fct: float
 
     @cached_property
-    def records(self) -> tuple[FlowRecord, ...]:
-        nbytes = int(round(self.scenario.transfer_bytes))
-        flows = self.scenario.parallel_flows
-        return tuple(
-            FlowRecord(cid, spawn, done, fct, nbytes, flows)
-            for cid, (spawn, done, fct) in enumerate(
-                zip(self.spawns, self.completions, self.fcts)
-            )
+    def records(self) -> FlowTable:
+        n, nbytes = len(self.spawns), int(round(self.scenario.transfer_bytes))
+        return FlowTable(
+            tuple(range(n)), self.spawns, self.completions, self.fcts,
+            (nbytes,) * n, (self.scenario.parallel_flows,) * n, ("ok",) * n, (None,) * n,
         )
 
     @cached_property

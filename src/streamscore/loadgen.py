@@ -12,7 +12,8 @@ until the peer closes, and ``stop()`` closes every live connection.
 its offset from the loop's timer. ``ClientRunConfig`` is the shared
 ``schedule.LoadSpec`` plus the server and timeouts, so the client side spawns
 transfer clients on the simulator's schedule, echoes the same load keys, and
-logs one FlowRecord per client from a monotonic clock.
+logs one FlowRecord per client from a monotonic clock, handed back as a
+``FlowTable`` in client order.
 
 Wire format, per connection: a 16-byte header (magic ``SGTE``, version 0x01,
 3 reserved zero bytes, payload length as big-endian u64) followed by exactly
@@ -34,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .records import FlowRecord
+from .records import FlowRecord, FlowTable
 from .schedule import LoadSpec
 
 MAGIC = b"SGTE"
@@ -291,11 +292,11 @@ class ClientRunConfig(LoadSpec):
 @dataclass
 class TransferLog:
     meta: dict
-    records: list[FlowRecord] = field(default_factory=list)
+    records: FlowTable = field(default_factory=FlowTable)
 
     @property
     def failures(self) -> int:
-        return sum(1 for r in self.records if not r.ok)
+        return len(self.records) - self.records.status.count("ok")
 
 
 def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_timeout: float):
@@ -400,4 +401,4 @@ def run_clients(
         meta["interface_bytes_start"] = counter_start
         meta["interface_bytes_end"] = counter_sampler()
 
-    return TransferLog(meta=meta, records=sorted(records, key=lambda r: r.client_id))
+    return TransferLog(meta, FlowTable.from_rows(sorted(records, key=lambda r: r.client_id)))

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 # One record line. %r writes builtin ints and finite floats exactly as
 # json.dumps does (not so a subclass such as numpy.float64), and status is
@@ -25,6 +26,26 @@ _RECORD_LINE = (
 
 class LogFormatError(ValueError):
     """A JSONL transfer log that does not match the record schema."""
+
+
+def check_row(
+    spawn_s: float, complete_s: float, fct_s: float, nbytes: int, flows: int, status: str
+) -> None:
+    """Raise ValueError unless one record's values are in range."""
+    # every comparison with NaN is False, so the negated forms reject it
+    if not -math.inf < spawn_s <= complete_s < math.inf:
+        raise ValueError(
+            f"spawn_s {spawn_s} and complete_s {complete_s} must be "
+            "finite, with complete_s >= spawn_s"
+        )
+    if not 0 <= fct_s < math.inf:
+        raise ValueError(f"fct_s must be finite and >= 0, got {fct_s}")
+    if not nbytes >= 0:
+        raise ValueError(f"bytes must be >= 0, got {nbytes}")
+    if not flows >= 1:
+        raise ValueError(f"flows must be >= 1, got {flows}")
+    if status not in ("ok", "error"):
+        raise ValueError(f"status must be 'ok' or 'error', got {status!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,50 +62,74 @@ class FlowRecord:
     error: str | None = None
 
     def __post_init__(self) -> None:
-        # every comparison with NaN is False, so the negated forms reject it
-        if not -math.inf < self.spawn_s <= self.complete_s < math.inf:
-            raise ValueError(
-                f"spawn_s {self.spawn_s} and complete_s {self.complete_s} must be "
-                "finite, with complete_s >= spawn_s"
-            )
-        if not 0 <= self.fct_s < math.inf:
-            raise ValueError(f"fct_s must be finite and >= 0, got {self.fct_s}")
-        if not self.bytes >= 0:
-            raise ValueError(f"bytes must be >= 0, got {self.bytes}")
-        if not self.flows >= 1:
-            raise ValueError(f"flows must be >= 1, got {self.flows}")
-        if self.status not in ("ok", "error"):
-            raise ValueError(f"status must be 'ok' or 'error', got {self.status!r}")
+        check_row(self.spawn_s, self.complete_s, self.fct_s, self.bytes, self.flows, self.status)
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
 
-    def to_json_line(self) -> str:
-        """The record as one log line: a JSON object in schema field order."""
-        error = "" if self.error is None else ', "error": ' + json.dumps(self.error)
-        return _RECORD_LINE % (
-            self.client_id,
-            self.spawn_s,
-            self.complete_s,
-            self.fct_s,
-            self.bytes,
-            self.flows,
-            self.status,
-            error,
-        )
+
+_COLUMNS = tuple(f.name for f in fields(FlowRecord))
+
+
+@dataclass(frozen=True)
+class FlowTable:
+    """Flow records as one tuple per FlowRecord field, rows in log order.
+
+    Iterating or indexing builds FlowRecord rows on demand; the simulator,
+    the log reader and writer and the report read the columns directly.
+    Producers hand over rows that already passed ``check_row``.
+    """
+
+    client_id: tuple[int, ...] = ()
+    spawn_s: tuple[float, ...] = ()
+    complete_s: tuple[float, ...] = ()
+    fct_s: tuple[float, ...] = ()
+    bytes: tuple[int, ...] = ()
+    flows: tuple[int, ...] = ()
+    status: tuple[str, ...] = ()
+    error: tuple[str | None, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(set(map(len, self._columns()))) > 1:
+            raise ValueError("flow table columns differ in length")
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[FlowRecord]) -> FlowTable:
+        """A table of the given records; a table is returned as it is."""
+        if isinstance(rows, FlowTable):
+            return rows
+        return cls(*zip(*map(attrgetter(*_COLUMNS), rows)))
+
+    def _columns(self) -> tuple[tuple, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    def __len__(self) -> int:
+        return len(self.client_id)
+
+    def __iter__(self) -> Iterator[FlowRecord]:
+        return map(FlowRecord, *self._columns())
+
+    def __getitem__(self, index: int) -> FlowRecord:
+        return FlowRecord(*(column[index] for column in self._columns()))
+
+    def ok_mask(self) -> list[bool]:
+        """Per row: whether the transfer succeeded."""
+        return [status == "ok" for status in self.status]
 
 
 def write_jsonl(
     target: Path | str | IO[str],
-    records: Iterable[FlowRecord],
+    records: FlowTable | Iterable[FlowRecord],
     run_meta: dict | None = None,
 ) -> None:
     """Write a header line followed by one record per line."""
+    table = FlowTable.from_rows(records)
+    errors = ["" if e is None else ', "error": ' + json.dumps(e) for e in table.error]
 
     def _write(fh: IO[str]) -> None:
         fh.write(json.dumps({"run": run_meta or {}}) + "\n")
-        fh.writelines(record.to_json_line() for record in records)
+        fh.writelines(map(_RECORD_LINE.__mod__, zip(*table._columns()[:-1], errors)))
 
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
@@ -98,41 +143,52 @@ def _reject_constant(name: str) -> float:
 
 
 # NaN and Infinity are not JSON; the stdlib decoder accepts them unless told not to
-_decode = json.JSONDecoder(parse_constant=_reject_constant).raw_decode
+_decoder = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, list[FlowRecord]]:
-    """Parse a transfer log into its run metadata and records.
+def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, FlowTable]:
+    """Parse a transfer log into its run metadata and a table of its records.
 
-    The header is optional so that bare record streams still load. A line
-    that is not a JSON object, holds NaN or Infinity, misses a field, fails
-    FlowRecord's checks or repeats a client_id raises LogFormatError naming
-    its line; nothing is skipped.
+    The header is optional so that bare record streams still load, but only
+    the first line may be one. A line that is not a JSON object, holds NaN or
+    Infinity, is a second header, misses a field, fails ``check_row`` or
+    repeats a client_id raises LogFormatError naming its line; nothing is
+    skipped.
     """
 
-    def _read(fh: IO[str]) -> tuple[dict, list[FlowRecord]]:
+    def _read(fh: IO[str]) -> tuple[dict, FlowTable]:
         meta: dict = {}
-        records: list[FlowRecord] = []
+        columns: tuple[list, ...] = tuple([] for _ in _COLUMNS)
+        add_id, add_spawn, add_complete, add_fct, add_bytes, add_flows, add_status, add_error = (
+            column.append for column in columns
+        )
         seen: set[int] = set()
+        opened = False  # a header may only be the first non-blank line
+        scan = _decoder.scan_once  # raw_decode without its Python frames
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj, end = _decode(line)
-                if end != len(line):
-                    # json.loads reports the first non-blank character after the object
-                    extra = len(line) - len(line[end:].lstrip(" \t\n\r"))
-                    raise json.JSONDecodeError("Extra data", line, extra)
-            except ValueError as exc:
-                raise LogFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError):
+                end = None
+            if end != len(line):
+                try:  # decode is json.loads, and raises json.loads's error for the line
+                    obj = _decoder.decode(line)
+                except ValueError as exc:
+                    raise LogFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
                 raise LogFormatError(f"line {lineno}: expected an object")
             if "run" in obj and "client_id" not in obj:
+                if opened:
+                    raise LogFormatError(f"line {lineno}: a run header may only open the log")
+                opened = True
                 meta = obj["run"]
                 continue
+            opened = True
             try:
-                record = FlowRecord(
+                client_id, spawn, complete, fct, nbytes, flows, status = (
                     int(obj["client_id"]),
                     float(obj["spawn_s"]),
                     float(obj["complete_s"]),
@@ -140,21 +196,26 @@ def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, list[FlowRecord]]:
                     int(obj["bytes"]),
                     int(obj["flows"]),
                     str(obj.get("status", "ok")),
-                    obj.get("error"),
                 )
+                check_row(spawn, complete, fct, nbytes, flows, status)
             except KeyError as exc:
                 raise LogFormatError(
                     f"line {lineno}: bad flow record: missing field {exc}"
                 ) from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise LogFormatError(f"line {lineno}: bad flow record: {exc}") from exc
-            if record.client_id in seen:
-                raise LogFormatError(
-                    f"line {lineno}: duplicate client_id {record.client_id}"
-                )
-            seen.add(record.client_id)
-            records.append(record)
-        return meta, records
+            if client_id in seen:
+                raise LogFormatError(f"line {lineno}: duplicate client_id {client_id}")
+            seen.add(client_id)
+            add_id(client_id)
+            add_spawn(spawn)
+            add_complete(complete)
+            add_fct(fct)
+            add_bytes(nbytes)
+            add_flows(flows)
+            add_status("ok" if status == "ok" else "error")  # one shared string per status
+            add_error(obj.get("error"))
+        return meta, FlowTable(*map(tuple, columns))
 
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:

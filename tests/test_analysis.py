@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from streamscore.analysis import (
     OPTIMISTIC_BASELINE_LABEL,
@@ -15,6 +17,7 @@ from streamscore.analysis import (
     delay_comparator,
     fct_stats,
     nearest_rank,
+    report_json,
     stats_ratios,
     utilization,
     write_report,
@@ -180,6 +183,13 @@ def test_utilization_examples():
     assert utilization([], link, window=1.0) == 0.0
 
 
+def test_utilization_counts_only_successful_bytes():
+    # a failed transfer can carry the bytes of the flows that were acknowledged
+    failed = FlowRecord(9, 0.0, 1.0, 1.0, 500_000_000, 2, status="error", error="flow 1: reset")
+    records = make_records([1.0, 1.0]) + [failed]
+    assert utilization(records, LinkSpec(bandwidth=GBPS_25), window=1.0) == pytest.approx(0.32)
+
+
 def test_utilization_clamps_and_warns(caplog):
     link = LinkSpec(bandwidth=1000.0)
     records = make_records([0.5], nbytes=5000)
@@ -223,6 +233,21 @@ def test_report_structure_and_round_trip(tmp_path):
     assert rows[0] == ["fct_s", "cumulative_probability"]
     assert len(rows) == 1 + len(report["cdf"])
     assert paths
+
+
+def test_report_modal_bytes_skip_zero_byte_successes():
+    records = make_records([0.1, 0.2, 0.3], nbytes=0) + [FlowRecord(3, 0.0, 0.4, 0.4, 5000, 1)]
+    report = build_report(records, link=LinkSpec(bandwidth=GBPS_25))
+    assert report["inputs"]["bytes"] == 5000
+    assert report["sss"] == pytest.approx(0.4 / (5000 / GBPS_25))
+
+
+def test_report_comparison_counts_the_second_run_on_its_own():
+    report = build_report(
+        make_records([0.16, 0.2]), compare_records=make_records([0.3, 0.25, 0.2], failures=2)
+    )
+    other = report["comparison"]["comparison"]
+    assert (other["count"], other["failures"], other["min"], other["max"]) == (3, 2, 0.2, 0.3)
 
 
 def test_report_comparison_block():
@@ -300,3 +325,39 @@ def test_sweep_csv_has_header_and_24_rows(tmp_path):
         parsed = list(csv.reader(fh))
     assert parsed[0][0] == "concurrency"
     assert len(parsed) == 25  # header + 24 data rows
+
+
+# --- report encoder: json.dumps(indent=2) bytes, large arrays spliced in ---
+
+report_fcts = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),  # subnormals too
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1.7976931348623157e308]),
+    st.integers(0, 2**53),
+)
+
+
+def _without_arrays(report: dict, cdf: list, values: list) -> dict:
+    return {**report, "cdf": cdf, "inputs": {**report["inputs"], "fct_values": values}}
+
+
+@given(st.lists(report_fcts, min_size=1, max_size=40), st.integers(0, 2), st.booleans())
+@example([-0.0], 0, False)
+@example([5e-324, 1e16, 3, 3, 0.1], 1, True)
+@example([7], 0, True)
+def test_report_json_equals_json_dumps_indent_2(fcts, failures, with_link):
+    link = LinkSpec(bandwidth=GBPS_25, rtt=0.016) if with_link and max(fcts) > 0 else None
+    report = build_report(make_records(fcts, failures), link=link)
+    assert report_json(report) == json.dumps(report, indent=2)
+    # empty and one-element arrays
+    for cdf, values in (([], []), (report["cdf"][:1], report["inputs"]["fct_values"][:1])):
+        edited = _without_arrays(report, cdf, values)
+        assert report_json(edited) == json.dumps(edited, indent=2)
+
+
+def test_report_json_falls_back_when_a_string_looks_like_a_splice_mark():
+    report = build_report(
+        make_records([0.2, 0.1]),
+        compare_records=make_records([0.3]),
+        comparison_labels=("\x00cdf", "\x00fct_values"),
+    )
+    assert report_json(report) == json.dumps(report, indent=2)

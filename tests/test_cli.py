@@ -284,6 +284,17 @@ def test_analyze_empty_log_exits_1(capsys, tmp_path):
     assert "no successful records" in err
 
 
+def test_analyze_all_failed_log_exits_1_naming_the_log(capsys, tmp_path):
+    failed = tmp_path / "failed.jsonl"
+    failed.write_text(
+        '{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 0, '
+        '"flows": 1, "status": "error", "error": "refused"}\n'
+    )
+    code, out, err = run_cli(capsys, "analyze", "--in", str(failed))
+    assert (code, out) == (1, "")
+    assert err == f"error: no successful records in {failed}\n"
+
+
 def test_analyze_takes_no_alpha(capsys):
     # the report reads only the link's bandwidth and RTT
     log = str(GOLDEN / "simulate_log.jsonl")

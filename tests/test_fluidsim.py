@@ -11,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streamscore import fluidsim
+from streamscore import records as records_module
 from streamscore.fluidsim import (
     AllocationInterval,
     Scenario,
@@ -239,7 +240,7 @@ def test_idle_separated_clients_match_reference_bit_for_bit():
     s = scenario(duration=2000.0, concurrency=2.0, mode=SpawnMode.SCHEDULED,
                  transfer_bytes=503_517_133.7, startup_latency=0.016)
     fast, slow = simulate(s), simulate_reference(s)
-    assert fast.records == slow.records
+    assert list(fast.records) == list(slow.records)
     assert fast.utilization == slow.utilization
 
 
@@ -315,8 +316,9 @@ def _count_constructions(monkeypatch) -> Counter:
 
         return construct
 
-    for name in ("FlowRecord", "AllocationInterval"):
-        monkeypatch.setattr(fluidsim, name, counting(getattr(fluidsim, name)))
+    # FlowTable builds its rows from the records module's FlowRecord
+    for module, name in ((records_module, "FlowRecord"), (fluidsim, "AllocationInterval")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     return built
 
 
@@ -326,12 +328,16 @@ def test_records_and_trace_are_built_on_first_read(monkeypatch):
     assert "records" not in vars(result) and "trace" not in vars(result)
     assert not built
 
+    # the record table is the loop's columns: no FlowRecord is built
     records = result.records
-    assert built == {"FlowRecord": 70}
-    assert [r.fct_s for r in records] == list(result.fcts)
+    assert not built
+    assert len(records) == 70 and records.fct_s == result.fcts
     trace = result.trace
     assert built["AllocationInterval"] == len(result.intervals) > 70
     assert result.records is records and result.trace is trace  # cached, built once
+    # rows are built only when the table is iterated
+    assert [r.fct_s for r in records] == list(result.fcts)
+    assert built["FlowRecord"] == 70
 
 
 def test_sweep_builds_no_records_or_trace(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from streamscore.records import FlowRecord, LogFormatError, read_jsonl, write_jsonl
+from streamscore.records import FlowRecord, FlowTable, LogFormatError, read_jsonl, write_jsonl
 
 
 def sample_records() -> list[FlowRecord]:
@@ -32,7 +32,7 @@ def test_round_trip_preserves_records(tmp_path):
     write_jsonl(path, sample_records(), run_meta={"concurrency": 2})
     meta, records = read_jsonl(path)
     assert meta == {"concurrency": 2}
-    assert records == sample_records()
+    assert list(records) == sample_records()
 
 
 def test_schema_field_names_are_stable(tmp_path):
@@ -126,6 +126,26 @@ def test_read_rejects_bad_records_naming_the_line(bad, reason):
     assert reason in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "body, lineno",
+    [
+        ('{"run": {"a": 1}}\n' + GOOD_LINE + '\n{"run": {"a": 2}}\n', 3),
+        ('{"run": {}}\n\n{"run": {}}\n', 3),
+        (GOOD_LINE + '\n{"run": {"a": 2}}\n', 2),
+    ],
+)
+def test_read_rejects_a_run_header_after_the_first_line(body, lineno):
+    # a second header used to replace the first one silently
+    with pytest.raises(LogFormatError) as info:
+        read_jsonl(io.StringIO(body))
+    assert str(info.value) == f"line {lineno}: a run header may only open the log"
+
+
+def test_header_after_blank_lines_still_opens_the_log():
+    meta, records = read_jsonl(io.StringIO('\n\n{"run": {"a": 1}}\n' + GOOD_LINE + "\n"))
+    assert meta == {"a": 1} and len(records) == 1
+
+
 @pytest.mark.parametrize("line", ["not json", '{"a": 1} x', '{"a": 1}  {}', "{", '{"a": 1} \t]'])
 def test_read_reports_json_errors_like_json_loads(line):
     with pytest.raises(json.JSONDecodeError) as expected:
@@ -184,4 +204,29 @@ def test_written_lines_equal_json_dumps_and_read_back(records):
     assert lines[0] == '{"run": {"source": "test"}}\n'
     assert lines[1:] == [json.dumps(schema_dict(r)) + "\n" for r in records]
     buf.seek(0)
-    assert read_jsonl(buf) == ({"source": "test"}, records)
+    meta, table = read_jsonl(buf)
+    assert (meta, list(table)) == ({"source": "test"}, records)
+
+
+# --- FlowTable: columns, with rows built on demand ---
+
+
+def test_flow_table_rows_and_columns_agree():
+    rows = sample_records()
+    table = FlowTable.from_rows(rows)
+    assert len(table) == 2
+    assert list(table) == rows
+    assert table[1] == rows[1] and table[-1] == rows[-1]
+    assert table.fct_s == (0.16, 0.2) and table.error == (None, "connection refused")
+    assert table.ok_mask() == [True, False]
+    assert FlowTable.from_rows(table) is table
+    assert len(FlowTable.from_rows([])) == 0 and list(FlowTable()) == []
+
+
+def test_read_returns_a_table_with_one_shared_status_string(tmp_path):
+    path = tmp_path / "run.jsonl"
+    write_jsonl(path, sample_records() + [FlowRecord(7, 1.0, 2.0, 1.0, 5, 1)], run_meta={})
+    _, table = read_jsonl(path)
+    assert isinstance(table, FlowTable)
+    assert table.client_id == (0, 1, 7)
+    assert table.status == ("ok", "error", "ok") and table.status[0] is table.status[2]
