@@ -34,7 +34,7 @@ from .model import (
     transfer_budget,
     transfer_time,
 )
-from .records import FlowRecord, FlowTable, read_jsonl, write_jsonl
+from .records import FlowTable, read_jsonl, write_jsonl
 from .schedule import SpawnMode
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "Decision",
     "DelayDecomposition",
     "FileStreamComparison",
-    "FlowRecord",
     "FlowTable",
     "IoOverhead",
     "LinkSpec",

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (
     DEFAULT_TIER_POLICY,
@@ -32,7 +32,7 @@ from .model import (
     theoretical_transfer_time,
     total_delay,
 )
-from .records import FlowRecord, FlowTable
+from .records import FlowTable
 
 logger = logging.getLogger(__name__)
 
@@ -118,17 +118,14 @@ def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) 
     return Regime.MODERATE
 
 
-def utilization(
-    records: FlowTable | Iterable[FlowRecord], link: LinkSpec, window: float
-) -> float:
+def utilization(records: FlowTable, link: LinkSpec, window: float) -> float:
     """Delivered application bytes over link capacity for the window."""
     if window <= 0:
         raise ValueError(f"window must be > 0, got {window}")
-    table = FlowTable.from_rows(records)
     limit = window + 1e-12
     delivered = sum(
         nbytes
-        for nbytes, status, done in zip(table.bytes, table.status, table.complete_s)
+        for nbytes, status, done in zip(records.bytes, records.status, records.complete_s)
         if status == "ok" and done <= limit
     )
     fraction = delivered / (link.bandwidth * window)
@@ -189,50 +186,51 @@ def _ok_fcts(table: FlowTable, ok: list[bool]) -> tuple[list[float], int]:
 
 
 def build_report(
-    records: FlowTable | Iterable[FlowRecord],
+    records: FlowTable,
     link: LinkSpec | None = None,
     policy: TierPolicy = DEFAULT_TIER_POLICY,
-    compare_records: FlowTable | Iterable[FlowRecord] | None = None,
+    compare_records: FlowTable | None = None,
     comparison_labels: tuple[str, str] = ("primary", "comparison"),
 ) -> dict:
     """Assemble the full JSON report for one run (plus an optional second).
 
     With a link spec the report gains SSS, utilization, both transfer
     efficiency estimates (mean- and worst-based, labeled), and the delay
-    comparator with its optimistic-baseline tag.
+    comparator with its optimistic-baseline tag. SSS is null when the worst
+    FCT is 0, and the efficiency estimates are null when the mean FCT is 0,
+    which subnormal FCTs can also reach by underflow.
     """
-    table = FlowTable.from_rows(records)
-    ok = table.ok_mask()
+    ok = records.ok_mask()
     # one sort feeds the stats, the CDF and the embedded inputs
-    fct_values, failures = _ok_fcts(table, ok)
+    fct_values, failures = _ok_fcts(records, ok)
     stats = fct_stats(fct_values, failures)
 
     sss_value: float | None = None
     util: float | None = None
     efficiency: dict | None = None
     delay_block: dict | None = None
-    sizes = Counter(compress(table.bytes, ok))
+    sizes = Counter(compress(records.bytes, ok))
     sizes.pop(0, None)
     modal = sizes.most_common(1)[0][0] if sizes else None
     if link is not None and modal is not None:
         theoretical = theoretical_transfer_time(modal, link)
-        if theoretical > 0:
+        if theoretical > 0 and stats.max > 0:
             sss_value = streaming_speed_score(stats.max, theoretical)
-        window = max(compress(table.complete_s, ok))
+        window = max(compress(records.complete_s, ok))
         if window > 0:
-            util = utilization(table, link, window)
-        # the fitted-efficiency question is open: report both candidates
-        efficiency = {
-            "alpha_from_mean_fct": (modal / stats.mean) / link.bandwidth,
-            "alpha_from_worst_fct": (modal / stats.max) / link.bandwidth,
-            "note": "achieved-rate fraction of raw bandwidth; mean-based vs worst-case-based fits",
-        }
+            util = utilization(records, link, window)
+        if stats.mean > 0:
+            # the fitted-efficiency question is open: report both candidates
+            efficiency = {
+                "alpha_from_mean_fct": (modal / stats.mean) / link.bandwidth,
+                "alpha_from_worst_fct": (modal / stats.max) / link.bandwidth,
+                "note": "achieved-rate fraction of raw bandwidth; mean-based vs worst-case-based fits",
+            }
         delay_block = delay_comparator(trans_s=theoretical, prop_s=link.rtt / 2)
 
     comparison: dict | None = None
     if compare_records is not None:
-        other = FlowTable.from_rows(compare_records)
-        other_stats = fct_stats(*_ok_fcts(other, other.ok_mask()))
+        other_stats = fct_stats(*_ok_fcts(compare_records, compare_records.ok_mask()))
         label_a, label_b = comparison_labels
         comparison = {
             label_a: asdict(stats),

@@ -300,8 +300,3 @@ def read_scenario_file(path: Path | str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         raw[key] = value
     return raw
-
-
-def load_scenario(path: Path | str) -> Scenario:
-    """Load a scenario from JSON or flat ``key = value`` text."""
-    return scenario_from_mapping(read_scenario_file(path))

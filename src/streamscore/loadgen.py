@@ -12,8 +12,8 @@ until the peer closes, and ``stop()`` closes every live connection.
 its offset from the loop's timer. ``ClientRunConfig`` is the shared
 ``schedule.LoadSpec`` plus the server and timeouts, so the client side spawns
 transfer clients on the simulator's schedule, echoes the same load keys, and
-logs one FlowRecord per client from a monotonic clock, handed back as a
-``FlowTable`` in client order.
+logs one record row per client from a monotonic clock, each checked by
+``records.check_row`` and handed back as one ``FlowTable`` in client order.
 
 Wire format, per connection: a 16-byte header (magic ``SGTE``, version 0x01,
 3 reserved zero bytes, payload length as big-endian u64) followed by exactly
@@ -33,9 +33,8 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .records import FlowRecord, FlowTable
+from .records import FlowTable, check_row
 from .schedule import LoadSpec
 
 MAGIC = b"SGTE"
@@ -335,23 +334,15 @@ def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_
             return nbytes
 
 
-def run_clients(
-    config: ClientRunConfig,
-    counter_sampler: Callable[[], int] | None = None,
-) -> TransferLog:
-    """Spawn transfer clients on schedule and collect their flow records.
-
-    ``counter_sampler``, when given, is read before and after the run so OS
-    interface counters (or any external byte source) can be attached to the
-    log without this module knowing how to collect them.
-    """
+def run_clients(config: ClientRunConfig) -> TransferLog:
+    """Spawn transfer clients on schedule and collect their flow records."""
     offsets = config.spawn_times()
     sizes = split_bytes(config.transfer_bytes, config.parallel_flows)
     try:  # once per run, so a slow resolver cannot stall the spawn timer
         targets = socket.getaddrinfo(config.server_address, None, type=socket.SOCK_STREAM)
     except OSError as exc:
         targets = exc
-    records: list[FlowRecord] = []
+    rows: list[tuple] = []  # one per client, in completion order
     loop = _Loop()
 
     def start_client(client_id: int) -> None:
@@ -373,23 +364,24 @@ def run_clients(
             if open_flows == 0:  # each flow ends by ack, error or deadline
                 complete_s = time.monotonic() - epoch
                 error = "; ".join(filter(None, errors))
-                records.append(FlowRecord(
+                row = (
                     client_id, spawn_s, complete_s, complete_s - spawn_s, sum(acked),
                     config.parallel_flows, "error" if error else "ok", error or None,
-                ))
+                )
+                check_row(*row[1:7])
+                rows.append(row)
 
         for index in range(len(sizes)):
             loop.resume(flow(index))
 
     started_unix_ms = int(time.time() * 1000)
     epoch = time.monotonic()
-    counter_start = counter_sampler() if counter_sampler is not None else None
     try:
         for client_id, offset in enumerate(offsets):
             while (wait := epoch + offset - time.monotonic()) > 0:
                 loop.run_once(wait - _SPAWN_POLL_S)
             start_client(client_id)
-        while len(records) < len(offsets):  # every client reports
+        while len(rows) < len(offsets):  # every client reports
             loop.run_once()
     finally:
         loop.close()
@@ -397,8 +389,5 @@ def run_clients(
     meta = dict(config.config_echo())
     meta["started_unix_ms"] = started_unix_ms
     meta["monotonic_epoch_s"] = epoch
-    if counter_sampler is not None:
-        meta["interface_bytes_start"] = counter_start
-        meta["interface_bytes_end"] = counter_sampler()
-
-    return TransferLog(meta, FlowTable.from_rows(sorted(records, key=lambda r: r.client_id)))
+    # client ids are unique, so the sort never compares past them
+    return TransferLog(meta, FlowTable(*zip(*sorted(rows))))

@@ -2,7 +2,9 @@
 
 One record per spawned client, whether the transfer was measured on a real
 network or produced by the simulator; the analysis pipeline consumes both
-through this schema. A log file is a single header line ``{"run": {...}}``
+through this schema. ``FlowTable`` is the one record type: one tuple per
+field, and its field order is the key order of a log line. ``check_row`` is
+the one row validator. A log file is a single header line ``{"run": {...}}``
 followed by one record object per line.
 """
 
@@ -11,9 +13,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO
 
 # One record line. %r writes builtin ints and finite floats exactly as
 # json.dumps does (not so a subclass such as numpy.float64), and status is
@@ -48,37 +49,13 @@ def check_row(
         raise ValueError(f"status must be 'ok' or 'error', got {status!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One client's transfer: spawn/completion on a shared monotonic clock."""
-
-    client_id: int
-    spawn_s: float
-    complete_s: float
-    fct_s: float
-    bytes: int
-    flows: int
-    status: str = "ok"
-    error: str | None = None
-
-    def __post_init__(self) -> None:
-        check_row(self.spawn_s, self.complete_s, self.fct_s, self.bytes, self.flows, self.status)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
-_COLUMNS = tuple(f.name for f in fields(FlowRecord))
-
-
 @dataclass(frozen=True)
 class FlowTable:
-    """Flow records as one tuple per FlowRecord field, rows in log order.
+    """Flow records as one tuple per record field, rows in log order.
 
-    Iterating or indexing builds FlowRecord rows on demand; the simulator,
-    the log reader and writer and the report read the columns directly.
-    Producers hand over rows that already passed ``check_row``.
+    The simulator, the live harness, the log reader and writer and the
+    report all read and build the columns directly. Producers hand over
+    rows that already passed ``check_row``.
     """
 
     client_id: tuple[int, ...] = ()
@@ -87,19 +64,12 @@ class FlowTable:
     fct_s: tuple[float, ...] = ()
     bytes: tuple[int, ...] = ()
     flows: tuple[int, ...] = ()
-    status: tuple[str, ...] = ()
+    status: tuple[str, ...] = ()  # "ok" or "error"
     error: tuple[str | None, ...] = ()
 
     def __post_init__(self) -> None:
         if len(set(map(len, self._columns()))) > 1:
             raise ValueError("flow table columns differ in length")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[FlowRecord]) -> FlowTable:
-        """A table of the given records; a table is returned as it is."""
-        if isinstance(rows, FlowTable):
-            return rows
-        return cls(*zip(*map(attrgetter(*_COLUMNS), rows)))
 
     def _columns(self) -> tuple[tuple, ...]:
         return tuple(getattr(self, name) for name in _COLUMNS)
@@ -107,29 +77,23 @@ class FlowTable:
     def __len__(self) -> int:
         return len(self.client_id)
 
-    def __iter__(self) -> Iterator[FlowRecord]:
-        return map(FlowRecord, *self._columns())
-
-    def __getitem__(self, index: int) -> FlowRecord:
-        return FlowRecord(*(column[index] for column in self._columns()))
-
     def ok_mask(self) -> list[bool]:
         """Per row: whether the transfer succeeded."""
         return [status == "ok" for status in self.status]
 
 
+_COLUMNS = tuple(f.name for f in fields(FlowTable))
+
+
 def write_jsonl(
-    target: Path | str | IO[str],
-    records: FlowTable | Iterable[FlowRecord],
-    run_meta: dict | None = None,
+    target: Path | str | IO[str], records: FlowTable, run_meta: dict | None = None
 ) -> None:
     """Write a header line followed by one record per line."""
-    table = FlowTable.from_rows(records)
-    errors = ["" if e is None else ', "error": ' + json.dumps(e) for e in table.error]
+    errors = ["" if e is None else ', "error": ' + json.dumps(e) for e in records.error]
 
     def _write(fh: IO[str]) -> None:
         fh.write(json.dumps({"run": run_meta or {}}) + "\n")
-        fh.writelines(map(_RECORD_LINE.__mod__, zip(*table._columns()[:-1], errors)))
+        fh.writelines(map(_RECORD_LINE.__mod__, zip(*records._columns()[:-1], errors)))
 
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
@@ -166,7 +130,7 @@ def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, FlowTable]:
         opened = False  # a header may only be the first non-blank line
         scan = _decoder.scan_once  # raw_decode without its Python frames
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")  # JSON whitespace only
             if not line:
                 continue
             try:

@@ -8,11 +8,24 @@ from contextlib import closing, contextmanager
 from hypothesis import settings
 
 from streamscore.loadgen import TransferServer
+from streamscore.records import FlowTable, check_row
 
 # fixed examples and no per-example deadline: property tests give the same
 # verdict on every run and on every machine
 settings.register_profile("streamscore", derandomize=True, max_examples=100, deadline=None)
 settings.load_profile("streamscore")
+
+
+def table_of(rows) -> FlowTable:
+    """A FlowTable of row tuples in column order, each row checked by ``check_row``.
+
+    A row may stop after ``flows`` or ``status``: status defaults to "ok" and
+    error to None.
+    """
+    full = [(*row, *("ok", None)[len(row) - 6 :]) for row in rows]
+    for row in full:
+        check_row(*row[1:7])
+    return FlowTable(*zip(*full))
 
 
 def find_free_port_block(count: int, start: int = 15201, end: int = 64000) -> int:

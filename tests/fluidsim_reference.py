@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass
 
 from streamscore.fluidsim import _EVENT_EPS, AllocationInterval, Scenario
-from streamscore.records import FlowRecord
+from streamscore.records import FlowTable
 
 
 @dataclass(frozen=True)
 class ReferenceResult:
-    records: tuple[FlowRecord, ...]
+    records: FlowTable
     trace: tuple[AllocationInterval, ...]
     utilization: float
     max_fct: float
@@ -85,17 +85,17 @@ def simulate_reference(scenario: Scenario) -> ReferenceResult:
                 del active[cid]
             admit(t)
 
-    nbytes = int(round(scenario.transfer_bytes))
-    records = tuple(
-        FlowRecord(
-            client_id=cid,
-            spawn_s=spawn,
-            complete_s=completions[cid],
-            fct_s=completions[cid] - spawn,
-            bytes=nbytes,
-            flows=scenario.parallel_flows,
-        )
-        for cid, spawn in enumerate(spawns)
+    n = len(spawns)
+    complete = tuple(completions[cid] for cid in range(n))
+    records = FlowTable(
+        client_id=tuple(range(n)),
+        spawn_s=tuple(spawns),
+        complete_s=complete,
+        fct_s=tuple(done - spawn for done, spawn in zip(complete, spawns)),
+        bytes=(int(round(scenario.transfer_bytes)),) * n,
+        flows=(scenario.parallel_flows,) * n,
+        status=("ok",) * n,
+        error=(None,) * n,
     )
 
     first_active = pending[0][0]
@@ -108,5 +108,5 @@ def simulate_reference(scenario: Scenario) -> ReferenceResult:
         records=records,
         trace=tuple(trace),
         utilization=utilization,
-        max_fct=max(r.fct_s for r in records),
+        max_fct=max(records.fct_s),
     )

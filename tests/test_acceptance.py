@@ -9,6 +9,7 @@ import json
 import math
 import random
 from contextlib import contextmanager
+from itertools import compress
 
 import pytest
 
@@ -33,10 +34,15 @@ from streamscore.model import (
     total_delay,
     transfer_time,
 )
-from streamscore.records import FlowRecord
 from streamscore.schedule import SpawnMode
 
-from conftest import CountingServer, find_free_port_block, gc_pauses, spawn_diagnostics
+from conftest import (
+    CountingServer,
+    find_free_port_block,
+    gc_pauses,
+    spawn_diagnostics,
+    table_of,
+)
 
 GBPS_25 = 25e9 / 8
 
@@ -113,9 +119,9 @@ def test_criterion_3_equal_share_oracle():
         result = simulate(scenario)
         assert len(result.records) == 8
         expected = 8 * 0.5e9 / GBPS_25  # 1.28 s
-        for record in result.records:
-            assert abs(record.fct_s - expected) / expected <= 1e-9
-            assert abs(record.fct_s - 1.28) <= 1e-9
+        for fct in result.records.fct_s:
+            assert abs(fct - expected) / expected <= 1e-9
+            assert abs(fct - 1.28) <= 1e-9
 
         # work conservation: every interval allocates exactly the capacity
         for interval in result.trace:
@@ -194,13 +200,14 @@ def test_criterion_6_loadgen_loopback(capsys, tmp_path):
             from streamscore.records import read_jsonl
 
             _, records = read_jsonl(out_path)
-            ok = [r for r in records if r.ok]
+            ok = records.ok_mask()
             assert len(records) == 12
-            assert len(ok) == 12
-            for record in ok:
-                assert record.bytes == 10_000_000
-                assert record.flows == 4
-                assert record.fct_s > 0
+            assert sum(ok) == 12
+            columns = zip(records.bytes, records.flows, records.fct_s)
+            for nbytes, flows, fct in compress(columns, ok):
+                assert nbytes == 10_000_000
+                assert flows == 4
+                assert fct > 0
 
             # scheduled spawn-gap fidelity at 3 clients/s
             live_at_start = server.live_connections
@@ -216,7 +223,7 @@ def test_criterion_6_loadgen_loopback(capsys, tmp_path):
                         mode=SpawnMode.SCHEDULED,
                     )
                 )
-            spawns = [r.spawn_s for r in sorted(log.records, key=lambda r: r.client_id)]
+            spawns = [spawn for _, spawn in sorted(zip(log.records.client_id, log.records.spawn_s))]
             assert len(spawns) == 6
             gaps = [b - a for a, b in zip(spawns, spawns[1:])]
             lateness_ms = [round((gap - 1.0 / 3.0) * 1e3, 3) for gap in gaps]
@@ -237,10 +244,7 @@ def test_criterion_7_randomized_invariants():
             assert stats.p50 <= stats.p90 <= stats.p99 <= stats.max
             assert stats.min <= stats.mean <= stats.max
 
-            records = [
-                FlowRecord(client_id=i, spawn_s=0.0, complete_s=f, fct_s=f, bytes=100, flows=1)
-                for i, f in enumerate(fcts)
-            ]
+            records = table_of((i, 0.0, f, f, 100, 1) for i, f in enumerate(fcts))
             cdf = build_report(records)["cdf"]
             probs = [p for _, p in cdf]
             values = [v for v, _ in cdf]
@@ -301,10 +305,7 @@ def test_criterion_8_optimistic_baseline_comparator():
             )
             assert propagation_only_delay(d) <= total_delay(d)
 
-        records = [
-            FlowRecord(client_id=i, spawn_s=0.0, complete_s=0.2, fct_s=0.2, bytes=int(0.5e9), flows=1)
-            for i in range(4)
-        ]
+        records = table_of((i, 0.0, 0.2, 0.2, int(0.5e9), 1) for i in range(4))
         report = build_report(records, link=LinkSpec(bandwidth=GBPS_25, rtt=0.016))
         assert report["delay_model"]["label"] == "optimistic baseline"
         assert report["delay_model"]["propagation_only_s"] <= report["delay_model"]["total_s"]

@@ -25,37 +25,19 @@ from streamscore.analysis import (
 )
 from streamscore.fluidsim import Scenario, simulate, sweep
 from streamscore.model import LinkSpec, TierPolicy
-from streamscore.records import FlowRecord
+from conftest import table_of
 
 GBPS_25 = 25e9 / 8
 
 
+def make_rows(fcts, failures=0, nbytes=500_000_000):
+    rows = [(i, 0.0, fct, fct, nbytes, 1) for i, fct in enumerate(fcts)]
+    rows += [(len(fcts) + j, 0.0, 1.0, 1.0, 0, 1, "error", "timeout") for j in range(failures)]
+    return rows
+
+
 def make_records(fcts, failures=0, nbytes=500_000_000):
-    records = [
-        FlowRecord(
-            client_id=i,
-            spawn_s=0.0,
-            complete_s=fct,
-            fct_s=fct,
-            bytes=nbytes,
-            flows=1,
-        )
-        for i, fct in enumerate(fcts)
-    ]
-    for j in range(failures):
-        records.append(
-            FlowRecord(
-                client_id=len(fcts) + j,
-                spawn_s=0.0,
-                complete_s=1.0,
-                fct_s=1.0,
-                bytes=0,
-                flows=1,
-                status="error",
-                error="timeout",
-            )
-        )
-    return records
+    return table_of(make_rows(fcts, failures, nbytes))
 
 
 def summarize(records):
@@ -180,13 +162,13 @@ def test_utilization_examples():
     # 3 GB/s sustained
     records = make_records([1.0] * 6, nbytes=500_000_000)
     assert utilization(records, link, window=1.0) == pytest.approx(0.96, rel=1e-9)
-    assert utilization([], link, window=1.0) == 0.0
+    assert utilization(table_of([]), link, window=1.0) == 0.0
 
 
 def test_utilization_counts_only_successful_bytes():
     # a failed transfer can carry the bytes of the flows that were acknowledged
-    failed = FlowRecord(9, 0.0, 1.0, 1.0, 500_000_000, 2, status="error", error="flow 1: reset")
-    records = make_records([1.0, 1.0]) + [failed]
+    failed = (9, 0.0, 1.0, 1.0, 500_000_000, 2, "error", "flow 1: reset")
+    records = table_of(make_rows([1.0, 1.0]) + [failed])
     assert utilization(records, LinkSpec(bandwidth=GBPS_25), window=1.0) == pytest.approx(0.32)
 
 
@@ -236,7 +218,7 @@ def test_report_structure_and_round_trip(tmp_path):
 
 
 def test_report_modal_bytes_skip_zero_byte_successes():
-    records = make_records([0.1, 0.2, 0.3], nbytes=0) + [FlowRecord(3, 0.0, 0.4, 0.4, 5000, 1)]
+    records = table_of(make_rows([0.1, 0.2, 0.3], nbytes=0) + [(3, 0.0, 0.4, 0.4, 5000, 1)])
     report = build_report(records, link=LinkSpec(bandwidth=GBPS_25))
     assert report["inputs"]["bytes"] == 5000
     assert report["sss"] == pytest.approx(0.4 / (5000 / GBPS_25))
@@ -345,7 +327,7 @@ def _without_arrays(report: dict, cdf: list, values: list) -> dict:
 @example([5e-324, 1e16, 3, 3, 0.1], 1, True)
 @example([7], 0, True)
 def test_report_json_equals_json_dumps_indent_2(fcts, failures, with_link):
-    link = LinkSpec(bandwidth=GBPS_25, rtt=0.016) if with_link and max(fcts) > 0 else None
+    link = LinkSpec(bandwidth=GBPS_25, rtt=0.016) if with_link else None
     report = build_report(make_records(fcts, failures), link=link)
     assert report_json(report) == json.dumps(report, indent=2)
     # empty and one-element arrays

@@ -295,6 +295,25 @@ def test_analyze_all_failed_log_exits_1_naming_the_log(capsys, tmp_path):
     assert err == f"error: no successful records in {failed}\n"
 
 
+def test_analyze_zero_worst_fct_reports_no_sss(capsys, tmp_path):
+    # a valid log whose only transfer took 0 s: no ratio to a transfer time
+    log = tmp_path / "instant.jsonl"
+    log.write_text(
+        '{"client_id": 0, "spawn_s": 1.0, "complete_s": 1.0, "fct_s": 0.0, "bytes": 1000, '
+        '"flows": 1, "status": "ok"}\n'
+    )
+    code, out, err = run_cli(capsys, "analyze", "--in", str(log), "--link-bw", "25Gbps", "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["sss"] is None and report["regime"]["sss"] is None
+    assert report["transfer_efficiency"] is None
+    assert report["regime"]["utilization"] == pytest.approx(1000 / (25e9 / 8), rel=1e-12)
+    assert report["delay_model"]["total_s"] == pytest.approx(1000 / (25e9 / 8), rel=1e-12)
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(log), "--link-bw", "25Gbps")
+    assert code == 0
+    assert "max fct" in out and "sss" not in out
+
+
 def test_analyze_takes_no_alpha(capsys):
     # the report reads only the link's bandwidth and RTT
     log = str(GOLDEN / "simulate_log.jsonl")
@@ -483,7 +502,7 @@ def test_measure_run_loopback(capsys, tmp_path):
     assert doc["failures"] == 0
     meta, records = read_jsonl(out_path)
     assert len(records) == 4
-    assert all(r.bytes == 1_000_000 for r in records)
+    assert all(nbytes == 1_000_000 for nbytes in records.bytes)
     assert meta["parallel_flows"] == 2
 
 
@@ -594,11 +613,10 @@ def test_measure_run_unresolvable_server_logs_every_client_and_exits_2(
     )
     assert code == 2
     _, records = read_jsonl(out_path)
-    assert [r.client_id for r in records] == [0, 1]
+    assert records.client_id == (0, 1)
     expected = f"[Errno {socket.EAI_NONAME}] Name or service not known"
-    for record in records:
-        assert record.error == f"flow 0: {expected}; flow 1: {expected}"
-        assert record.bytes == 0
+    assert records.error == (f"flow 0: {expected}; flow 1: {expected}",) * 2
+    assert records.bytes == (0, 0)
 
 
 def test_measure_serve_port_conflict_exits_2(capsys):

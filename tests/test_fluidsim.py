@@ -11,11 +11,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from streamscore import fluidsim
-from streamscore import records as records_module
 from streamscore.fluidsim import (
     AllocationInterval,
     Scenario,
-    load_scenario,
+    read_scenario_file,
+    scenario_from_mapping,
     simulate,
     sweep,
 )
@@ -73,16 +73,15 @@ def test_equal_share_eight_clients():
     result = simulate(scenario())
     assert len(result.records) == 8
     expected = 8 * 0.5e9 / GBPS_25
-    for record in result.records:
-        assert record.fct_s == expected  # bit-exact
-        assert record.spawn_s == 0.0
+    assert result.records.fct_s == (expected,) * 8  # bit-exact
+    assert result.records.spawn_s == (0.0,) * 8
     assert result.max_fct == expected == pytest.approx(1.28, rel=1e-12)
 
 
 def test_single_client_attains_line_rate():
     result = simulate(scenario(concurrency=1.0))
     assert len(result.records) == 1
-    assert result.records[0].fct_s == pytest.approx(0.16, rel=1e-9)
+    assert result.records.fct_s[0] == pytest.approx(0.16, rel=1e-9)
 
 
 def test_scheduled_no_overlap_all_line_rate():
@@ -91,8 +90,8 @@ def test_scheduled_no_overlap_all_line_rate():
         scenario(duration=10.0, concurrency=2.0, mode=SpawnMode.SCHEDULED)
     )
     assert len(result.records) == 20
-    for record in result.records:
-        assert record.fct_s == pytest.approx(0.16, rel=1e-9)
+    for fct in result.records.fct_s:
+        assert fct == pytest.approx(0.16, rel=1e-9)
 
 
 def test_startup_latency_defaults_to_rtt_and_adds_to_fct():
@@ -100,14 +99,14 @@ def test_startup_latency_defaults_to_rtt_and_adds_to_fct():
     result = simulate(
         Scenario(link=link, duration=1.0, concurrency=1.0, transfer_bytes=0.5e9)
     )
-    assert result.records[0].fct_s == pytest.approx(0.176, rel=1e-9)
+    assert result.records.fct_s[0] == pytest.approx(0.176, rel=1e-9)
 
 
 def test_worst_fct_matches_max():
     # the summary comes from the FCT column; records are built from it later
     for mode in SpawnMode:
         result = simulate(scenario(duration=10.0, concurrency=7.5, mode=mode))
-        assert result.max_fct == max(r.fct_s for r in result.records)
+        assert result.max_fct == max(result.records.fct_s)
 
 
 # --- conservation invariants ---
@@ -139,14 +138,14 @@ def test_byte_conservation_per_client():
 def test_no_flow_beats_line_rate():
     result = simulate(scenario(duration=10.0, startup_latency=0.02))
     floor = 0.02 + 0.5e9 / GBPS_25
-    for record in result.records:
-        assert record.fct_s >= floor - 1e-12
+    for fct in result.records.fct_s:
+        assert fct >= floor - 1e-12
 
 
 def test_total_delivered_bytes_counts_whole_clients():
     result = simulate(scenario(duration=10.0, concurrency=3.0))
     assert len(result.records) == 30
-    assert sum(r.bytes for r in result.records) == 30 * int(0.5e9)
+    assert sum(result.records.bytes) == 30 * int(0.5e9)
 
 
 def test_determinism_bit_identical():
@@ -219,12 +218,13 @@ def test_matches_reference_oracle(mode, concurrency, duration, size, alpha, star
         assert _rel_close(got.end, want.end, 1e-12)
         assert got.rate_per_client == want.rate_per_client
 
-    assert len(fast.records) == len(slow.records)
-    for got, want in zip(fast.records, slow.records):
-        assert (got.client_id, got.spawn_s, got.bytes, got.flows) == (
-            want.client_id, want.spawn_s, want.bytes, want.flows
-        )
-        assert _rel_close(got.fct_s, want.fct_s, 1e-12)
+    got, want = fast.records, slow.records
+    assert len(got) == len(want)
+    assert (got.client_id, got.spawn_s, got.bytes, got.flows) == (
+        want.client_id, want.spawn_s, want.bytes, want.flows
+    )
+    for got_fct, want_fct in zip(got.fct_s, want.fct_s):
+        assert _rel_close(got_fct, want_fct, 1e-12)
     assert _rel_close(fast.utilization, slow.utilization, 1e-12)
     assert _rel_close(fast.max_fct, slow.max_fct, 1e-12)
 
@@ -240,7 +240,7 @@ def test_idle_separated_clients_match_reference_bit_for_bit():
     s = scenario(duration=2000.0, concurrency=2.0, mode=SpawnMode.SCHEDULED,
                  transfer_bytes=503_517_133.7, startup_latency=0.016)
     fast, slow = simulate(s), simulate_reference(s)
-    assert list(fast.records) == list(slow.records)
+    assert fast.records == slow.records
     assert fast.utilization == slow.utilization
 
 
@@ -316,9 +316,8 @@ def _count_constructions(monkeypatch) -> Counter:
 
         return construct
 
-    # FlowTable builds its rows from the records module's FlowRecord
-    for module, name in ((records_module, "FlowRecord"), (fluidsim, "AllocationInterval")):
-        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    for name in ("FlowTable", "AllocationInterval"):
+        monkeypatch.setattr(fluidsim, name, counting(getattr(fluidsim, name)))
     return built
 
 
@@ -328,16 +327,14 @@ def test_records_and_trace_are_built_on_first_read(monkeypatch):
     assert "records" not in vars(result) and "trace" not in vars(result)
     assert not built
 
-    # the record table is the loop's columns: no FlowRecord is built
+    # the record table is the loop's columns, wrapped once
     records = result.records
-    assert not built
+    assert built == {"FlowTable": 1}
     assert len(records) == 70 and records.fct_s == result.fcts
     trace = result.trace
     assert built["AllocationInterval"] == len(result.intervals) > 70
     assert result.records is records and result.trace is trace  # cached, built once
-    # rows are built only when the table is iterated
-    assert [r.fct_s for r in records] == list(result.fcts)
-    assert built["FlowRecord"] == 70
+    assert built["FlowTable"] == 1
 
 
 def test_sweep_builds_no_records_or_trace(monkeypatch):
@@ -467,12 +464,12 @@ def test_parallel_flows_only_annotate_records():
     # fluid sharing is per client; flow count must not change completion times
     two = simulate(scenario(duration=10.0, parallel_flows=2))
     eight = simulate(scenario(duration=10.0, parallel_flows=8))
-    assert [r.fct_s for r in two.records] == [r.fct_s for r in eight.records]
-    assert all(r.flows == 2 for r in two.records)
-    assert all(r.flows == 8 for r in eight.records)
+    assert two.records.fct_s == eight.records.fct_s
+    assert all(flows == 2 for flows in two.records.flows)
+    assert all(flows == 8 for flows in eight.records.flows)
 
 
-# --- scenario files ---
+# --- scenario files, read as the CLI reads them ---
 
 
 def test_load_scenario_flat_text(tmp_path):
@@ -491,7 +488,7 @@ def test_load_scenario_flat_text(tmp_path):
         startup_latency = 0s
         """
     )
-    s = load_scenario(path)
+    s = scenario_from_mapping(read_scenario_file(path))
     assert s.link.bandwidth == GBPS_25
     assert s.link.rtt == 0.016
     assert s.duration == 10.0
@@ -515,7 +512,7 @@ def test_load_scenario_json_nested_link(tmp_path):
             }
         )
     )
-    s = load_scenario(path)
+    s = scenario_from_mapping(read_scenario_file(path))
     assert s.link.alpha == 0.8
     assert s.mode is SpawnMode.SCHEDULED
     assert s.transfer_bytes == 5e8
@@ -526,4 +523,4 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("bandwidth = 25Gbps\nbogus = 1\n")
     with pytest.raises(ValueError, match="bogus"):
-        load_scenario(path)
+        scenario_from_mapping(read_scenario_file(path))

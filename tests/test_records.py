@@ -3,28 +3,24 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from streamscore.records import FlowRecord, FlowTable, LogFormatError, read_jsonl, write_jsonl
+from streamscore.records import FlowTable, LogFormatError, check_row, read_jsonl, write_jsonl
+
+from conftest import table_of
+
+SAMPLE_ROWS = [
+    (0, 0.0, 0.16, 0.16, 500, 2, "ok", None),
+    (1, 0.5, 0.7, 0.2, 0, 2, "error", "connection refused"),
+]
 
 
-def sample_records() -> list[FlowRecord]:
-    return [
-        FlowRecord(client_id=0, spawn_s=0.0, complete_s=0.16, fct_s=0.16, bytes=500, flows=2),
-        FlowRecord(
-            client_id=1,
-            spawn_s=0.5,
-            complete_s=0.7,
-            fct_s=0.2,
-            bytes=0,
-            flows=2,
-            status="error",
-            error="connection refused",
-        ),
-    ]
+def sample_records() -> FlowTable:
+    return table_of(SAMPLE_ROWS)
 
 
 def test_round_trip_preserves_records(tmp_path):
@@ -32,7 +28,7 @@ def test_round_trip_preserves_records(tmp_path):
     write_jsonl(path, sample_records(), run_meta={"concurrency": 2})
     meta, records = read_jsonl(path)
     assert meta == {"concurrency": 2}
-    assert list(records) == sample_records()
+    assert records == sample_records()
 
 
 def test_schema_field_names_are_stable(tmp_path):
@@ -41,17 +37,15 @@ def test_schema_field_names_are_stable(tmp_path):
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     assert "run" in header
+    # the one schema: the table's columns in order, error last and only when set
+    names = [f.name for f in fields(FlowTable)]
+    assert names == [
+        "client_id", "spawn_s", "complete_s", "fct_s", "bytes", "flows", "status", "error",
+    ]
     first = json.loads(lines[1])
-    assert set(first) == {
-        "client_id",
-        "spawn_s",
-        "complete_s",
-        "fct_s",
-        "bytes",
-        "flows",
-        "status",
-    }
+    assert list(first) == names[:-1]
     second = json.loads(lines[2])
+    assert list(second) == names
     assert second["status"] == "error"
     assert second["error"] == "connection refused"
 
@@ -60,7 +54,7 @@ def test_read_tolerates_missing_header_and_blank_lines():
     body = '\n{"client_id": 3, "spawn_s": 0, "complete_s": 1, "fct_s": 1, "bytes": 9, "flows": 1, "status": "ok"}\n\n'
     meta, records = read_jsonl(io.StringIO(body))
     assert meta == {}
-    assert records[0].client_id == 3
+    assert records.client_id == (3,)
 
 
 def test_malformed_lines_raise():
@@ -74,14 +68,12 @@ def test_malformed_lines_raise():
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        FlowRecord(client_id=0, spawn_s=2.0, complete_s=1.0, fct_s=-1.0, bytes=1, flows=1)
+        check_row(spawn_s=2.0, complete_s=1.0, fct_s=-1.0, nbytes=1, flows=1, status="ok")
     with pytest.raises(ValueError):
-        FlowRecord(
-            client_id=0, spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows=1, status="meh"
-        )
+        check_row(spawn_s=0.0, complete_s=1.0, fct_s=1.0, nbytes=1, flows=1, status="meh")
 
 
-VALID = dict(client_id=0, spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows=1)
+VALID = dict(spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows=1)
 
 
 @pytest.mark.parametrize(
@@ -99,8 +91,9 @@ VALID = dict(client_id=0, spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows
     ],
 )
 def test_record_rejects_non_finite_and_negative(field, value):
+    row = {**VALID, field: value}
     with pytest.raises(ValueError, match=field):
-        FlowRecord(**{**VALID, field: value})
+        check_row(*row.values(), "ok")
 
 
 # each bad line follows one valid record; the first three are the records of
@@ -115,6 +108,9 @@ BAD_LINES = [
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 1e400, "flows": 1}', "infinity"),
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9}', "missing field 'flows'"),
     ('{"client_id": 3, "spawn_s": "soon", "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "bad flow record"),
+    # U+00A0 and U+3000 are Unicode whitespace, not JSON whitespace
+    ('\u00a0{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "invalid JSON"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}\u3000', "invalid JSON"),
 ]
 
 
@@ -162,70 +158,62 @@ times = st.one_of(finite, st.integers(-(2**53), 2**53))
 
 
 @st.composite
-def flow_records(draw):
+def flow_rows(draw):
     spawn, complete = sorted((draw(times), draw(times)))
-    return FlowRecord(
-        client_id=draw(st.integers()),
-        spawn_s=spawn,
-        complete_s=complete,
-        fct_s=draw(st.one_of(st.just(-0.0), finite.map(abs), st.integers(0, 2**53))),
-        bytes=draw(st.integers(min_value=0)),
-        flows=draw(st.integers(min_value=1)),
-        status=draw(st.sampled_from(["ok", "error"])),
-        error=draw(st.one_of(st.none(), st.text())),
+    return (
+        draw(st.integers()),  # client_id
+        spawn,
+        complete,
+        draw(st.one_of(st.just(-0.0), finite.map(abs), st.integers(0, 2**53))),  # fct_s
+        draw(st.integers(min_value=0)),  # bytes
+        draw(st.integers(min_value=1)),  # flows
+        draw(st.sampled_from(["ok", "error"])),
+        draw(st.one_of(st.none(), st.text())),  # error
     )
 
 
-def schema_dict(record: FlowRecord) -> dict:
+def schema_dict(row: tuple) -> dict:
     # README field order; error only when set
-    obj = {
-        "client_id": record.client_id,
-        "spawn_s": record.spawn_s,
-        "complete_s": record.complete_s,
-        "fct_s": record.fct_s,
-        "bytes": record.bytes,
-        "flows": record.flows,
-        "status": record.status,
-    }
-    if record.error is not None:
-        obj["error"] = record.error
+    obj = dict(zip([f.name for f in fields(FlowTable)], row))
+    if obj["error"] is None:
+        del obj["error"]
     return obj
 
 
-@given(st.lists(flow_records(), max_size=8, unique_by=lambda r: r.client_id))
+@given(st.lists(flow_rows(), max_size=8, unique_by=lambda row: row[0]))
 @example([
-    FlowRecord(-1, -0.0, 5e-324, -0.0, 0, 1, "error", 'say "hi" \\ \x00\x1f\u2028 caf\u00e9 \U0001f600'),
-    FlowRecord(2**70, -1.7976931348623157e308, 1.7976931348623157e308, 1e-310, 2**64, 7),
+    (-1, -0.0, 5e-324, -0.0, 0, 1, "error", 'say "hi" \\ \x00\x1f\u2028 caf\u00e9 \U0001f600'),
+    (2**70, -1.7976931348623157e308, 1.7976931348623157e308, 1e-310, 2**64, 7, "ok", None),
 ])
-def test_written_lines_equal_json_dumps_and_read_back(records):
+def test_written_lines_equal_json_dumps_and_read_back(rows):
+    records = table_of(rows)
     buf = io.StringIO()
     write_jsonl(buf, records, run_meta={"source": "test"})
     lines = buf.getvalue().splitlines(keepends=True)
     assert lines[0] == '{"run": {"source": "test"}}\n'
-    assert lines[1:] == [json.dumps(schema_dict(r)) + "\n" for r in records]
+    assert lines[1:] == [json.dumps(schema_dict(row)) + "\n" for row in rows]
     buf.seek(0)
     meta, table = read_jsonl(buf)
-    assert (meta, list(table)) == ({"source": "test"}, records)
+    assert (meta, table) == ({"source": "test"}, records)
 
 
-# --- FlowTable: columns, with rows built on demand ---
+# --- FlowTable: one tuple per column ---
 
 
 def test_flow_table_rows_and_columns_agree():
-    rows = sample_records()
-    table = FlowTable.from_rows(rows)
+    table = sample_records()
     assert len(table) == 2
-    assert list(table) == rows
-    assert table[1] == rows[1] and table[-1] == rows[-1]
+    assert list(zip(*(getattr(table, f.name) for f in fields(FlowTable)))) == SAMPLE_ROWS
     assert table.fct_s == (0.16, 0.2) and table.error == (None, "connection refused")
     assert table.ok_mask() == [True, False]
-    assert FlowTable.from_rows(table) is table
-    assert len(FlowTable.from_rows([])) == 0 and list(FlowTable()) == []
+    assert len(FlowTable()) == 0 and table_of([]) == FlowTable()
+    with pytest.raises(ValueError, match="differ in length"):
+        FlowTable(client_id=(0,))
 
 
 def test_read_returns_a_table_with_one_shared_status_string(tmp_path):
     path = tmp_path / "run.jsonl"
-    write_jsonl(path, sample_records() + [FlowRecord(7, 1.0, 2.0, 1.0, 5, 1)], run_meta={})
+    write_jsonl(path, table_of(SAMPLE_ROWS + [(7, 1.0, 2.0, 1.0, 5, 1)]), run_meta={})
     _, table = read_jsonl(path)
     assert isinstance(table, FlowTable)
     assert table.client_id == (0, 1, 7)
