@@ -4,17 +4,19 @@
 ``FlowTable``'s columns, sorts the successful FCTs once and feeds two
 primitives over that sorted list: ``fct_stats`` (max, mean, nearest-rank
 percentiles) and ``fct_cdf`` (the empirical CDF). The report adds the
-operational regime against a tier policy, utilization from application
-bytes, and a JSON text plus CSV series for external plotting. Failed
-transfers never enter FCT statistics; they are surfaced as a failure count
-instead.
+operational regime against a tier policy, its SSS and carried utilization
+(``model.carried_utilization``, the figure ``simulate`` also prints), and a
+JSON text plus CSV series for external plotting. Failed transfers never
+enter FCT statistics; they are surfaced as a failure count instead. A
+figure that overflows a float is reported as null, so the JSON text never
+holds NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import logging
+import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -27,6 +29,7 @@ from .model import (
     DelayDecomposition,
     LinkSpec,
     TierPolicy,
+    carried_utilization,
     propagation_only_delay,
     streaming_speed_score,
     theoretical_transfer_time,
@@ -34,11 +37,9 @@ from .model import (
 )
 from .records import FlowTable
 
-logger = logging.getLogger(__name__)
-
 OPTIMISTIC_BASELINE_LABEL = "optimistic baseline"
 
-REPORT_SCHEMA = "streamscore-report/1"
+REPORT_SCHEMA = "streamscore-report/2"
 
 
 @dataclass(frozen=True)
@@ -76,12 +77,16 @@ def fct_stats(sorted_fcts: Sequence[float], failures: int = 0) -> FctStats:
     """FCT statistics over an ascending list of successful FCTs."""
     if not sorted_fcts:
         raise ValueError("no successful records to summarize")
+    n = len(sorted_fcts)
+    mean = sum(sorted_fcts) / n
+    if mean == math.inf:  # the sum overflowed; the mean itself is at most the max
+        mean = min(sum(fct / n for fct in sorted_fcts), sorted_fcts[-1])
     return FctStats(
-        count=len(sorted_fcts),
+        count=n,
         failures=failures,
         min=sorted_fcts[0],
         max=sorted_fcts[-1],
-        mean=sum(sorted_fcts) / len(sorted_fcts),
+        mean=mean,
         p50=nearest_rank(sorted_fcts, 50),
         p90=nearest_rank(sorted_fcts, 90),
         p99=nearest_rank(sorted_fcts, 99),
@@ -116,28 +121,6 @@ def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) 
     if worst_fct >= severe_cut:
         return Regime.SEVERE
     return Regime.MODERATE
-
-
-def utilization(records: FlowTable, link: LinkSpec, window: float) -> float:
-    """Delivered application bytes over link capacity for the window."""
-    if window <= 0:
-        raise ValueError(f"window must be > 0, got {window}")
-    limit = window + 1e-12
-    delivered = sum(
-        nbytes
-        for nbytes, status, done in zip(records.bytes, records.status, records.complete_s)
-        if status == "ok" and done <= limit
-    )
-    fraction = delivered / (link.bandwidth * window)
-    if fraction > 1.0:
-        logger.warning(
-            "utilization %.4f exceeds 1.0 (window %.3fs); clamping - the link "
-            "bandwidth figure is likely below the achieved rate",
-            fraction,
-            window,
-        )
-        return 1.0
-    return max(0.0, fraction)
 
 
 def delay_comparator(trans_s: float, prop_s: float, queue_s: float = 0.0) -> dict:
@@ -179,6 +162,11 @@ def row_dict(row) -> dict:
     return asdict(row, dict_factory=_row_values)
 
 
+def _finite(value: float) -> float | None:
+    """A report figure, or None where it overflowed."""
+    return value if math.isfinite(value) else None
+
+
 def _ok_fcts(table: FlowTable, ok: list[bool]) -> tuple[list[float], int]:
     """The successful FCTs in ascending order, and the failure count."""
     fcts = sorted(compress(table.fct_s, ok))
@@ -194,11 +182,12 @@ def build_report(
 ) -> dict:
     """Assemble the full JSON report for one run (plus an optional second).
 
-    With a link spec the report gains SSS, utilization, both transfer
-    efficiency estimates (mean- and worst-based, labeled), and the delay
-    comparator with its optimistic-baseline tag. SSS is null when the worst
-    FCT is 0, and the efficiency estimates are null when the mean FCT is 0,
-    which subnormal FCTs can also reach by underflow.
+    With a link spec the report gains SSS, carried utilization, both
+    transfer efficiency estimates (mean- and worst-based, labeled), and the
+    delay comparator with its optimistic-baseline tag. SSS is null when the
+    worst FCT is 0, the efficiency block is null when the mean FCT is 0 (which
+    subnormal FCTs can also reach by underflow), and SSS or an efficiency
+    figure is null when it overflows.
     """
     ok = records.ok_mask()
     # one sort feeds the stats, the CDF and the embedded inputs
@@ -215,15 +204,15 @@ def build_report(
     if link is not None and modal is not None:
         theoretical = theoretical_transfer_time(modal, link)
         if theoretical > 0 and stats.max > 0:
-            sss_value = streaming_speed_score(stats.max, theoretical)
-        window = max(compress(records.complete_s, ok))
-        if window > 0:
-            util = utilization(records, link, window)
+            sss_value = _finite(streaming_speed_score(stats.max, theoretical))
+        util = carried_utilization(
+            sum(compress(records.bytes, ok)), max(compress(records.complete_s, ok)), link
+        )
         if stats.mean > 0:
             # the fitted-efficiency question is open: report both candidates
             efficiency = {
-                "alpha_from_mean_fct": (modal / stats.mean) / link.bandwidth,
-                "alpha_from_worst_fct": (modal / stats.max) / link.bandwidth,
+                "alpha_from_mean_fct": _finite((modal / stats.mean) / link.bandwidth),
+                "alpha_from_worst_fct": _finite((modal / stats.max) / link.bandwidth),
                 "note": "achieved-rate fraction of raw bandwidth; mean-based vs worst-case-based fits",
             }
         delay_block = delay_comparator(trans_s=theoretical, prop_s=link.rtt / 2)
@@ -250,8 +239,6 @@ def build_report(
             # tier name -> worst transfer meets its deadline
             "tier_feasibility": {name: stats.max < deadline for name, deadline in policy.tiers},
         },
-        "sss": sss_value,
-        "decision": None,
         "comparison": comparison,
         "transfer_efficiency": efficiency,
         "delay_model": delay_block,

@@ -1,17 +1,17 @@
 """Facility case study: per-workflow streaming feasibility and compute budgets.
 
 Each workflow states a sustained throughput and a compute demand; the study
-maps throughput to link utilization, looks up the worst-case transfer time
-on a measured (or simulated) utilization-to-worst-FCT curve, and derives the
-compute budget and minimum remote rate per deadline tier. Curve queries
-outside the measured range are answered by extending the end segments but
-tagged as extrapolated rather than silently trusted.
+maps throughput to its offered load (``model.offered_load``, infeasible above
+1), looks up the worst-case transfer time on a measured or simulated curve of
+``(offered_load, worst_fct_s)`` sweep rows, and derives the compute budget
+and minimum remote rate per deadline tier. Curve queries outside the measured
+range are answered by extending the end segments but tagged as extrapolated.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .model import (
@@ -20,6 +20,7 @@ from .model import (
     TierPolicy,
     WorkloadSpec,
     link_from_mapping,
+    offered_load,
     required_remote_rate,
     transfer_budget,
 )
@@ -57,39 +58,39 @@ class CaseStudyInput:
     workflows: tuple[Workflow, ...]
     link: LinkSpec
     tiers: TierPolicy
-    worst_fct_curve: tuple[tuple[float, float], ...]  # (utilization, worst fct s)
+    worst_fct_curve: tuple[tuple[float, float], ...]  # (offered load, worst fct s)
 
     def __post_init__(self) -> None:
         if not self.workflows:
             raise ValueError("case study needs at least one workflow")
         if not self.worst_fct_curve:
             raise ValueError("worst-FCT curve needs at least one point")
-        utils = [u for u, _ in self.worst_fct_curve]
-        if any(b <= a for a, b in zip(utils, utils[1:])):
-            raise ValueError(f"curve points must have increasing utilization: {utils}")
-        if any(not 0 <= u <= 1 for u in utils):
-            raise ValueError(f"curve utilizations must lie in [0, 1]: {utils}")
+        loads = [load for load, _ in self.worst_fct_curve]
+        if any(b <= a for a, b in zip(loads, loads[1:])):
+            raise ValueError(f"curve points must have increasing offered load: {loads}")
+        if any(not 0 <= load <= 1 for load in loads):
+            raise ValueError(f"curve offered loads must lie in [0, 1]: {loads}")
 
 
 def interpolate_worst_fct(
-    curve: tuple[tuple[float, float], ...], util: float
+    curve: tuple[tuple[float, float], ...], load: float
 ) -> tuple[float, bool]:
     """Piecewise-linear worst-FCT lookup; returns (value, extrapolated)."""
     if not curve:
         raise ValueError("empty curve")
     if len(curve) == 1:
-        return curve[0][1], util != curve[0][0]
+        return curve[0][1], load != curve[0][0]
 
-    extrapolated = util < curve[0][0] or util > curve[-1][0]
-    if util <= curve[0][0]:
+    extrapolated = load < curve[0][0] or load > curve[-1][0]
+    if load <= curve[0][0]:
         (x0, y0), (x1, y1) = curve[0], curve[1]
-    elif util >= curve[-1][0]:
+    elif load >= curve[-1][0]:
         (x0, y0), (x1, y1) = curve[-2], curve[-1]
     else:
         for (x0, y0), (x1, y1) in zip(curve, curve[1:]):
-            if x0 <= util <= x1:
+            if x0 <= load <= x1:
                 break
-    value = y0 + (y1 - y0) * (util - x0) / (x1 - x0)
+    value = y0 + (y1 - y0) * (load - x0) / (x1 - x0)
     return max(0.0, value), extrapolated
 
 
@@ -105,7 +106,7 @@ class TierBudget:
 class WorkflowResult:
     name: str
     throughput: float
-    utilization: float = 0.0
+    offered_load: float = 0.0
     infeasible: bool = False
     worst_fct: float | None = None
     extrapolated: bool = False
@@ -130,24 +131,18 @@ def evaluate(study: CaseStudyInput) -> list[WorkflowResult]:
 
 
 def _evaluate_one(workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
-    effective = study.link.effective_rate
-    util = workflow.throughput / effective
+    load = offered_load(workflow.throughput, study.link)
+    row = WorkflowResult(name=workflow.name, throughput=workflow.throughput, offered_load=load)
+    if load > 1:
+        return replace(row, infeasible=True, note=(
+            f"required {workflow.throughput:.6g} B/s exceeds effective link "
+            f"capacity {study.link.effective_rate:.6g} B/s; streaming infeasible"
+        ))
 
-    if workflow.throughput > effective:
-        return WorkflowResult(
-            name=workflow.name,
-            throughput=workflow.throughput,
-            utilization=util,
-            infeasible=True,
-            note=(
-                f"required {workflow.throughput:.6g} B/s exceeds effective link "
-                f"capacity {effective:.6g} B/s; streaming infeasible"
-            ),
-        )
-
-    worst, extrapolated = interpolate_worst_fct(study.worst_fct_curve, util)
+    worst, extrapolated = interpolate_worst_fct(study.worst_fct_curve, load)
+    # the data unit is one second of generation: unit_size = throughput x 1 s
     unit = WorkloadSpec(
-        unit_size=workflow.throughput, complexity=_safe_complexity(workflow)
+        unit_size=workflow.throughput, complexity=workflow.compute / workflow.throughput
     )
     tiers = []
     for tier_name, deadline in study.tiers.tiers:
@@ -161,21 +156,13 @@ def _evaluate_one(workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
                 required_remote_rate=rate,
             )
         )
-    return WorkflowResult(
-        name=workflow.name,
-        throughput=workflow.throughput,
-        utilization=util,
-        infeasible=False,
+    return replace(
+        row,
         worst_fct=worst,
         extrapolated=extrapolated,
         tiers=tuple(tiers),
         note="worst FCT extrapolated beyond the measured curve" if extrapolated else None,
     )
-
-
-def _safe_complexity(workflow: Workflow) -> float:
-    # data unit is one second of generation: unit_size = throughput x 1 s
-    return workflow.compute / workflow.throughput
 
 
 def _parse_compute(value) -> float:
@@ -221,7 +208,7 @@ def load_case_study(path: Path | str) -> CaseStudyInput:
 
 
 # Bundled demo: light-source workflows on a 25 Gbps path, with worst-FCT curve
-# points taken from congestion measurements at 64% and 96% utilization.
+# points taken from congestion measurements at offered loads 0.64 and 0.96.
 DEMO_CASE_STUDY = CaseStudyInput(
     workflows=(
         Workflow(name="Coherent Scattering (XPCS, XSVS)", throughput=2e9, compute=34e12),

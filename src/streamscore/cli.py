@@ -26,7 +26,6 @@ from .model import (
     WorkloadSpec,
     classify_tier,
     decide,
-    remote_completion,
     streaming_speed_score,
     theoretical_transfer_time,
 )
@@ -198,11 +197,11 @@ def cmd_model(args) -> int:
     local_rate = remote_rate if args.local_rate is None else args.local_rate
     compute = ComputeSpec(local_rate=local_rate, remote_rate=remote_rate)
 
-    breakdown = remote_completion(workload, link, compute, io)
     theoretical = theoretical_transfer_time(args.size, link)
     sss_value = None if args.worst is None else streaming_speed_score(args.worst, theoretical)
 
     decision = decide(workload, link, compute, io, args.tiers, worst_case_transfer=args.worst)
+    breakdown = decision.remote
     if args.local_rate is None:
         # without a local rate only outright infeasibility is a verdict, and
         # its local figure is dropped since no local rate was supplied
@@ -440,8 +439,8 @@ def cmd_analyze(args) -> int:
             ("p50/p90/p99", f"{_fmt(stats['p50'])} / {_fmt(stats['p90'])} / {_fmt(stats['p99'])} s"),
             ("regime", report["regime"]["regime"]),
         ]
-        if report["sss"] is not None:
-            rows.append(("sss", _fmt(report["sss"])))
+        if report["regime"]["sss"] is not None:
+            rows.append(("sss", _fmt(report["regime"]["sss"])))
         if report["regime"]["utilization"] is not None:
             rows.append(("utilization", _fmt(report["regime"]["utilization"])))
         if report["delay_model"] is not None:
@@ -473,7 +472,7 @@ def cmd_casestudy(args) -> int:
             if row.error:
                 lines.append(f"  error        {row.error}")
                 continue
-            lines.append(f"  utilization  {_fmt(row.utilization)}")
+            lines.append(f"  offered load {_fmt(row.offered_load)}")
             if row.infeasible:
                 lines.append(f"  INFEASIBLE   {row.note}")
                 continue

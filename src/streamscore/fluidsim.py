@@ -19,7 +19,8 @@ O(N + intervals) time and memory for N clients.
 
 ``simulate`` keeps only the loop's own columns: spawn, completion and FCT
 times per client and ``(start, end, lo, hi, rate)`` rows per interval, plus
-the ``utilization`` and ``max_fct`` summary. ``SimResult.records`` (a
+the ``utilization`` (``model.carried_utilization`` of the records, as
+``analyze`` reports it) and ``max_fct`` summary. ``SimResult.records`` (a
 ``FlowTable`` over those columns, with no row objects) and
 ``SimResult.trace`` are built from them on first read, so ``sweep``, which
 reads only the summary, builds neither.
@@ -38,7 +39,8 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
-from .model import LinkSpec, link_from_mapping, streaming_speed_score, theoretical_transfer_time
+from .model import (LinkSpec, carried_utilization, link_from_mapping, offered_load,
+                    streaming_speed_score, theoretical_transfer_time)
 from .quantities import coerce_quantity, parse_bytes, parse_seconds
 from .records import FlowTable
 from .schedule import LoadSpec, SpawnMode
@@ -62,6 +64,10 @@ class Scenario(LoadSpec):
             raise ValueError(
                 f"startup_latency must be >= 0, got {self.startup_latency}"
             )
+
+    @property
+    def record_bytes(self) -> int:  # the whole bytes each client's record carries
+        return int(round(self.transfer_bytes))
 
     @property
     def startup(self) -> float:
@@ -102,12 +108,12 @@ class SimResult:
     completions: tuple[float, ...]
     fcts: tuple[float, ...]
     intervals: tuple[tuple[float, float, int, int, float], ...]  # (start, end, lo, hi, rate)
-    utilization: float  # delivered bytes over capacity x busy span
+    utilization: float  # model.carried_utilization of the records
     max_fct: float
 
     @cached_property
     def records(self) -> FlowTable:
-        n, nbytes = len(self.spawns), int(round(self.scenario.transfer_bytes))
+        n, nbytes = len(self.spawns), self.scenario.record_bytes
         return FlowTable(
             tuple(range(n)), self.spawns, self.completions, self.fcts,
             (nbytes,) * n, (self.scenario.parallel_flows,) * n, ("ok",) * n, (None,) * n,
@@ -178,19 +184,16 @@ def simulate(scenario: Scenario) -> SimResult:
                 lo += 1
 
     fcts = tuple(map(operator.sub, completions, spawns))
-
-    # clients complete in id order, so the last one finishes the run
-    span = completions[-1] - activations[0]
-    delivered = size * total
-    utilization = min(1.0, delivered / (capacity * span)) if span > 0 else 1.0
-
     return SimResult(
         scenario=scenario,
         spawns=spawns,
         completions=tuple(completions),
         fcts=fcts,
         intervals=tuple(intervals),
-        utilization=utilization,
+        # clients complete in id order, so the last one finishes the run
+        utilization=carried_utilization(
+            scenario.record_bytes * total, completions[-1], scenario.link, warn=False
+        ),
         max_fct=max(fcts),
     )
 
@@ -200,7 +203,7 @@ class SweepRow:
     concurrency: float
     parallel_flows: int
     mode: SpawnMode
-    offered_load: float  # offered bytes/s over raw link bandwidth
+    offered_load: float  # model.offered_load: offered bytes/s over alpha x B
     worst_fct: float
     sss: float
     utilization: float
@@ -223,26 +226,18 @@ def sweep(
     for flows in parallel_values:
         if flows <= 0:
             raise ValueError(f"parallel_flows must be > 0, got {flows}")
-    theoretical = theoretical_transfer_time(base.transfer_bytes, base.link)
-    outcomes: dict[float, tuple[float, float]] = {}
+    summaries: dict[float, dict] = {}
     rows = []
     for concurrency in concurrency_values:
-        if concurrency not in outcomes:
-            result = simulate(replace(base, concurrency=concurrency))
-            outcomes[concurrency] = (result.max_fct, result.utilization)
-        worst, utilization = outcomes[concurrency]
-        for flows in parallel_values:
-            rows.append(
-                SweepRow(
-                    concurrency=concurrency,
-                    parallel_flows=flows,
-                    mode=base.mode,
-                    offered_load=concurrency * base.transfer_bytes / base.link.bandwidth,
-                    worst_fct=worst,
-                    sss=streaming_speed_score(worst, theoretical),
-                    utilization=utilization,
-                )
-            )
+        if concurrency not in summaries:
+            summaries[concurrency] = simulate(replace(base, concurrency=concurrency)).summary()
+        summary = summaries[concurrency]
+        load = offered_load(concurrency * base.transfer_bytes, base.link)
+        rows.extend(
+            SweepRow(concurrency=concurrency, parallel_flows=flows, mode=base.mode, offered_load=load,
+                     worst_fct=summary["max_fct"], sss=summary["sss"], utilization=summary["utilization"])
+            for flows in parallel_values
+        )
     return rows
 
 

@@ -2,19 +2,21 @@
 
 Pure functions over immutable specs: transfer and compute times, the file
 I/O overhead coefficient, the Streaming Speed Score, deadline tiers, and the
-stream-vs-file-transfer comparison. All quantities are SI (bytes, bytes/s,
-FLOP, FLOP/s, seconds); no I/O and no shared state, so everything here is
-safe to call concurrently.
+stream-vs-file-transfer comparison, offered load and carried utilization.
+All quantities are SI (bytes, bytes/s, FLOP, FLOP/s, seconds); no shared
+state and no I/O but the utilization clamp's ``logging`` warning.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .quantities import coerce_quantity, parse_rate, parse_seconds
 
+logger = logging.getLogger(__name__)
 _BREAKDOWN_RTOL = 1e-9
 
 DEFAULT_TIERS: tuple[tuple[str, float], ...] = (
@@ -90,6 +92,30 @@ class LinkSpec:
     def effective_rate(self) -> float:
         """Achievable transfer rate in bytes/s."""
         return self.alpha * self.bandwidth
+
+
+def offered_load(rate: float, link: LinkSpec) -> float:
+    """Offered bytes/s over the effective capacity alpha x B; above 1 is infeasible."""
+    return rate / link.effective_rate
+
+
+def carried_utilization(
+    delivered_bytes: int, last_complete_s: float, link: LinkSpec, warn: bool = True
+) -> float | None:
+    """Bytes of successful transfers over raw B x [0, last successful completion].
+
+    None when that span holds no capacity. Above 1 the figure is clamped to 1,
+    with a warning unless ``warn`` is False, as for the simulator: its capacity
+    is at most B, so it exceeds 1 only by rounding.
+    """
+    capacity = link.bandwidth * last_complete_s
+    if not capacity > 0:
+        return None
+    fraction = delivered_bytes / capacity
+    if fraction > 1.0 and warn:
+        logger.warning("utilization %.4f exceeds 1.0 (window %.3fs); clamping - the link "
+                       "bandwidth figure is likely below the achieved rate", fraction, last_complete_s)
+    return min(fraction, 1.0)
 
 
 def link_from_mapping(raw) -> LinkSpec:
@@ -189,8 +215,8 @@ class Decision:
     gain: float  # local time over remote total; > 1 favors streaming
     tier_achieved: str | None
     rationale: str
+    remote: TimeBreakdown  # the remote path, modelled or at the given worst case
     local_s: float | None = None
-    remote: TimeBreakdown | None = None
 
 
 @dataclass(frozen=True)
@@ -364,24 +390,10 @@ def decide(
 
     When ``worst_case_transfer`` is given (a measured or simulated worst
     transfer time), it replaces the modelled transfer time so the decision is
-    made against the pessimistic case. Streaming is infeasible outright when
-    the workload's sustained generation rate exceeds the link's effective
-    capacity.
+    made against the pessimistic case; ``Decision.remote`` holds that
+    breakdown either way. Streaming is infeasible outright when the
+    workload's sustained generation rate is an offered load above 1.
     """
-    needed = workload.required_stream_rate
-    if needed is not None and needed > link.effective_rate:
-        return Decision(
-            choice=Choice.INFEASIBLE,
-            gain=0.0,
-            tier_achieved=None,
-            rationale=(
-                f"sustained rate {needed:.6g} B/s exceeds effective link "
-                f"capacity {link.effective_rate:.6g} B/s"
-            ),
-            local_s=local_processing_time(workload, compute),
-            remote=None,
-        )
-
     if worst_case_transfer is not None:
         if worst_case_transfer < 0:
             raise ValueError("worst_case_transfer must be >= 0")
@@ -392,6 +404,19 @@ def decide(
         t_transfer, remote_processing_time(workload, compute), io
     )
     local_s = local_processing_time(workload, compute)
+    needed = workload.required_stream_rate
+    if needed is not None and offered_load(needed, link) > 1:
+        return Decision(
+            choice=Choice.INFEASIBLE,
+            gain=0.0,
+            tier_achieved=None,
+            rationale=(
+                f"sustained rate {needed:.6g} B/s exceeds effective link "
+                f"capacity {link.effective_rate:.6g} B/s"
+            ),
+            local_s=local_s,
+            remote=remote,
+        )
 
     if local_s == 0.0 and remote.total_s == 0.0:
         gain = 1.0

@@ -41,8 +41,11 @@ def check_row(
         )
     if not 0 <= fct_s < math.inf:
         raise ValueError(f"fct_s must be finite and >= 0, got {fct_s}")
-    if not nbytes >= 0:
-        raise ValueError(f"bytes must be >= 0, got {nbytes}")
+    # both producers write exactly complete_s - spawn_s
+    if not abs(fct_s - (complete_s - spawn_s)) <= 1e-9 * max(1.0, abs(complete_s)):
+        raise ValueError(f"fct_s {fct_s} is not complete_s - spawn_s ({complete_s - spawn_s})")
+    if not 0 <= nbytes < 2**63:  # a byte count any OS can hold, and a sum a float can
+        raise ValueError(f"bytes must be in [0, 2**63), got {nbytes}")
     if not flows >= 1:
         raise ValueError(f"flows must be >= 1, got {flows}")
     if status not in ("ok", "error"):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import socket
 import time
 from contextlib import closing, contextmanager
@@ -26,6 +27,15 @@ def table_of(rows) -> FlowTable:
     for row in full:
         check_row(*row[1:7])
     return FlowTable(*zip(*full))
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+def strict_json(text: str):
+    """``json.loads`` that rejects NaN and Infinity, which are not JSON."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def find_free_port_block(count: int, start: int = 15201, end: int = 64000) -> int:

@@ -98,11 +98,9 @@ def simulate_reference(scenario: Scenario) -> ReferenceResult:
         error=(None,) * n,
     )
 
-    first_active = pending[0][0]
+    # carried utilization: the records' bytes over raw bandwidth x [0, last completion]
     last_complete = max(completions.values())
-    span = last_complete - first_active
-    delivered = scenario.transfer_bytes * len(spawns)
-    utilization = min(1.0, delivered / (capacity * span)) if span > 0 else 1.0
+    utilization = min(1.0, sum(records.bytes) / (scenario.link.bandwidth * last_complete))
 
     return ReferenceResult(
         records=records,

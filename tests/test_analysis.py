@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from streamscore.analysis import (
@@ -19,13 +21,13 @@ from streamscore.analysis import (
     nearest_rank,
     report_json,
     stats_ratios,
-    utilization,
     write_report,
     write_sweep_csv,
 )
 from streamscore.fluidsim import Scenario, simulate, sweep
-from streamscore.model import LinkSpec, TierPolicy
-from conftest import table_of
+from streamscore.model import LinkSpec, TierPolicy, carried_utilization
+from streamscore.records import LogFormatError, read_jsonl
+from conftest import strict_json, table_of
 
 GBPS_25 = 25e9 / 8
 
@@ -157,27 +159,35 @@ def test_regime_monotone_and_consistent_with_tiers():
 def test_utilization_examples():
     link = LinkSpec(bandwidth=GBPS_25)
     # 4 GB delivered in 2 s on 25 Gbps
-    records = make_records([2.0] * 8, nbytes=500_000_000)
-    assert utilization(records, link, window=2.0) == pytest.approx(0.64, rel=1e-9)
+    assert carried_utilization(8 * 500_000_000, 2.0, link) == pytest.approx(0.64, rel=1e-9)
     # 3 GB/s sustained
-    records = make_records([1.0] * 6, nbytes=500_000_000)
-    assert utilization(records, link, window=1.0) == pytest.approx(0.96, rel=1e-9)
-    assert utilization(table_of([]), link, window=1.0) == 0.0
+    assert carried_utilization(6 * 500_000_000, 1.0, link) == pytest.approx(0.96, rel=1e-9)
+    assert carried_utilization(0, 1.0, link) == 0.0
+    # no span, no capacity: no figure
+    assert carried_utilization(1000, 0.0, link) is None
+    # the report's window is the last successful completion
+    report = build_report(make_records([2.0] * 8, nbytes=500_000_000), link=link)
+    assert report["regime"]["utilization"] == pytest.approx(0.64, rel=1e-9)
 
 
 def test_utilization_counts_only_successful_bytes():
     # a failed transfer can carry the bytes of the flows that were acknowledged
     failed = (9, 0.0, 1.0, 1.0, 500_000_000, 2, "error", "flow 1: reset")
     records = table_of(make_rows([1.0, 1.0]) + [failed])
-    assert utilization(records, LinkSpec(bandwidth=GBPS_25), window=1.0) == pytest.approx(0.32)
+    report = build_report(records, link=LinkSpec(bandwidth=GBPS_25))
+    assert report["regime"]["utilization"] == pytest.approx(0.32)
 
 
 def test_utilization_clamps_and_warns(caplog):
     link = LinkSpec(bandwidth=1000.0)
-    records = make_records([0.5], nbytes=5000)
-    with caplog.at_level("WARNING", logger="streamscore.analysis"):
-        assert utilization(records, link, window=1.0) == 1.0
+    with caplog.at_level("WARNING", logger="streamscore.model"):
+        assert carried_utilization(5000, 1.0, link) == 1.0
     assert "clamping" in caplog.text
+    caplog.clear()
+    # the simulator's own call: clamped, without the warning
+    with caplog.at_level("WARNING", logger="streamscore.model"):
+        assert carried_utilization(5000, 1.0, link, warn=False) == 1.0
+    assert caplog.text == ""
 
 
 # --- report ---
@@ -188,10 +198,11 @@ def test_report_structure_and_round_trip(tmp_path):
     link = LinkSpec(bandwidth=GBPS_25, rtt=0.016)
     report = build_report(records, link=link)
 
-    assert set(report) >= {"schema", "stats", "cdf", "regime", "sss", "decision", "comparison"}
-    assert report["sss"] == pytest.approx(5.0 / 0.16, rel=1e-9)
+    assert set(report) >= {"schema", "stats", "cdf", "regime", "comparison"}
+    assert not {"sss", "decision"} & set(report)  # schema 2: SSS lives in regime only
+    assert report["schema"] == "streamscore-report/2"
+    assert report["regime"]["sss"] == pytest.approx(5.0 / 0.16, rel=1e-9)
     assert report["stats"]["failures"] == 1
-    assert report["decision"] is None
     assert report["comparison"] is None
     assert report["delay_model"]["label"] == OPTIMISTIC_BASELINE_LABEL
     assert report["delay_model"]["propagation_only_s"] == pytest.approx(0.008)
@@ -221,7 +232,7 @@ def test_report_modal_bytes_skip_zero_byte_successes():
     records = table_of(make_rows([0.1, 0.2, 0.3], nbytes=0) + [(3, 0.0, 0.4, 0.4, 5000, 1)])
     report = build_report(records, link=LinkSpec(bandwidth=GBPS_25))
     assert report["inputs"]["bytes"] == 5000
-    assert report["sss"] == pytest.approx(0.4 / (5000 / GBPS_25))
+    assert report["regime"]["sss"] == pytest.approx(0.4 / (5000 / GBPS_25))
 
 
 def test_report_comparison_counts_the_second_run_on_its_own():
@@ -343,3 +354,57 @@ def test_report_json_falls_back_when_a_string_looks_like_a_splice_mark():
         comparison_labels=("\x00cdf", "\x00fct_values"),
     )
     assert report_json(report) == json.dumps(report, indent=2)
+
+
+# --- any log the reader accepts reports only finite, non-negative figures ---
+
+log_times = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals and 1.8e308 too
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+@st.composite
+def log_lines(draw):
+    """One record line as a producer writes it, fct_s = complete_s - spawn_s."""
+    spawn, complete = sorted((draw(log_times), draw(log_times)))
+    return {
+        "spawn_s": spawn,
+        "complete_s": complete,
+        "fct_s": complete - spawn,
+        "bytes": draw(st.integers(min_value=0)),
+        "flows": draw(st.integers(min_value=1)),
+        "status": draw(st.sampled_from(["ok", "ok", "error"])),
+    }
+
+
+@given(
+    st.lists(log_lines(), min_size=1, max_size=12),
+    st.floats(min_value=1.0, max_value=1e15),  # link bandwidth, B/s
+    st.floats(min_value=0.0, max_value=10.0),  # rtt, s
+)
+@example([{"spawn_s": 0.0, "complete_s": 5e-324, "fct_s": 5e-324, "bytes": 1000, "flows": 1,
+           "status": "ok"}], GBPS_25, 0.0)
+@example([{"spawn_s": 0.0, "complete_s": 1.7976931348623157e308, "fct_s": 1.7976931348623157e308,
+           "bytes": 1, "flows": 1, "status": "ok"}] * 2, 1e15, 0.0)
+def test_any_accepted_log_reports_finite_figures(lines, bandwidth, rtt):
+    text = "".join(json.dumps({"client_id": i, **line}) + "\n" for i, line in enumerate(lines))
+    try:
+        _, records = read_jsonl(io.StringIO(text))
+    except LogFormatError:
+        assume(False)
+    assume("ok" in records.status)
+    report = build_report(records, link=LinkSpec(bandwidth=bandwidth, rtt=rtt))
+    doc = strict_json(report_json(report))
+
+    def finite(value):
+        return isinstance(value, (int, float)) and 0 <= value < math.inf
+
+    # (the mean of equal FCTs can round one ulp past the max, so no min <= mean <= max)
+    assert all(finite(value) for value in doc["stats"].values()), doc["stats"]
+    figures = [doc["regime"]["sss"], doc["regime"]["utilization"]]
+    if doc["transfer_efficiency"] is not None:
+        figures += [doc["transfer_efficiency"]["alpha_from_mean_fct"],
+                    doc["transfer_efficiency"]["alpha_from_worst_fct"]]
+    assert all(value is None or finite(value) for value in figures), figures
+    assert doc["regime"]["utilization"] is None or doc["regime"]["utilization"] <= 1.0

@@ -39,11 +39,23 @@ def test_extrapolation_is_tagged():
     assert high > 6.0
 
 
+@pytest.mark.parametrize("throughput, infeasible", [(0.8e9, False), (0.81e9, True)])
+def test_offered_load_above_one_is_infeasible(throughput, infeasible):
+    link = LinkSpec(bandwidth=1e9, alpha=0.8)
+    study = CaseStudyInput(
+        workflows=(Workflow("w", throughput, 1e12),), link=link, tiers=TierPolicy(),
+        worst_fct_curve=((0.5, 1.0), (1.0, 2.0)),
+    )
+    (row,) = evaluate(study)
+    assert row.offered_load == pytest.approx(throughput / 0.8e9, rel=1e-12)
+    assert row.infeasible is infeasible
+
+
 def test_demo_study_reproduces_published_budgets():
     results = {row.name: row for row in evaluate(DEMO_CASE_STUDY)}
 
     coherent = results["Coherent Scattering (XPCS, XSVS)"]
-    assert coherent.utilization == pytest.approx(0.64, abs=1e-12)
+    assert coherent.offered_load == pytest.approx(0.64, abs=1e-12)
     assert coherent.worst_fct == pytest.approx(1.2, abs=1e-12)
     tier2 = next(t for t in coherent.tiers if t.tier == "Tier 2")
     assert tier2.budget_s == pytest.approx(8.8, abs=1e-9)
@@ -55,7 +67,7 @@ def test_demo_study_reproduces_published_budgets():
     assert "exceeds" in liquid.note
 
     reduced = results["Liquid Scattering (reduced to 3 GB/s)"]
-    assert reduced.utilization == pytest.approx(0.96, abs=1e-12)
+    assert reduced.offered_load == pytest.approx(0.96, abs=1e-12)
     tier2 = next(t for t in reduced.tiers if t.tier == "Tier 2")
     assert tier2.budget_s == pytest.approx(4.0, abs=1e-9)
     assert tier2.required_remote_rate == pytest.approx(5e12, rel=1e-9)
@@ -96,7 +108,7 @@ def test_row_errors_do_not_block_other_rows(monkeypatch):
     assert list(row_dict(results[0]).items()) == [
         ("name", "bad"),
         ("throughput_bytes_per_s", 1e9),
-        ("utilization", 0.0),
+        ("offered_load", 0.0),
         ("infeasible", False),
         ("worst_fct_s", None),
         ("extrapolated", False),

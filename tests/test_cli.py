@@ -15,7 +15,7 @@ from streamscore.cli import UsageError, build_parser, main
 from streamscore.loadgen import ACK, pack_header
 from streamscore.records import read_jsonl
 
-from conftest import find_free_port_block
+from conftest import find_free_port_block, strict_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,12 +46,23 @@ def test_model_json_breakdown(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["breakdown"]["transfer_s"] == pytest.approx(0.16, rel=1e-9)
-    assert doc["breakdown"]["io_s"] == pytest.approx(0.16, rel=1e-9)
+    # the breakdown is the decision's: the worst-case transfer replaces the modelled 0.16 s
+    assert doc["breakdown"]["transfer_s"] == 5.0
+    assert doc["breakdown"]["io_s"] == pytest.approx(5.0, rel=1e-9)
     assert doc["breakdown"]["remote_s"] == pytest.approx(1.0, rel=1e-9)
-    assert doc["breakdown"]["total_s"] == pytest.approx(1.32, rel=1e-9)
+    assert doc["breakdown"]["total_s"] == pytest.approx(11.0, rel=1e-9)
+    assert doc["tier"] == "Tier 3"
     assert doc["sss"] == pytest.approx(31.25, rel=1e-9)
     assert doc["delay_model"]["label"] == "optimistic baseline"
+    code, out, _ = run_cli(
+        capsys,
+        "model", "--size", "0.5GB", "--bw", "25Gbps", "--theta", "2",
+        "--work", "1TFLOP", "--remote-rate", "1TF", "--json",
+    )
+    doc = json.loads(out)
+    assert doc["breakdown"]["transfer_s"] == pytest.approx(0.16, rel=1e-9)
+    assert doc["breakdown"]["io_s"] == pytest.approx(0.16, rel=1e-9)
+    assert doc["breakdown"]["total_s"] == pytest.approx(1.32, rel=1e-9)
 
 
 def test_model_missing_bw_exits_1(capsys):
@@ -305,13 +316,29 @@ def test_analyze_zero_worst_fct_reports_no_sss(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--in", str(log), "--link-bw", "25Gbps", "--json")
     assert (code, err) == (0, "")
     report = json.loads(out)
-    assert report["sss"] is None and report["regime"]["sss"] is None
+    assert report["regime"]["sss"] is None
     assert report["transfer_efficiency"] is None
     assert report["regime"]["utilization"] == pytest.approx(1000 / (25e9 / 8), rel=1e-12)
     assert report["delay_model"]["total_s"] == pytest.approx(1000 / (25e9 / 8), rel=1e-12)
     code, out, _ = run_cli(capsys, "analyze", "--in", str(log), "--link-bw", "25Gbps")
     assert code == 0
     assert "max fct" in out and "sss" not in out
+
+
+def test_analyze_subnormal_fct_reports_only_finite_figures(capsys, tmp_path):
+    # modal bytes over a 5e-324 s FCT overflow: the fits are null, not Infinity
+    log = tmp_path / "subnormal.jsonl"
+    log.write_text(
+        '{"client_id": 0, "spawn_s": 0.0, "complete_s": 5e-324, "fct_s": 5e-324, "bytes": 1000, '
+        '"flows": 1}\n'
+    )
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(log), "--link-bw", "25Gbps", "--json")
+    assert code == 0
+    report = strict_json(out)
+    assert report["transfer_efficiency"]["alpha_from_mean_fct"] is None
+    assert report["transfer_efficiency"]["alpha_from_worst_fct"] is None
+    assert 0.0 < report["regime"]["sss"] < 1e-300  # 5e-324 s over 3.2e-7 s: subnormal
+    assert report["regime"]["utilization"] == 1.0  # clamped, with the measured-log warning
 
 
 def test_analyze_takes_no_alpha(capsys):
@@ -371,6 +398,64 @@ def test_simulate_and_analyze_match_golden_bytes(capsys, tmp_path):
     for name in ("report.json", "series_cdf.csv"):
         assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
     assert out.encode("utf-8") == (GOLDEN / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, link_bw",
+    [
+        # the golden run: scheduled, overloaded, 3 flows per client
+        (["--bw", "10Gbps", "--size", "0.3GB", "--rtt", "7ms", "--duration", "3s",
+          "--mode", "scheduled", "--concurrency", "5.5", "--parallel", "3"], "10Gbps"),
+        (["--bw", "1.25GBps", "--alpha", "0.8", "--size", "0.3GB", "--rtt", "7ms",
+          "--duration", "20s", "--mode", "scheduled", "--concurrency", "3"], "1.25GBps"),
+        # a busy link from t = 0 that rounds to a fraction just above 1
+        (["--bw", "25Gbps", "--size", "0.3GB", "--duration", "1s", "--concurrency", "3",
+          "--startup", "0s"], "25Gbps"),
+    ],
+)
+def test_simulate_and_analyze_print_one_utilization(capsys, caplog, tmp_path, argv, link_bw):
+    log = tmp_path / "log.jsonl"
+    code, out, _ = run_cli(capsys, "simulate", *argv, "--out", str(log), "--json")
+    assert code == 0
+    simulated = json.loads(out)["summary"]["utilization"]
+    assert "clamping" not in caplog.text  # a simulated run never warns
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(log), "--link-bw", link_bw, "--json")
+    assert code == 0
+    assert json.loads(out)["regime"]["utilization"] == simulated  # bit-equal
+
+
+def test_sweep_rows_are_a_case_study_curve(capsys, tmp_path):
+    # a scheduled sweep at alpha 0.8; its (offered_load, worst_fct_s) rows up to
+    # load 1 are the case study's curve, and the case study reads it back on the
+    # same axis: 0.9 GB/s on the same link is the 3 clients/s row, not an extrapolation
+    link = ["--bw", "1.25GBps", "--alpha", "0.8", "--rtt", "7ms"]
+    code, out, _ = run_cli(
+        capsys, "simulate", *link, "--size", "0.3GB", "--duration", "20s", "--mode", "scheduled",
+        "--concurrency", "1", "--sweep", "0.5,1,1.5,2,2.5,3,3.5", "--json",
+    )
+    assert code == 0
+    rows = {row["concurrency"]: row for row in json.loads(out)}
+    assert rows[3.5]["offered_load"] == pytest.approx(1.05, rel=1e-12)  # past the feasibility line
+    curve = [[row["offered_load"], row["worst_fct_s"]] for row in rows.values() if row["offered_load"] <= 1]
+    assert [load for load, _ in curve] == [rows[c]["offered_load"] for c in (0.5, 1, 1.5, 2, 2.5, 3)]
+    study, doc = tmp_path / "study.json", {
+        "workflows": [{"name": "w", "throughput": "0.9GBps", "compute": "1TFLOP"}],
+        "link": {"bandwidth": "1.25GBps", "alpha": 0.8, "rtt": "7ms"},
+    }
+    study.write_text(json.dumps({**doc, "worst_fct_curve": curve}))
+    code, out, _ = run_cli(capsys, "casestudy", "--input", str(study), "--json")
+    assert code == 0
+    (result,) = json.loads(out)
+    assert result["offered_load"] == pytest.approx(0.9, rel=1e-12)
+    assert result["offered_load"] == rows[3]["offered_load"]
+    assert result["worst_fct_s"] == rows[3]["worst_fct_s"] == pytest.approx(0.307, rel=1e-9)
+    assert result["extrapolated"] is False
+    # the curve stays inside [0, 1], so the overloaded row cannot join it
+    overloaded = [rows[3.5]["offered_load"], rows[3.5]["worst_fct_s"]]
+    study.write_text(json.dumps({**doc, "worst_fct_curve": curve + [overloaded]}))
+    code, _, err = run_cli(capsys, "casestudy", "--input", str(study))
+    assert code == 1
+    assert "curve offered loads must lie in [0, 1]" in err
 
 
 def test_sweep_and_casestudy_match_golden_bytes(capsys, tmp_path):

@@ -21,6 +21,7 @@ from streamscore.model import (
     file_vs_stream,
     io_overhead_from_times,
     local_processing_time,
+    offered_load,
     propagation_only_delay,
     remote_completion,
     remote_processing_time,
@@ -246,6 +247,18 @@ def test_decide_infeasible_when_generation_outpaces_link():
     assert d.choice is Choice.INFEASIBLE
     assert d.tier_achieved is None
     assert "exceeds" in d.rationale
+
+
+@pytest.mark.parametrize("rate, infeasible", [(0.8e9, False), (0.81e9, True)])
+def test_offered_load_one_is_the_feasibility_line(rate, infeasible):
+    # offered load is over alpha x B: 0.81 GB/s fits 1 GB/s raw, not 0.8 GB/s effective
+    link = LinkSpec(bandwidth=1e9, alpha=0.8)
+    assert offered_load(rate, link) == pytest.approx(rate / 0.8e9, rel=1e-12)
+    w = WorkloadSpec(unit_size=rate, complexity=1.0, generation_interval=1.0)
+    d = decide(w, link, ComputeSpec(local_rate=1e12, remote_rate=1e12), worst_case_transfer=2.0)
+    assert (d.choice is Choice.INFEASIBLE) is infeasible
+    # the breakdown is set on every verdict, at the worst case when one is given
+    assert d.remote.transfer_s == 2.0 and d.remote.total_s == pytest.approx(2.0 + rate / 1e12)
 
 
 def test_decide_tie_goes_local():

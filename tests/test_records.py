@@ -6,7 +6,7 @@ import math
 from dataclasses import fields
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from streamscore.records import FlowTable, LogFormatError, check_row, read_jsonl, write_jsonl
@@ -107,7 +107,11 @@ BAD_LINES = [
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": Infinity, "flows": 1}', "Infinity"),
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 1e400, "flows": 1}', "infinity"),
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9}', "missing field 'flows'"),
+    # a byte count past 2**63 used to stop analyze with an OverflowError traceback
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9223372036854775808, "flows": 1}', "bytes must be in [0, 2**63)"),
     ('{"client_id": 3, "spawn_s": "soon", "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "bad flow record"),
+    # an FCT that is not its own record's completion minus spawn used to analyze to max fct 7.5 s
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 7.5, "bytes": 9, "flows": 1}', "fct_s 7.5 is not complete_s - spawn_s (1.0)"),
     # U+00A0 and U+3000 are Unicode whitespace, not JSON whitespace
     ('\u00a0{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "invalid JSON"),
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}\u3000', "invalid JSON"),
@@ -160,12 +164,14 @@ times = st.one_of(finite, st.integers(-(2**53), 2**53))
 @st.composite
 def flow_rows(draw):
     spawn, complete = sorted((draw(times), draw(times)))
+    fct = float(complete - spawn)  # as both producers write it, a float
+    assume(fct < math.inf)
     return (
         draw(st.integers()),  # client_id
         spawn,
         complete,
-        draw(st.one_of(st.just(-0.0), finite.map(abs), st.integers(0, 2**53))),  # fct_s
-        draw(st.integers(min_value=0)),  # bytes
+        fct,
+        draw(st.integers(0, 2**63 - 1)),  # bytes
         draw(st.integers(min_value=1)),  # flows
         draw(st.sampled_from(["ok", "error"])),
         draw(st.one_of(st.none(), st.text())),  # error
@@ -183,7 +189,8 @@ def schema_dict(row: tuple) -> dict:
 @given(st.lists(flow_rows(), max_size=8, unique_by=lambda row: row[0]))
 @example([
     (-1, -0.0, 5e-324, -0.0, 0, 1, "error", 'say "hi" \\ \x00\x1f\u2028 caf\u00e9 \U0001f600'),
-    (2**70, -1.7976931348623157e308, 1.7976931348623157e308, 1e-310, 2**64, 7, "ok", None),
+    (2**70, 1.7976931348623157e308, 1.7976931348623157e308, 1e-310, 2**63 - 1, 7, "ok", None),
+    (3, -1.7976931348623157e308, 0.0, 1.7976931348623157e308, 5, 1, "ok", None),
 ])
 def test_written_lines_equal_json_dumps_and_read_back(rows):
     records = table_of(rows)
