@@ -94,11 +94,46 @@ def _write_or_print(payload: str, out: str | None) -> None:
         print(payload)
 
 
+# each flag that sets a spec field, and that field; a flag not given leaves the
+# field to the scenario file or the spec's own default
+_SPEC_FIELDS = {
+    "--bw": "bandwidth", "--alpha": "alpha", "--rtt": "rtt", "--startup": "startup_latency",
+    "--duration": "duration", "--concurrency": "concurrency", "--size": "transfer_bytes",
+    "--parallel": "parallel_flows", "--mode": "mode",
+    "--server": "server_address", "--base-port": "base_port", "--pool-size": "pool_size",
+    "--bind": "bind_address", "--connect-timeout": "connect_timeout",
+    "--transfer-timeout": "transfer_timeout",
+}
+_LOAD_REQUIRED = ("--duration", "--concurrency", "--size")
+
+
+def _spec_fields(args, command: str, required: tuple[str, ...], hint: str = "") -> dict:
+    """The spec fields of the flags given; a usage error names each required one left out."""
+    given = {
+        field: value
+        for flag, field in _SPEC_FIELDS.items()
+        if (value := getattr(args, flag[2:].replace("-", "_"), None)) is not None
+    }
+    missing = [flag for flag in required if _SPEC_FIELDS[flag] not in given]
+    if missing:
+        raise UsageError(f"{command} requires {', '.join(missing)}{hint}")
+    return given
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="streamscore", description=__doc__)
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", help="output file (or directory for analyze)")
+    load = _Parser(add_help=False)  # one load description for simulate and measure run
+    load.add_argument("--duration", type=parse_seconds, help="spawning window, e.g. 10s")
+    load.add_argument("--concurrency", type=float, help="clients per second")
+    load.add_argument("--size", type=parse_bytes, help="bytes per client")
+    load.add_argument("--parallel", type=int, help="TCP flows per client")
+    load.add_argument("--mode", type=SpawnMode.parse, help="simultaneous|scheduled")
+    pool = _Parser(add_help=False)  # the server's ports, for measure serve and measure run
+    pool.add_argument("--base-port", type=int)
+    pool.add_argument("--pool-size", type=int)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -119,17 +154,12 @@ def build_parser() -> _Parser:
     p_model.set_defaults(func=cmd_model)
 
     p_sim = sub.add_parser(
-        "simulate", parents=[common], help="run the bottleneck-link fluid simulator"
+        "simulate", parents=[common, load], help="run the bottleneck-link fluid simulator"
     )
     p_sim.add_argument("--scenario", help="scenario file (JSON or key = value lines)")
     p_sim.add_argument("--bw", type=parse_rate, help="link bandwidth")
     p_sim.add_argument("--alpha", type=float, help="transfer efficiency")
     p_sim.add_argument("--rtt", type=parse_seconds, help="round-trip time")
-    p_sim.add_argument("--duration", type=parse_seconds, help="spawning window, e.g. 10s")
-    p_sim.add_argument("--concurrency", type=float, help="clients per second")
-    p_sim.add_argument("--size", type=parse_bytes, help="bytes per client")
-    p_sim.add_argument("--parallel", type=int, help="TCP flows per client")
-    p_sim.add_argument("--mode", type=SpawnMode.parse, help="simultaneous|scheduled")
     p_sim.add_argument("--startup", type=parse_seconds, help="per-client startup latency")
     p_sim.add_argument("--sweep", type=_float_list, help="concurrency values, e.g. 1,2,3,4,5,6,7,8")
     p_sim.add_argument("--parallel-list", type=_int_list, help="parallel-flow values, e.g. 2,4,8")
@@ -139,25 +169,18 @@ def build_parser() -> _Parser:
     p_measure = sub.add_parser("measure", help="live measurement harness")
     measure_sub = p_measure.add_subparsers(dest="measure_command", required=True)
 
-    p_serve = measure_sub.add_parser("serve", help="run the listener pool until interrupted")
-    p_serve.add_argument("--base-port", required=True, type=int)
-    p_serve.add_argument("--pool-size", type=int, default=8)
-    p_serve.add_argument("--bind", default="127.0.0.1")
+    p_serve = measure_sub.add_parser(
+        "serve", parents=[pool], help="run the listener pool until interrupted"
+    )
+    p_serve.add_argument("--bind")
     p_serve.set_defaults(func=cmd_measure_serve)
 
     p_run = measure_sub.add_parser(
-        "run", parents=[common], help="spawn transfer clients against a server pool"
+        "run", parents=[common, load, pool], help="spawn transfer clients against a server pool"
     )
-    p_run.add_argument("--server", required=True)
-    p_run.add_argument("--base-port", required=True, type=int)
-    p_run.add_argument("--pool-size", type=int, default=8)
-    p_run.add_argument("--duration", required=True, type=parse_seconds)
-    p_run.add_argument("--concurrency", required=True, type=float)
-    p_run.add_argument("--parallel", type=int, default=1)
-    p_run.add_argument("--size", required=True, type=parse_bytes)
-    p_run.add_argument("--mode", type=SpawnMode.parse, default=SpawnMode.SIMULTANEOUS)
-    p_run.add_argument("--connect-timeout", type=parse_seconds, default=10.0)
-    p_run.add_argument("--transfer-timeout", type=parse_seconds, default=120.0)
+    p_run.add_argument("--server")
+    p_run.add_argument("--connect-timeout", type=parse_seconds)
+    p_run.add_argument("--transfer-timeout", type=parse_seconds)
     p_run.set_defaults(func=cmd_measure_run)
 
     p_analyze = sub.add_parser(
@@ -259,31 +282,9 @@ def cmd_model(args) -> int:
 
 def _scenario_from_args(args) -> fluidsim.Scenario:
     # each given flag overrides (or fills in) its key of the scenario file
-    flags = {
-        "bandwidth": args.bw,
-        "alpha": args.alpha,
-        "rtt": args.rtt,
-        "duration": args.duration,
-        "concurrency": args.concurrency,
-        "transfer_bytes": args.size,
-        "parallel_flows": args.parallel,
-        "mode": None if args.mode is None else args.mode.value,
-        "startup_latency": args.startup,
-    }
-    overrides = {key: value for key, value in flags.items() if value is not None}
-    raw = {}
-    if args.scenario:
-        raw = fluidsim.read_scenario_file(args.scenario)
-    else:
-        required = (
-            ("--bw", "bandwidth"),
-            ("--duration", "duration"),
-            ("--concurrency", "concurrency"),
-            ("--size", "transfer_bytes"),
-        )
-        missing = [flag for flag, key in required if key not in overrides]
-        if missing:
-            raise UsageError(f"simulate requires {', '.join(missing)} (or --scenario)")
+    raw = fluidsim.read_scenario_file(args.scenario) if args.scenario else {}
+    required = () if args.scenario else ("--bw", *_LOAD_REQUIRED)
+    overrides = _spec_fields(args, "simulate", required, " (or --scenario)")
     return fluidsim.scenario_from_mapping(raw, **overrides)
 
 
@@ -352,16 +353,14 @@ def cmd_measure_serve(args) -> int:
 
     from . import loadgen
 
-    config = loadgen.ServerConfig(
-        base_port=args.base_port, pool_size=args.pool_size, bind_address=args.bind
-    )
+    config = loadgen.ServerConfig(**_spec_fields(args, "measure serve", ("--base-port",)))
     server = loadgen.TransferServer(config)
     server.start()
     previous = signal.getsignal(signal.SIGTERM)
     try:
         signal.signal(signal.SIGTERM, signal.default_int_handler)  # stop as on SIGINT
         # inside the try: an interrupt right after this line must still stop the server
-        print(f"listening on {args.bind}:{config.base_port}-{config.ports[-1]}", flush=True)
+        print(f"listening on {config.bind_address}:{config.base_port}-{config.ports[-1]}", flush=True)
         while True:
             time.sleep(1.0)
     except KeyboardInterrupt:
@@ -375,30 +374,21 @@ def cmd_measure_serve(args) -> int:
 def cmd_measure_run(args) -> int:
     from . import loadgen
 
-    config = loadgen.ClientRunConfig(
-        server_address=args.server,
-        base_port=args.base_port,
-        pool_size=args.pool_size,
-        duration=args.duration,
-        concurrency=args.concurrency,
-        transfer_bytes=args.size,
-        parallel_flows=args.parallel,
-        mode=args.mode,
-        connect_timeout=args.connect_timeout,
-        transfer_timeout=args.transfer_timeout,
-    )
-    log = loadgen.run_clients(config)
+    required = ("--server", "--base-port", *_LOAD_REQUIRED)
+    config = loadgen.ClientRunConfig(**_spec_fields(args, "measure run", required))
+    meta, records = loadgen.run_clients(config)
     if args.out:
-        write_jsonl(args.out, log.records, run_meta=log.meta)
+        write_jsonl(args.out, records, run_meta=meta)
 
-    worst = max(compress(log.records.fct_s, log.records.ok_mask()), default=None)
+    worst = max(compress(records.fct_s, records.ok_mask()), default=None)
+    failures = len(records) - records.status.count("ok")
     if args.json:
-        doc = {"records": len(log.records), "failures": log.failures, "max_fct_s": worst}
+        doc = {"records": len(records), "failures": failures, "max_fct_s": worst}
         print(json.dumps(doc, indent=2))
     else:
         print(_table([
-            ("records", str(len(log.records))),
-            ("failures", str(log.failures)),
+            ("records", str(len(records))),
+            ("failures", str(failures)),
             ("worst fct", "n/a" if worst is None else f"{_fmt(worst)} s"),
         ]))
     return EXIT_INFEASIBLE if worst is None else EXIT_OK

@@ -36,7 +36,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from .model import (LinkSpec, carried_utilization, link_from_mapping, offered_load,
@@ -191,9 +191,7 @@ def simulate(scenario: Scenario) -> SimResult:
         fcts=fcts,
         intervals=tuple(intervals),
         # clients complete in id order, so the last one finishes the run
-        utilization=carried_utilization(
-            scenario.record_bytes * total, completions[-1], scenario.link, warn=False
-        ),
+        utilization=carried_utilization(scenario.record_bytes * total, completions[-1], scenario.link),
         max_fct=max(fcts),
     )
 
@@ -224,8 +222,7 @@ def sweep(
     if not concurrency_values or not parallel_values:
         raise ValueError("sweep value lists must be non-empty")
     for flows in parallel_values:
-        if flows <= 0:
-            raise ValueError(f"parallel_flows must be > 0, got {flows}")
+        replace(base, parallel_flows=flows)  # the load spec rejects a bad flow count
     summaries: dict[float, dict] = {}
     rows = []
     for concurrency in concurrency_values:
@@ -245,6 +242,15 @@ def sweep(
 _SCENARIO_KEYS = {f.name for f in fields(LinkSpec)} | (
     {f.name for f in fields(Scenario)} - {"link"}
 )
+_LOAD_READERS = {
+    "duration": partial(coerce_quantity, parser=parse_seconds),
+    "concurrency": float,
+    "transfer_bytes": partial(coerce_quantity, parser=parse_bytes),
+    "parallel_flows": int,
+    "mode": SpawnMode.parse,
+    # null, like a missing key, means one RTT
+    "startup_latency": lambda value: None if value is None else coerce_quantity(value, parse_seconds),
+}
 
 
 def scenario_from_mapping(raw: dict, **overrides) -> Scenario:
@@ -252,7 +258,8 @@ def scenario_from_mapping(raw: dict, **overrides) -> Scenario:
 
     Accepts nested {"link": {...}} or flattened link fields (a nested one
     wins); ``overrides`` win over both. String values go through the unit
-    grammar, bare numbers are taken as SI.
+    grammar, bare numbers are taken as SI, and a key left out takes its
+    field's default.
     """
     flat = dict(raw)
     link_part = flat.pop("link", {})
@@ -267,15 +274,9 @@ def scenario_from_mapping(raw: dict, **overrides) -> Scenario:
     if missing:
         raise ValueError(f"scenario is missing required fields: {sorted(missing)}")
 
-    startup = flat.get("startup_latency")
     return Scenario(
         link=link_from_mapping(flat),
-        duration=coerce_quantity(flat["duration"], parse_seconds),
-        concurrency=float(flat["concurrency"]),
-        transfer_bytes=coerce_quantity(flat["transfer_bytes"], parse_bytes),
-        parallel_flows=int(flat.get("parallel_flows", 1)),
-        mode=SpawnMode.parse(str(flat.get("mode", "simultaneous"))),
-        startup_latency=None if startup is None else coerce_quantity(startup, parse_seconds),
+        **{key: read(flat[key]) for key, read in _LOAD_READERS.items() if key in flat},
     )
 
 

@@ -10,10 +10,12 @@ payload into the loop's one buffer, is acknowledged with one byte, and repeats
 until the peer closes, and ``stop()`` closes every live connection.
 ``run_clients`` runs its loop on the calling thread and spawns each client at
 its offset from the loop's timer. ``ClientRunConfig`` is the shared
-``schedule.LoadSpec`` plus the server and timeouts, so the client side spawns
-transfer clients on the simulator's schedule, echoes the same load keys, and
-logs one record row per client from a monotonic clock, each checked by
-``records.check_row`` and handed back as one ``FlowTable`` in client order.
+``schedule.LoadSpec``, which alone defaults and validates the load, plus the
+server, pool and timeouts, so the client side spawns transfer clients on the
+simulator's schedule, echoes the same load keys, and logs one record row per
+client from a monotonic clock, each checked by ``records.check_row``. A run
+comes back as ``records.read_jsonl`` reads a log: the header and one
+``FlowTable`` in client order.
 
 Wire format, per connection: a 16-byte header (magic ``SGTE``, version 0x01,
 3 reserved zero bytes, payload length as big-endian u64) followed by exactly
@@ -32,7 +34,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .records import FlowTable, check_row
 from .schedule import LoadSpec
@@ -47,6 +49,7 @@ _CHUNK = 256 * 4096  # 1 MiB, a multiple of 256 so the byte cycle stays aligned
 _PATTERN_BLOCK = memoryview(bytes(range(256)) * 4096)
 _STALLED_PEER_S = 300.0  # the server's wait deadline, well above any test load
 _SPAWN_POLL_S = 0.002  # epoll can wake ~2 ms late: the spawn timer polls the last stretch
+DEFAULT_POOL_SIZE = 8  # listeners in a server's pool, and ports a client run spreads over
 
 
 class WireProtocolError(ValueError):
@@ -146,7 +149,7 @@ def _until_readable(sock: socket.socket):
 @dataclass(frozen=True)
 class ServerConfig:
     base_port: int
-    pool_size: int = 8
+    pool_size: int = DEFAULT_POOL_SIZE
     bind_address: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
@@ -262,7 +265,7 @@ class ClientRunConfig(LoadSpec):
 
     server_address: str
     base_port: int
-    pool_size: int = 8  # client i targets base_port + (i mod pool_size)
+    pool_size: int = DEFAULT_POOL_SIZE  # client i targets base_port + (i mod pool_size)
     connect_timeout: float = 10.0
     transfer_timeout: float = 120.0
 
@@ -286,16 +289,6 @@ class ClientRunConfig(LoadSpec):
             "connect_timeout": self.connect_timeout,
             "transfer_timeout": self.transfer_timeout,
         }
-
-
-@dataclass
-class TransferLog:
-    meta: dict
-    records: FlowTable = field(default_factory=FlowTable)
-
-    @property
-    def failures(self) -> int:
-        return len(self.records) - self.records.status.count("ok")
 
 
 def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_timeout: float):
@@ -334,8 +327,8 @@ def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_
             return nbytes
 
 
-def run_clients(config: ClientRunConfig) -> TransferLog:
-    """Spawn transfer clients on schedule and collect their flow records."""
+def run_clients(config: ClientRunConfig) -> tuple[dict, FlowTable]:
+    """Spawn transfer clients on schedule; return the header and records, as ``read_jsonl`` does."""
     offsets = config.spawn_times()
     sizes = split_bytes(config.transfer_bytes, config.parallel_flows)
     try:  # once per run, so a slow resolver cannot stall the spawn timer
@@ -386,8 +379,8 @@ def run_clients(config: ClientRunConfig) -> TransferLog:
     finally:
         loop.close()
 
-    meta = dict(config.config_echo())
+    meta = config.config_echo()
     meta["started_unix_ms"] = started_unix_ms
     meta["monotonic_epoch_s"] = epoch
     # client ids are unique, so the sort never compares past them
-    return TransferLog(meta, FlowTable(*zip(*sorted(rows))))
+    return meta, FlowTable(*zip(*sorted(rows)))

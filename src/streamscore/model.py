@@ -3,8 +3,9 @@
 Pure functions over immutable specs: transfer and compute times, the file
 I/O overhead coefficient, the Streaming Speed Score, deadline tiers, and the
 stream-vs-file-transfer comparison, offered load and carried utilization.
-All quantities are SI (bytes, bytes/s, FLOP, FLOP/s, seconds); no shared
-state and no I/O but the utilization clamp's ``logging`` warning.
+All quantities are SI (bytes, bytes/s, FLOP, FLOP/s, seconds), and a
+``LinkSpec`` read from config data takes its own defaults. No shared state and
+no I/O but the ``logging`` warning of a utilization clamped past rounding.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .quantities import coerce_quantity, parse_rate, parse_seconds
 
@@ -99,32 +101,30 @@ def offered_load(rate: float, link: LinkSpec) -> float:
     return rate / link.effective_rate
 
 
-def carried_utilization(
-    delivered_bytes: int, last_complete_s: float, link: LinkSpec, warn: bool = True
-) -> float | None:
+def carried_utilization(delivered_bytes: int, last_complete_s: float, link: LinkSpec) -> float | None:
     """Bytes of successful transfers over raw B x [0, last successful completion].
 
     None when that span holds no capacity. Above 1 the figure is clamped to 1,
-    with a warning unless ``warn`` is False, as for the simulator: its capacity
-    is at most B, so it exceeds 1 only by rounding.
+    with a warning once it exceeds 1 by more than float rounding (1e-9).
     """
     capacity = link.bandwidth * last_complete_s
     if not capacity > 0:
         return None
     fraction = delivered_bytes / capacity
-    if fraction > 1.0 and warn:
-        logger.warning("utilization %.4f exceeds 1.0 (window %.3fs); clamping - the link "
+    if fraction > 1.0 + 1e-9:
+        logger.warning("utilization %.6g exceeds 1.0 (window %.6gs); clamping - the link "
                        "bandwidth figure is likely below the achieved rate", fraction, last_complete_s)
     return min(fraction, 1.0)
 
 
 def link_from_mapping(raw) -> LinkSpec:
-    """A LinkSpec from config data: unit literals or SI numbers; other keys are ignored."""
-    return LinkSpec(
-        bandwidth=coerce_quantity(raw["bandwidth"], parse_rate),
-        alpha=float(raw.get("alpha", 1.0)),
-        rtt=coerce_quantity(raw.get("rtt", 0.0), parse_seconds),
-    )
+    """A LinkSpec from the link keys present in config data (unit literals or SI numbers)."""
+    readers = {
+        "bandwidth": partial(coerce_quantity, parser=parse_rate),
+        "alpha": float,
+        "rtt": partial(coerce_quantity, parser=parse_seconds),
+    }
+    return LinkSpec(**{key: read(raw[key]) for key, read in readers.items() if key in raw})
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Context, Decimal
 from enum import Enum
 
 
@@ -61,9 +62,10 @@ _WORK = {
     "TFLOP": 1e12,
     "PFLOP": 1e15,
 }
-_TIMES = {"ms": 1e-3, "s": 1.0, "min": 60.0}
+_TIMES = {"ms": Decimal("0.001"), "s": 1.0, "min": 60.0}  # the float 1e-3 is not 0.001
 
-_SUFFIXES: dict[str, tuple[float, Dimension]] = {}
+# every factor is exact as a Decimal, so a literal rounds once: 2.01KB is 2010 bytes
+_SUFFIXES: dict[str, tuple[Decimal, Dimension]] = {}
 for _table, _dim in (
     (_BYTES, Dimension.BYTES),
     (_RATES, Dimension.BYTES_PER_SECOND),
@@ -72,8 +74,9 @@ for _table, _dim in (
     (_TIMES, Dimension.SECONDS),
 ):
     for _suffix, _factor in _table.items():
-        _SUFFIXES[_suffix] = (_factor, _dim)
+        _SUFFIXES[_suffix] = (Decimal(_factor), _dim)
 
+_EXACT = Context(traps=[])  # an overflow reads as Infinity; its sticky flags are never read
 _LITERAL = re.compile(
     r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*([A-Za-z]+)\s*$"
 )
@@ -95,7 +98,7 @@ def parse_quantity(text: str) -> tuple[float, Dimension]:
             f"(units are case-sensitive: Gbps is bits/s, GBps is bytes/s)"
         )
     factor, dimension = entry
-    value = float(number) * factor
+    value = float(_EXACT.multiply(Decimal(number), factor))
     if not math.isfinite(value):
         raise QuantityError(f"quantity {text!r} overflows to {value}")
     return value, dimension

@@ -1,9 +1,9 @@
 """The offered load shared by the simulator and the live harness.
 
 ``LoadSpec`` (spawn window and rate, bytes and flows per client, spawn mode)
-is the base of ``fluidsim.Scenario`` and ``loadgen.ClientRunConfig``, so a
-simulated and a measured run of one load spawn on the same offsets and echo
-the same load keys: they are directly comparable.
+is the base of ``fluidsim.Scenario`` and ``loadgen.ClientRunConfig`` and the
+one place a load is defaulted and validated, so a simulated and a measured run
+of one load spawn on the same offsets and echo the same load keys.
 """
 
 from __future__ import annotations
@@ -18,36 +18,15 @@ class SpawnMode(Enum):
     SCHEDULED = "scheduled"  # evenly spaced clients: reservation-like smoothness
 
     @classmethod
-    def parse(cls, text: str) -> SpawnMode:
+    def parse(cls, value: str | SpawnMode) -> SpawnMode:
+        if isinstance(value, cls):
+            return value
         try:
-            return cls(text.strip().lower())
+            return cls(str(value).strip().lower())
         except ValueError:
             raise ValueError(
-                f"mode must be 'simultaneous' or 'scheduled', got {text!r}"
+                f"mode must be 'simultaneous' or 'scheduled', got {value!r}"
             ) from None
-
-
-def spawn_offsets(mode: SpawnMode, concurrency: float, duration: float) -> list[float]:
-    """Spawn times (seconds from run start) for every client in a run.
-
-    Simultaneous mode launches ceil(concurrency) clients at each whole second
-    in [0, duration); scheduled mode spaces single clients 1/concurrency
-    apart over the same window.
-    """
-    if concurrency <= 0:
-        raise ValueError(f"concurrency must be > 0, got {concurrency}")
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
-    if not (math.isfinite(concurrency) and math.isfinite(duration)):
-        raise ValueError(f"concurrency and duration must be finite, got {concurrency}, {duration}")
-
-    if mode is SpawnMode.SIMULTANEOUS:
-        batch = math.ceil(concurrency)
-        n_batches = math.ceil(duration - 1e-9)
-        return [float(second) for second in range(n_batches) for _ in range(batch)]
-
-    count = math.ceil(duration * concurrency - 1e-9)
-    return [k / concurrency for k in range(count)]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,17 +40,29 @@ class LoadSpec:
     mode: SpawnMode = SpawnMode.SIMULTANEOUS
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.concurrency <= 0:
-            raise ValueError(f"concurrency must be > 0, got {self.concurrency}")
-        if self.transfer_bytes < 0:
-            raise ValueError(f"transfer_bytes must be >= 0, got {self.transfer_bytes}")
+        for name in ("duration", "concurrency"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (self.transfer_bytes >= 0 and math.isfinite(self.transfer_bytes)):
+            raise ValueError(f"transfer_bytes must be finite and >= 0, got {self.transfer_bytes}")
         if self.parallel_flows <= 0:
             raise ValueError(f"parallel_flows must be > 0, got {self.parallel_flows}")
 
     def spawn_times(self) -> list[float]:
-        return spawn_offsets(self.mode, self.concurrency, self.duration)
+        """Spawn times (seconds from run start) for every client in the run.
+
+        Simultaneous mode launches ceil(concurrency) clients at each whole
+        second in [0, duration); scheduled mode spaces single clients
+        1/concurrency apart over the same window.
+        """
+        if self.mode is SpawnMode.SIMULTANEOUS:
+            batch = math.ceil(self.concurrency)
+            n_batches = math.ceil(self.duration - 1e-9)
+            return [float(second) for second in range(n_batches) for _ in range(batch)]
+
+        count = math.ceil(self.duration * self.concurrency - 1e-9)
+        return [k / self.concurrency for k in range(count)]
 
     def load_echo(self) -> dict:
         """The load keys every run header carries, in log order."""

@@ -89,9 +89,9 @@ def gc_pauses():
         gc.callbacks.remove(note)
 
 
-def spawn_diagnostics(log, pauses: list[list], live_at_start: int) -> str:
+def spawn_diagnostics(meta: dict, pauses: list[list], live_at_start: int) -> str:
     """The collections during a run (ms from its epoch) and the server's connections at its start."""
-    epoch = log.meta["monotonic_epoch_s"]
+    epoch = meta["monotonic_epoch_s"]
     collections = [
         (round((start - epoch) * 1e3, 3), round((end - start) * 1e3, 3), generation)
         for start, end, generation in pauses

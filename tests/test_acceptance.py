@@ -212,7 +212,7 @@ def test_criterion_6_loadgen_loopback(capsys, tmp_path):
             # scheduled spawn-gap fidelity at 3 clients/s
             live_at_start = server.live_connections
             with gc_pauses() as pauses:
-                log = run_clients(
+                meta, scheduled = run_clients(
                     ClientRunConfig(
                         server_address="127.0.0.1",
                         base_port=base,
@@ -223,13 +223,13 @@ def test_criterion_6_loadgen_loopback(capsys, tmp_path):
                         mode=SpawnMode.SCHEDULED,
                     )
                 )
-            spawns = [spawn for _, spawn in sorted(zip(log.records.client_id, log.records.spawn_s))]
+            spawns = [spawn for _, spawn in sorted(zip(scheduled.client_id, scheduled.spawn_s))]
             assert len(spawns) == 6
             gaps = [b - a for a, b in zip(spawns, spawns[1:])]
             lateness_ms = [round((gap - 1.0 / 3.0) * 1e3, 3) for gap in gaps]
             assert all(
                 abs(gap - 1.0 / 3.0) <= 0.010 for gap in gaps
-            ), f"gap lateness (ms): {lateness_ms}; {spawn_diagnostics(log, pauses, live_at_start)}"
+            ), f"gap lateness (ms): {lateness_ms}; {spawn_diagnostics(meta, pauses, live_at_start)}"
 
 
 def test_criterion_7_randomized_invariants():

@@ -184,10 +184,18 @@ def test_utilization_clamps_and_warns(caplog):
         assert carried_utilization(5000, 1.0, link) == 1.0
     assert "clamping" in caplog.text
     caplog.clear()
-    # the simulator's own call: clamped, without the warning
+    # an excess of float rounding only, as a busy simulated link gives: clamped silently
     with caplog.at_level("WARNING", logger="streamscore.model"):
-        assert carried_utilization(5000, 1.0, link, warn=False) == 1.0
+        assert carried_utilization(1000 * (1 + 1e-12), 1.0, link) == 1.0
     assert caplog.text == ""
+    with caplog.at_level("WARNING", logger="streamscore.model"):
+        assert carried_utilization(1000 * (1 + 1e-8), 1.0, link) == 1.0
+    assert "clamping" in caplog.text  # past float rounding
+    caplog.clear()
+    # a huge fraction is named in a few digits, not all of them
+    with caplog.at_level("WARNING", logger="streamscore.model"):
+        assert carried_utilization(5 * 10**12, 1e-247, link) == 1.0
+    assert "utilization 5e+256 exceeds 1.0 (window 1e-247s)" in caplog.text
 
 
 # --- report ---

@@ -221,6 +221,21 @@ def test_simulate_flags_win_over_every_scenario_key(capsys, tmp_path, flags, max
     assert json.loads(out)["summary"]["max_fct"] == pytest.approx(max_fct, rel=1e-9)
 
 
+def test_simulate_scenario_null_startup_means_one_rtt(capsys, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "bandwidth": "25Gbps",
+        "rtt": "10ms",
+        "duration": "1s",
+        "concurrency": 1,
+        "transfer_bytes": "0.5GB",
+        "startup_latency": None,
+    }))
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--json")
+    assert code == 0
+    assert json.loads(out)["summary"]["max_fct"] == pytest.approx(0.17, rel=1e-9)
+
+
 @pytest.mark.parametrize("scenario_given", [False, True])
 def test_simulate_bad_mode_is_a_usage_error(capsys, tmp_path, scenario_given):
     scenario = tmp_path / "scenario.conf"
@@ -422,6 +437,7 @@ def test_simulate_and_analyze_print_one_utilization(capsys, caplog, tmp_path, ar
     code, out, _ = run_cli(capsys, "analyze", "--in", str(log), "--link-bw", link_bw, "--json")
     assert code == 0
     assert json.loads(out)["regime"]["utilization"] == simulated  # bit-equal
+    assert "clamping" not in caplog.text  # nor does analyzing one
 
 
 def test_sweep_rows_are_a_case_study_curve(capsys, tmp_path):
@@ -611,6 +627,66 @@ def test_measure_run_fractional_size_exits_1_before_connecting(capsys):
     assert code == 1
     assert out == ""
     assert "transfer_bytes must be whole bytes, got 1.5" in err
+
+
+def test_measure_commands_leave_unset_fields_to_the_spec_defaults(capsys, monkeypatch):
+    # given only their required flags, both build the config the dataclass defaults give
+    from streamscore import loadgen
+    from streamscore.records import FlowTable
+
+    built = []
+
+    def run_clients(config):
+        built.append(config)
+        return {}, FlowTable()
+
+    class Server:
+        def __init__(self, config):
+            built.append(config)
+
+        def start(self):
+            pass
+
+        def stop(self):
+            pass
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(loadgen, "run_clients", run_clients)
+    monkeypatch.setattr(loadgen, "TransferServer", Server)
+    monkeypatch.setattr(time, "sleep", interrupt)
+    code, _, _ = run_cli(
+        capsys,
+        "measure", "run", "--server", "dtn.example.org", "--base-port", "5201",
+        "--duration", "2s", "--concurrency", "3", "--size", "2.01KB",
+    )
+    assert code == 2  # no client ran
+    code, out, _ = run_cli(capsys, "measure", "serve", "--base-port", "5201")
+    assert code == 0
+    assert out == "listening on 127.0.0.1:5201-5208\n"
+    assert built == [
+        loadgen.ClientRunConfig(
+            server_address="dtn.example.org", base_port=5201, duration=2.0, concurrency=3.0,
+            transfer_bytes=2010,
+        ),
+        loadgen.ServerConfig(base_port=5201),
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["simulate", "--bw", "25Gbps"], "simulate requires --size (or --scenario)"),
+        (["measure", "run", "--server", "127.0.0.1", "--base-port", "5201"],
+         "measure run requires --size"),
+    ],
+)
+def test_missing_size_exits_1_naming_it(capsys, command, message):
+    code, out, err = run_cli(capsys, *command, "--duration", "1s", "--concurrency", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_measure_serve_subprocess_end_to_end():

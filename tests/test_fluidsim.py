@@ -20,7 +20,7 @@ from streamscore.fluidsim import (
     sweep,
 )
 from streamscore.model import LinkSpec
-from streamscore.schedule import SpawnMode, spawn_offsets
+from streamscore.schedule import LoadSpec, SpawnMode
 
 from fluidsim_reference import simulate_reference
 
@@ -45,15 +45,19 @@ def scenario(**overrides) -> Scenario:
 # --- spawn schedules ---
 
 
+def load(mode: SpawnMode, concurrency: float, duration: float) -> LoadSpec:
+    return LoadSpec(mode=mode, concurrency=concurrency, duration=duration, transfer_bytes=1)
+
+
 def test_simultaneous_batches_each_whole_second():
-    offsets = spawn_offsets(SpawnMode.SIMULTANEOUS, 8, 10.0)
+    offsets = load(SpawnMode.SIMULTANEOUS, 8, 10.0).spawn_times()
     assert len(offsets) == 80
     assert offsets[:8] == [0.0] * 8
     assert sorted(set(offsets)) == [float(s) for s in range(10)]
 
 
 def test_scheduled_spacing():
-    offsets = spawn_offsets(SpawnMode.SCHEDULED, 2, 10.0)
+    offsets = load(SpawnMode.SCHEDULED, 2, 10.0).spawn_times()
     assert len(offsets) == 20
     deltas = [b - a for a, b in zip(offsets, offsets[1:])]
     assert all(d == pytest.approx(0.5, rel=1e-12) for d in deltas)
@@ -61,8 +65,8 @@ def test_scheduled_spacing():
 
 def test_scheduled_count_is_exact_at_awkward_rates():
     # 3 clients/s for 10 s must produce exactly 30, not 31
-    assert len(spawn_offsets(SpawnMode.SCHEDULED, 3, 10.0)) == 30
-    assert len(spawn_offsets(SpawnMode.SIMULTANEOUS, 3, 10.0)) == 30
+    assert len(load(SpawnMode.SCHEDULED, 3, 10.0).spawn_times()) == 30
+    assert len(load(SpawnMode.SIMULTANEOUS, 3, 10.0).spawn_times()) == 30
 
 
 # --- simulate: oracles ---
@@ -167,15 +171,16 @@ def test_utilization_bounds_and_equal_share_case():
 
 
 def test_rejects_zero_clients():
-    with pytest.raises(ValueError):
-        spawn_offsets(SpawnMode.SIMULTANEOUS, 1, 0.0)
+    # the load spec itself refuses the empty window, before anything spawns
+    with pytest.raises(ValueError, match="^duration must be"):
+        load(SpawnMode.SIMULTANEOUS, 1, 0.0)
 
 
 @pytest.mark.parametrize("mode", list(SpawnMode))
 @pytest.mark.parametrize("concurrency, duration", [(1e400, 1.0), (1.0, 1e400), (float("nan"), 1.0)])
 def test_rejects_non_finite_schedules(mode, concurrency, duration):
-    with pytest.raises(ValueError, match="finite"):
-        spawn_offsets(mode, concurrency, duration)
+    with pytest.raises(ValueError, match="must be finite"):
+        load(mode, concurrency, duration)
 
 
 # --- reference oracle ---
@@ -517,6 +522,13 @@ def test_load_scenario_json_nested_link(tmp_path):
     assert s.mode is SpawnMode.SCHEDULED
     assert s.transfer_bytes == 5e8
     assert s.startup == 0.016  # defaults to one RTT
+
+
+def test_scenario_keys_left_out_take_the_spec_defaults():
+    raw = {"bandwidth": "25Gbps", "duration": "1s", "concurrency": 2, "transfer_bytes": "1GB"}
+    assert scenario_from_mapping(raw) == Scenario(
+        link=LinkSpec(bandwidth=GBPS_25), duration=1.0, concurrency=2.0, transfer_bytes=1e9
+    )
 
 
 def test_load_scenario_rejects_unknown_keys(tmp_path):

@@ -126,7 +126,7 @@ def test_port_conflict_fails_fast_and_releases_earlier_ports():
 def test_loopback_run_simultaneous_counts_and_bytes():
     base = find_free_port_block(4)
     with TransferServer(ServerConfig(base_port=base, pool_size=4)):
-        log = run_clients(
+        _, records = run_clients(
             ClientRunConfig(
                 server_address="127.0.0.1",
                 base_port=base,
@@ -137,9 +137,8 @@ def test_loopback_run_simultaneous_counts_and_bytes():
                 parallel_flows=4,
             )
         )
-    assert len(log.records) == 6  # 2 batches x 3 clients
-    assert log.failures == 0
-    records = log.records
+    assert len(records) == 6  # 2 batches x 3 clients
+    assert "error" not in records.status
     for status, nbytes, flows, fct in zip(records.status, records.bytes, records.flows, records.fct_s):
         assert status == "ok"
         assert nbytes == 1_000_000  # per-flow byte audit sums exactly
@@ -152,7 +151,7 @@ def test_whole_float_transfer_bytes_sent_as_int_and_fraction_rejected():
     # wire header packs an integer
     base = find_free_port_block(2)
     with TransferServer(ServerConfig(base_port=base, pool_size=2)):
-        log = run_clients(
+        meta, records = run_clients(
             ClientRunConfig(
                 server_address="127.0.0.1",
                 base_port=base,
@@ -162,9 +161,9 @@ def test_whole_float_transfer_bytes_sent_as_int_and_fraction_rejected():
                 transfer_bytes=1e6,
             )
         )
-    assert list(zip(log.records.ok_mask(), log.records.bytes)) == [(True, 1_000_000)] * 2
-    assert log.meta["transfer_bytes"] == 1_000_000
-    assert type(log.meta["transfer_bytes"]) is int
+    assert list(zip(records.ok_mask(), records.bytes)) == [(True, 1_000_000)] * 2
+    assert meta["transfer_bytes"] == 1_000_000
+    assert type(meta["transfer_bytes"]) is int
     with pytest.raises(ValueError, match="transfer_bytes must be whole bytes, got 1.5"):
         ClientRunConfig(
             server_address="127.0.0.1", base_port=base, duration=1.0, concurrency=1.0,
@@ -175,7 +174,7 @@ def test_whole_float_transfer_bytes_sent_as_int_and_fraction_rejected():
 def test_simultaneous_batch_spread_under_50ms():
     base = find_free_port_block(4)
     with TransferServer(ServerConfig(base_port=base, pool_size=4)):
-        log = run_clients(
+        _, records = run_clients(
             ClientRunConfig(
                 server_address="127.0.0.1",
                 base_port=base,
@@ -186,7 +185,7 @@ def test_simultaneous_batch_spread_under_50ms():
             )
         )
     batches = {0: [], 1: []}
-    for client_id, spawn in zip(log.records.client_id, log.records.spawn_s):
+    for client_id, spawn in zip(records.client_id, records.spawn_s):
         batches[client_id // 4].append(spawn)
     for second, spawns in batches.items():
         assert len(spawns) == 4
@@ -199,7 +198,7 @@ def test_scheduled_spawn_gaps_within_10ms():
     with CountingServer(ServerConfig(base_port=base, pool_size=2)) as server:
         live_at_start = server.live_connections
         with gc_pauses() as pauses:
-            log = run_clients(
+            meta, records = run_clients(
                 ClientRunConfig(
                     server_address="127.0.0.1",
                     base_port=base,
@@ -210,18 +209,18 @@ def test_scheduled_spawn_gaps_within_10ms():
                     mode=SpawnMode.SCHEDULED,
                 )
             )
-    spawns = [spawn for _, spawn in sorted(zip(log.records.client_id, log.records.spawn_s))]
+    spawns = [spawn for _, spawn in sorted(zip(records.client_id, records.spawn_s))]
     assert len(spawns) == 6
     gaps = [b - a for a, b in zip(spawns, spawns[1:])]
     lateness_ms = [round((gap - 1.0 / 3.0) * 1e3, 3) for gap in gaps]
     assert all(
         abs(gap - 1.0 / 3.0) < 0.010 for gap in gaps
-    ), f"gap lateness (ms): {lateness_ms}; {spawn_diagnostics(log, pauses, live_at_start)}"
+    ), f"gap lateness (ms): {lateness_ms}; {spawn_diagnostics(meta, pauses, live_at_start)}"
 
 
 def test_refused_connections_logged_as_failures():
     base = find_free_port_block(2)  # nothing listening
-    log = run_clients(
+    _, records = run_clients(
         ClientRunConfig(
             server_address="127.0.0.1",
             base_port=base,
@@ -234,9 +233,8 @@ def test_refused_connections_logged_as_failures():
             transfer_timeout=2.0,
         )
     )
-    assert len(log.records) == 2
-    assert log.failures == 2
-    for status, error, nbytes in zip(log.records.status, log.records.error, log.records.bytes):
+    assert records.status == ("error", "error")
+    for status, error, nbytes in zip(records.status, records.error, records.bytes):
         assert status == "error"
         assert error
         assert nbytes == 0
@@ -245,7 +243,7 @@ def test_refused_connections_logged_as_failures():
 def test_port_assignment_round_robins_over_pool():
     base = find_free_port_block(2)
     with TransferServer(ServerConfig(base_port=base, pool_size=2)) as server:
-        log = run_clients(
+        _, records = run_clients(
             ClientRunConfig(
                 server_address="127.0.0.1",
                 base_port=base,
@@ -255,7 +253,7 @@ def test_port_assignment_round_robins_over_pool():
                 transfer_bytes=1000,
             )
         )
-        assert log.failures == 0
+        assert "error" not in records.status
         assert server.transfers_served == 4
 
 
@@ -272,7 +270,7 @@ def test_transfer_is_counted_before_its_ack(monkeypatch):
             return real_sendall(sock, data, *args)
 
         monkeypatch.setattr(socket.socket, "sendall", sendall)
-        log = run_clients(
+        _, records = run_clients(
             ClientRunConfig(
                 server_address="127.0.0.1",
                 base_port=base,
@@ -283,7 +281,7 @@ def test_transfer_is_counted_before_its_ack(monkeypatch):
                 mode=SpawnMode.SCHEDULED,
             )
         )
-    assert log.failures == 0
+    assert "error" not in records.status
     assert counts_at_ack == [1, 2]
 
 
@@ -298,11 +296,11 @@ def test_run_meta_echoes_config():
         transfer_bytes=10,
     )
     with TransferServer(ServerConfig(base_port=base, pool_size=1)):
-        log = run_clients(config)
+        meta, _ = run_clients(config)
     for key, value in config.config_echo().items():
-        assert log.meta[key] == value
+        assert meta[key] == value
     # the header's key order is part of the log format
-    assert list(log.meta) == [
+    assert list(meta) == [
         "source",
         "server_address",
         "base_port",
@@ -339,7 +337,7 @@ def test_run_clients_starts_no_thread(monkeypatch):
     base = find_free_port_block(2)
     with TransferServer(ServerConfig(base_port=base, pool_size=2)):
         created = count_threads(monkeypatch)  # the server's own thread already runs
-        log = run_clients(
+        _, records = run_clients(
             ClientRunConfig(
                 server_address="127.0.0.1",
                 base_port=base,
@@ -350,8 +348,8 @@ def test_run_clients_starts_no_thread(monkeypatch):
                 parallel_flows=2,
             )
         )
-    assert len(log.records) == 3
-    assert log.failures == 0
+    assert len(records) == 3
+    assert "error" not in records.status
     assert created == []
 
 
@@ -409,7 +407,7 @@ def test_timeouts_hold_against_a_listener_that_never_accepts(payload):
         listener.bind(("127.0.0.1", base))
         listener.listen(8)  # the kernel completes both handshakes; nobody reads
         started = time.monotonic()
-        log = run_clients(
+        _, records = run_clients(
             ClientRunConfig(
                 server_address="127.0.0.1",
                 base_port=base,
@@ -423,7 +421,7 @@ def test_timeouts_hold_against_a_listener_that_never_accepts(payload):
             )
         )
         elapsed = time.monotonic() - started
-    assert log.records.error == ("flow 0: timed out; flow 1: timed out",)
+    assert records.error == ("flow 0: timed out; flow 1: timed out",)
     assert elapsed < 2.0
 
 
@@ -441,7 +439,7 @@ def test_host_name_resolved_once_per_run_in_resolver_order(monkeypatch):
 
     with TransferServer(ServerConfig(base_port=base, pool_size=2)):
         monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
-        log = run_clients(
+        _, records = run_clients(
             ClientRunConfig(
                 server_address="dtn.example.org",
                 base_port=base,
@@ -452,6 +450,6 @@ def test_host_name_resolved_once_per_run_in_resolver_order(monkeypatch):
                 parallel_flows=2,
             )
         )
-    assert log.failures == 0
-    assert log.records.bytes == (1000,) * 3
+    assert "error" not in records.status
+    assert records.bytes == (1000,) * 3
     assert lookups == ["dtn.example.org"]

@@ -28,6 +28,10 @@ from streamscore.quantities import (
         ("1MiB", 1024.0**2),
         ("1GiB", 1024.0**3),
         ("1TiB", 1024.0**4),
+        # decimal literals are exact: as floats, 2.01 x 1e3 is 2009.9999999999998
+        ("2.01KB", 2010.0),
+        ("1.001MB", 1_001_000.0),
+        ("0.067GB", 67_000_000.0),
     ],
 )
 def test_byte_sizes(text, expected):
@@ -118,7 +122,9 @@ def test_wrong_dimension_rejected():
         parse_seconds("25Gbps")
 
 
-@pytest.mark.parametrize("text", ["1e400Gbps", "1e309B", "1e308TB", "2e307min", "1e300PF"])
+@pytest.mark.parametrize(
+    "text", ["1e400Gbps", "1e309B", "1e308TB", "2e307min", "1e300PF", "1e999999999B"]
+)
 def test_overflowing_literals_rejected(text):
     # the decimal or its unit factor overflows a float; inf is not a quantity
     with pytest.raises(QuantityError, match="overflows"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -23,8 +24,9 @@ def _backends(**load) -> tuple[Scenario, ClientRunConfig]:
 @pytest.mark.parametrize("mode", list(SpawnMode))
 @pytest.mark.parametrize(
     "name, bad",
-    [("duration", 0.0), ("duration", -1.0), ("concurrency", 0.0),
-     ("transfer_bytes", -1), ("parallel_flows", 0)],
+    [("duration", 0.0), ("duration", -1.0), ("duration", math.inf), ("concurrency", 0.0),
+     ("concurrency", math.nan), ("transfer_bytes", -1), ("transfer_bytes", math.inf),
+     ("parallel_flows", 0)],
 )
 def test_both_backends_share_one_load_spec(mode, name, bad):
     load = dict(LOAD, mode=mode)
