@@ -15,10 +15,13 @@ counts the bytes every active client has received so far, an admitted client
 is done when the clock reaches ``served + transfer_bytes`` at its admission,
 and the next completion is always client ``lo``. Each event costs O(1), each
 trace interval stores its clients as an id range, and a run costs
-O(N + intervals) time and memory for N clients.
+O(N + intervals) time and memory for N clients. Both clocks restart when the
+link idles: ``t`` counts seconds from ``origin``, the activation that opened
+the busy period, and an FCT is ``startup + (t_done - (activation - origin))``,
+so a client served alone gets exactly ``startup + S/C`` at any spawn time.
 
-``simulate`` keeps only the loop's own columns: spawn, completion and FCT
-times per client and ``(start, end, lo, hi, rate)`` rows per interval, plus
+``simulate`` keeps only the loop's own columns: spawn and FCT times per
+client and absolute ``(start, end, lo, hi, rate)`` rows per interval, plus
 the ``utilization`` (``model.carried_utilization`` of the records, as
 ``analyze`` reports it) and ``max_fct`` summary. ``SimResult.records`` (a
 ``FlowTable`` over those columns, with no row objects) and
@@ -66,10 +69,6 @@ class Scenario(LoadSpec):
             )
 
     @property
-    def record_bytes(self) -> int:  # the whole bytes each client's record carries
-        return int(round(self.transfer_bytes))
-
-    @property
     def startup(self) -> float:
         return self.link.rtt if self.startup_latency is None else self.startup_latency
 
@@ -98,14 +97,12 @@ class AllocationInterval:
 class SimResult:
     """The event loop's columns and summary; record table and trace on demand.
 
-    ``records`` and ``trace`` are built on first read and cached on the
-    instance; equality and hashing use the fields, not these views. A sweep
-    reads neither.
+    ``records`` and ``trace`` are built on first read and cached; equality and
+    hashing use the fields, not these views. A sweep reads neither.
     """
 
     scenario: Scenario
     spawns: tuple[float, ...]  # per client id
-    completions: tuple[float, ...]
     fcts: tuple[float, ...]
     intervals: tuple[tuple[float, float, int, int, float], ...]  # (start, end, lo, hi, rate)
     utilization: float  # model.carried_utilization of the records
@@ -113,9 +110,10 @@ class SimResult:
 
     @cached_property
     def records(self) -> FlowTable:
-        n, nbytes = len(self.spawns), self.scenario.record_bytes
+        n, nbytes = len(self.spawns), self.scenario.transfer_bytes
+        completions = tuple(map(operator.add, self.spawns, self.fcts))
         return FlowTable(
-            tuple(range(n)), self.spawns, self.completions, self.fcts,
+            tuple(range(n)), self.spawns, completions, self.fcts,
             (nbytes,) * n, (self.scenario.parallel_flows,) * n, ("ok",) * n, (None,) * n,
         )
 
@@ -140,28 +138,24 @@ class SimResult:
 def simulate(scenario: Scenario) -> SimResult:
     """Run the event loop to the last completion and keep its columns."""
     spawns = tuple(scenario.spawn_times())
-    if not spawns:
-        raise ValueError("scenario spawns zero clients")
-
     capacity = scenario.link.effective_rate
-    size = scenario.transfer_bytes
+    size = float(scenario.transfer_bytes)  # the loop's clock arithmetic stays in floats
     residual_eps = size * 1e-12
     startup = scenario.startup
     # offsets are non-decreasing, so client ids are in activation order
     activations = [spawn + startup for spawn in spawns]
     total = len(activations)
     finish_at = [0.0] * total  # service-clock reading at which a client is done
-    completions = [0.0] * total
+    fcts = [0.0] * total
     intervals: list[tuple[float, float, int, int, float]] = []
 
     lo = hi = 0  # the active clients are range(lo, hi)
-    served = 0.0  # bytes every active client has received so far
-    t = activations[0]
+    origin = start = t = served = 0.0  # start: origin + t; served: bytes each active client has had
     while lo < total:
-        if lo == hi:
-            # idle link: nobody holds a mark, so the clock restarts at zero
-            t, served = activations[hi], 0.0
-        while hi < total and activations[hi] <= t + _EVENT_EPS:
+        if lo == hi:  # idle link: a busy period opens, and both clocks restart at zero
+            origin = start = activations[hi]
+            t = served = 0.0
+        while hi < total and activations[hi] - origin <= t + _EVENT_EPS:
             finish_at[hi] = served + size
             hi += 1
 
@@ -169,29 +163,27 @@ def simulate(scenario: Scenario) -> SimResult:
         rate = capacity / n
         # multiply before dividing keeps equal-share completions exact
         t_finish = t + (finish_at[lo] - served) * n / capacity
-        t_arrival = activations[hi] if hi < total else math.inf
+        t_arrival = activations[hi] - origin if hi < total else math.inf
 
         if t_arrival < t_finish - _EVENT_EPS:
             served += capacity * (t_arrival - t) / n
-            intervals.append((t, t_arrival, lo, hi, rate))
+            intervals.append((start, start := origin + t_arrival, lo, hi, rate))
             t = t_arrival
         else:
             served = finish_at[lo]
-            intervals.append((t, t_finish, lo, hi, rate))
+            intervals.append((start, start := origin + t_finish, lo, hi, rate))
             t = t_finish
             while lo < hi and finish_at[lo] - served <= residual_eps:
-                completions[lo] = t
+                fcts[lo] = startup + (t - (activations[lo] - origin))
                 lo += 1
 
-    fcts = tuple(map(operator.sub, completions, spawns))
     return SimResult(
         scenario=scenario,
         spawns=spawns,
-        completions=tuple(completions),
-        fcts=fcts,
+        fcts=tuple(fcts),
         intervals=tuple(intervals),
         # clients complete in id order, so the last one finishes the run
-        utilization=carried_utilization(scenario.record_bytes * total, completions[-1], scenario.link),
+        utilization=carried_utilization(size * total, spawns[-1] + fcts[-1], scenario.link),
         max_fct=max(fcts),
     )
 

@@ -10,12 +10,12 @@ payload into the loop's one buffer, is acknowledged with one byte, and repeats
 until the peer closes, and ``stop()`` closes every live connection.
 ``run_clients`` runs its loop on the calling thread and spawns each client at
 its offset from the loop's timer. ``ClientRunConfig`` is the shared
-``schedule.LoadSpec``, which alone defaults and validates the load, plus the
-server, pool and timeouts, so the client side spawns transfer clients on the
-simulator's schedule, echoes the same load keys, and logs one record row per
-client from a monotonic clock, each checked by ``records.check_row``. A run
-comes back as ``records.read_jsonl`` reads a log: the header and one
-``FlowTable`` in client order.
+``schedule.LoadSpec`` (alone it validates a load, fixes its whole bytes and
+bounds its client count) plus the server, pool and timeouts, so the client
+side spawns on the simulator's schedule, echoes the same load keys, and logs
+one record row per client from a monotonic clock, each checked by
+``records.check_row``. A run comes back as ``records.read_jsonl`` reads a log:
+the header and one ``FlowTable`` in client order.
 
 Wire format, per connection: a 16-byte header (magic ``SGTE``, version 0x01,
 3 reserved zero bytes, payload length as big-endian u64) followed by exactly
@@ -271,9 +271,6 @@ class ClientRunConfig(LoadSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not float(self.transfer_bytes).is_integer():
-            raise ValueError(f"transfer_bytes must be whole bytes, got {self.transfer_bytes}")
-        object.__setattr__(self, "transfer_bytes", int(self.transfer_bytes))  # the wire's u64
         if self.pool_size <= 0:
             raise ValueError(f"pool_size must be > 0, got {self.pool_size}")
         if self.connect_timeout <= 0 or self.transfer_timeout <= 0:

@@ -112,7 +112,7 @@ def carried_utilization(delivered_bytes: int, last_complete_s: float, link: Link
         return None
     fraction = delivered_bytes / capacity
     if fraction > 1.0 + 1e-9:
-        logger.warning("utilization %.6g exceeds 1.0 (window %.6gs); clamping - the link "
+        logger.warning("utilization %.10g exceeds 1.0 (window %.6gs); clamping - the link "
                        "bandwidth figure is likely below the achieved rate", fraction, last_complete_s)
     return min(fraction, 1.0)
 

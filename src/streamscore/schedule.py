@@ -3,7 +3,8 @@
 ``LoadSpec`` (spawn window and rate, bytes and flows per client, spawn mode)
 is the base of ``fluidsim.Scenario`` and ``loadgen.ClientRunConfig`` and the
 one place a load is defaulted and validated, so a simulated and a measured run
-of one load spawn on the same offsets and echo the same load keys.
+of one load spawn on the same offsets and echo the same load keys. It alone
+fixes the whole bytes per client and a client count bounded by ``MAX_CLIENTS``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+MAX_CLIENTS = 5_000_000  # ~400 B of peak RSS per simulated client: about 2 GB at the ceiling
 
 
 class SpawnMode(Enum):
@@ -35,7 +38,7 @@ class LoadSpec:
 
     duration: float  # seconds of client spawning
     concurrency: float  # clients per second
-    transfer_bytes: float  # bytes per client
+    transfer_bytes: int  # whole bytes per client; an integral float is stored as an int
     parallel_flows: int = 1
     mode: SpawnMode = SpawnMode.SIMULTANEOUS
 
@@ -46,23 +49,31 @@ class LoadSpec:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not (self.transfer_bytes >= 0 and math.isfinite(self.transfer_bytes)):
             raise ValueError(f"transfer_bytes must be finite and >= 0, got {self.transfer_bytes}")
+        if not float(self.transfer_bytes).is_integer():
+            raise ValueError(f"transfer_bytes must be whole bytes, got {self.transfer_bytes}")
+        object.__setattr__(self, "transfer_bytes", int(self.transfer_bytes))
         if self.parallel_flows <= 0:
             raise ValueError(f"parallel_flows must be > 0, got {self.parallel_flows}")
+        if not 1 <= (count := self.client_count) <= MAX_CLIENTS:
+            raise ValueError(f"client count must be 1 to {MAX_CLIENTS}, got {count:.10g}")
+
+    @property
+    def client_count(self) -> int | float:
+        """ceil(concurrency) clients at each whole second in [0, duration) when
+        simultaneous, one every 1/concurrency s when scheduled; inf on overflow."""
+        if self.mode is SpawnMode.SIMULTANEOUS:
+            # float factors: an overflowing product is inf, not a huge int
+            span = float(math.ceil(self.concurrency)) * math.ceil(self.duration - 1e-9)
+        else:
+            span = self.duration * self.concurrency - 1e-9
+        return math.ceil(span) if span < math.inf else span
 
     def spawn_times(self) -> list[float]:
-        """Spawn times (seconds from run start) for every client in the run.
-
-        Simultaneous mode launches ceil(concurrency) clients at each whole
-        second in [0, duration); scheduled mode spaces single clients
-        1/concurrency apart over the same window.
-        """
+        """Spawn times (seconds from run start) for every client in the run."""
         if self.mode is SpawnMode.SIMULTANEOUS:
             batch = math.ceil(self.concurrency)
-            n_batches = math.ceil(self.duration - 1e-9)
-            return [float(second) for second in range(n_batches) for _ in range(batch)]
-
-        count = math.ceil(self.duration * self.concurrency - 1e-9)
-        return [k / self.concurrency for k in range(count)]
+            return [float(k // batch) for k in range(self.client_count)]
+        return [k / self.concurrency for k in range(self.client_count)]
 
     def load_echo(self) -> dict:
         """The load keys every run header carries, in log order."""

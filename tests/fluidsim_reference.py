@@ -25,11 +25,13 @@ class ReferenceResult:
 
 
 def simulate_reference(scenario: Scenario) -> ReferenceResult:
-    """Run the event loop to the last completion and collect flow records."""
-    spawns = scenario.spawn_times()
-    if not spawns:
-        raise ValueError("scenario spawns zero clients")
+    """Run the event loop to the last completion and collect flow records.
 
+    The clock ``t`` counts seconds from ``origin``, the activation that
+    opened the current busy period, as the fast loop's does; a client's FCT
+    is ``startup + (t_done - (activation - origin))``.
+    """
+    spawns = scenario.spawn_times()
     capacity = scenario.link.effective_rate
     startup = scenario.startup
     residual_eps = scenario.transfer_bytes * 1e-12
@@ -40,21 +42,22 @@ def simulate_reference(scenario: Scenario) -> ReferenceResult:
     ]
     next_pending = 0
     active: dict[int, float] = {}
-    completions: dict[int, float] = {}
+    fcts: dict[int, float] = {}
     trace: list[AllocationInterval] = []
 
-    t = pending[0][0]
+    origin, t = pending[0][0], 0.0
 
     def admit(now: float) -> None:
         nonlocal next_pending
-        while next_pending < len(pending) and pending[next_pending][0] <= now + _EVENT_EPS:
+        while next_pending < len(pending) and pending[next_pending][0] - origin <= now + _EVENT_EPS:
             active[pending[next_pending][1]] = scenario.transfer_bytes
             next_pending += 1
 
     admit(t)
     while active or next_pending < len(pending):
         if not active:
-            t = max(t, pending[next_pending][0])
+            # idle link: the next activation opens a busy period
+            origin, t = pending[next_pending][0], 0.0
             admit(t)
             continue
 
@@ -64,42 +67,42 @@ def simulate_reference(scenario: Scenario) -> ReferenceResult:
         # multiply before dividing keeps equal-share completions exact
         finish_dt = min_residual * n / capacity
         t_finish = t + finish_dt
-        t_arrival = pending[next_pending][0] if next_pending < len(pending) else math.inf
+        t_arrival = pending[next_pending][0] - origin if next_pending < len(pending) else math.inf
 
         ids = tuple(sorted(active))
         if t_arrival < t_finish - _EVENT_EPS:
             drained = capacity * (t_arrival - t) / n
             for cid in active:
                 active[cid] -= drained
-            trace.append(AllocationInterval(t, t_arrival, ids, rate))
+            trace.append(AllocationInterval(origin + t, origin + t_arrival, ids, rate))
             t = t_arrival
             admit(t)
         else:
             for cid in active:
                 active[cid] -= min_residual
-            trace.append(AllocationInterval(t, t_finish, ids, rate))
+            trace.append(AllocationInterval(origin + t, origin + t_finish, ids, rate))
             t = t_finish
             done = sorted(cid for cid, left in active.items() if left <= residual_eps)
             for cid in done:
-                completions[cid] = t
+                fcts[cid] = startup + (t - (pending[cid][0] - origin))
                 del active[cid]
             admit(t)
 
     n = len(spawns)
-    complete = tuple(completions[cid] for cid in range(n))
+    fct = tuple(fcts[cid] for cid in range(n))
     records = FlowTable(
         client_id=tuple(range(n)),
         spawn_s=tuple(spawns),
-        complete_s=complete,
-        fct_s=tuple(done - spawn for done, spawn in zip(complete, spawns)),
-        bytes=(int(round(scenario.transfer_bytes)),) * n,
+        complete_s=tuple(spawn + done for spawn, done in zip(spawns, fct)),
+        fct_s=fct,
+        bytes=(scenario.transfer_bytes,) * n,
         flows=(scenario.parallel_flows,) * n,
         status=("ok",) * n,
         error=(None,) * n,
     )
 
     # carried utilization: the records' bytes over raw bandwidth x [0, last completion]
-    last_complete = max(completions.values())
+    last_complete = max(records.complete_s)
     utilization = min(1.0, sum(records.bytes) / (scenario.link.bandwidth * last_complete))
 
     return ReferenceResult(

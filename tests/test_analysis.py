@@ -190,7 +190,7 @@ def test_utilization_clamps_and_warns(caplog):
     assert caplog.text == ""
     with caplog.at_level("WARNING", logger="streamscore.model"):
         assert carried_utilization(1000 * (1 + 1e-8), 1.0, link) == 1.0
-    assert "clamping" in caplog.text  # past float rounding
+    assert "utilization 1.00000001 exceeds" in caplog.text  # past float rounding, and reads so
     caplog.clear()
     # a huge fraction is named in a few digits, not all of them
     with caplog.at_level("WARNING", logger="streamscore.model"):

@@ -14,6 +14,7 @@ import pytest
 from streamscore.cli import UsageError, build_parser, main
 from streamscore.loadgen import ACK, pack_header
 from streamscore.records import read_jsonl
+from streamscore.schedule import MAX_CLIENTS, LoadSpec
 
 from conftest import find_free_port_block, strict_json
 
@@ -687,6 +688,34 @@ def test_missing_size_exits_1_naming_it(capsys, command, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+_MEASURE_RUN = ["measure", "run", "--server", "127.0.0.1", "--base-port", "5201"]
+
+
+def test_fractional_size_exits_1_with_one_message_from_both_commands(capsys):
+    # a simulated record would claim bytes that never moved; the wire sends whole bytes
+    errors = []
+    for command in (["simulate", "--bw", "1GBps", "--startup", "0s"], _MEASURE_RUN):
+        code, out, err = run_cli(capsys, *command, "--size", "1000.6B", "--duration", "1s",
+                                 "--concurrency", "3")
+        assert (code, out) == (1, "")
+        errors.append(err)
+    assert errors == ["error: transfer_bytes must be whole bytes, got 1000.6\n"] * 2
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "scheduled"])
+@pytest.mark.parametrize("command", [["simulate", "--bw", "25Gbps"], _MEASURE_RUN])
+def test_overflowing_client_count_exits_1(capsys, monkeypatch, command, mode):
+    def no_list(self):
+        raise AssertionError("spawn_times built a list")
+
+    monkeypatch.setattr(LoadSpec, "spawn_times", no_list)
+    code, out, err = run_cli(capsys, *command, "--size", "1GB", "--duration", "1e200s",
+                             "--concurrency", "1e200", "--mode", mode)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: client count must be 1 to {MAX_CLIENTS}, got inf\n"
 
 
 def test_measure_serve_subprocess_end_to_end():

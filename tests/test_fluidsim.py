@@ -194,7 +194,7 @@ def _rel_close(a: float, b: float, tol: float) -> bool:
     mode=st.sampled_from(list(SpawnMode)),
     concurrency=st.floats(min_value=0.5, max_value=12.0),
     duration=st.floats(min_value=1.0, max_value=20.0),
-    size=st.floats(min_value=5e7, max_value=5e9),
+    size=st.integers(min_value=50_000_000, max_value=5_000_000_000),
     alpha=st.floats(min_value=0.1, max_value=1.0),
     startup=st.one_of(st.just(0.0), st.none(), st.floats(min_value=0.0, max_value=0.1)),
 )
@@ -243,7 +243,7 @@ def test_idle_separated_clients_match_reference_bit_for_bit():
     # the service clock restarts whenever the link idles, so 4,000 clients
     # in a row lose no precision to a growing clock
     s = scenario(duration=2000.0, concurrency=2.0, mode=SpawnMode.SCHEDULED,
-                 transfer_bytes=503_517_133.7, startup_latency=0.016)
+                 transfer_bytes=503_517_134, startup_latency=0.016)
     fast, slow = simulate(s), simulate_reference(s)
     assert fast.records == slow.records
     assert fast.utilization == slow.utilization
@@ -399,7 +399,7 @@ def test_simultaneous_worst_fct_closed_form_below_saturation(
     link = LinkSpec(bandwidth=GBPS_25, alpha=alpha, rtt=0.016)
     batch = math.ceil(concurrency)
     s = Scenario(link=link, duration=duration, concurrency=concurrency,
-                 transfer_bytes=busy * link.effective_rate / batch,
+                 transfer_bytes=round(busy * link.effective_rate / batch),
                  mode=SpawnMode.SIMULTANEOUS, startup_latency=startup)
     expected = s.startup + batch * s.transfer_bytes / link.effective_rate
     # an FCT is the difference of two clock readings below 32 s, each within 4e-15 s
@@ -410,7 +410,7 @@ def test_simultaneous_worst_fct_closed_form_below_saturation(
     mode=st.sampled_from(list(SpawnMode)),
     concurrencies=st.lists(st.floats(min_value=0.1, max_value=16.0), min_size=2, max_size=5),
     duration=st.floats(min_value=1.0, max_value=10.0),
-    size=st.floats(min_value=5e7, max_value=2e9),
+    size=st.integers(min_value=50_000_000, max_value=2_000_000_000),
     alpha=st.floats(min_value=0.1, max_value=1.0),
     startup=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.1)),
 )
@@ -422,6 +422,19 @@ def test_worst_fct_never_falls_as_concurrency_rises(
                     mode=mode, startup_latency=startup)
     worsts = [simulate(replace(base, concurrency=c)).max_fct for c in sorted(concurrencies)]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(worsts, worsts[1:])), worsts
+
+
+def test_uncongested_worst_fct_is_exactly_the_ideal_transfer_time():
+    # a client the link serves alone takes startup + S/C whatever its spawn
+    # time, so below load 1 the worst FCT cannot step down by a rounding
+    # (perfbench's sweep-overload inputs at seed 1213)
+    link = LinkSpec(bandwidth=25e9 / 8, rtt=0.012328)
+    base = Scenario(link=link, duration=200.0, concurrency=1.0, transfer_bytes=503_839_985,
+                    mode=SpawnMode.SCHEDULED)
+    ideal = link.rtt + 503_839_985 / link.effective_rate
+    rows = sweep(base, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1])
+    assert [row.worst_fct for row in rows] == [ideal] * 6
+    assert set(simulate(replace(base, concurrency=3.0)).records.fct_s) == {ideal}
 
 
 def test_overload_grows_super_linearly():

@@ -147,8 +147,7 @@ def test_loopback_run_simultaneous_counts_and_bytes():
 
 
 def test_whole_float_transfer_bytes_sent_as_int_and_fraction_rejected():
-    # a LoadSpec may carry a float byte count (parse_bytes returns one); the
-    # wire header packs an integer
+    # parse_bytes returns a float; the LoadSpec stores the int the wire header packs
     base = find_free_port_block(2)
     with TransferServer(ServerConfig(base_port=base, pool_size=2)):
         meta, records = run_clients(
