@@ -165,14 +165,12 @@ def _evaluate_one(workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
     )
 
 
-def _parse_compute(value) -> float:
+def _parse_compute(text: str) -> float:
     """Compute demand: accepts FLOP or FLOP/s literals (same magnitude)."""
-    if isinstance(value, str):
-        magnitude, dim = parse_quantity(value)
-        if dim not in (Dimension.FLOP, Dimension.FLOP_PER_SECOND):
-            raise ValueError(f"compute {value!r} must be FLOP or FLOP/s")
-        return magnitude
-    return float(value)
+    magnitude, dim = parse_quantity(text)
+    if dim not in (Dimension.FLOP, Dimension.FLOP_PER_SECOND):
+        raise ValueError(f"compute {text!r} must be FLOP or FLOP/s")
+    return magnitude
 
 
 def study_from_mapping(raw: dict) -> CaseStudyInput:
@@ -181,13 +179,13 @@ def study_from_mapping(raw: dict) -> CaseStudyInput:
             Workflow(
                 name=str(w["name"]),
                 throughput=coerce_quantity(w["throughput"], parse_rate),
-                compute=_parse_compute(w["compute"]),
+                compute=coerce_quantity(w["compute"], _parse_compute),
             )
             for w in raw["workflows"]
         )
         link = link_from_mapping(raw["link"])
         curve = tuple(
-            (float(u), coerce_quantity(worst, parse_seconds))
+            (coerce_quantity(u), coerce_quantity(worst, parse_seconds))
             for u, worst in raw["worst_fct_curve"]
         )
     except (KeyError, TypeError) as exc:

@@ -381,7 +381,7 @@ def cmd_measure_run(args) -> int:
         write_jsonl(args.out, records, run_meta=meta)
 
     worst = max(compress(records.fct_s, records.ok_mask()), default=None)
-    failures = len(records) - records.status.count("ok")
+    failures = len(records) - records.error.count(None)
     if args.json:
         doc = {"records": len(records), "failures": failures, "max_fct_s": worst}
         print(json.dumps(doc, indent=2))
@@ -396,7 +396,7 @@ def cmd_measure_run(args) -> int:
 
 def cmd_analyze(args) -> int:
     _, records = read_jsonl(args.infile)
-    if "ok" not in records.status:
+    if None not in records.error:
         raise UsageError(f"no successful records in {args.infile}")
 
     link = None

@@ -114,7 +114,7 @@ class SimResult:
         completions = tuple(map(operator.add, self.spawns, self.fcts))
         return FlowTable(
             tuple(range(n)), self.spawns, completions, self.fcts,
-            (nbytes,) * n, (self.scenario.parallel_flows,) * n, ("ok",) * n, (None,) * n,
+            (nbytes,) * n, (self.scenario.parallel_flows,) * n, (None,) * n,
         )
 
     @cached_property
@@ -236,9 +236,9 @@ _SCENARIO_KEYS = {f.name for f in fields(LinkSpec)} | (
 )
 _LOAD_READERS = {
     "duration": partial(coerce_quantity, parser=parse_seconds),
-    "concurrency": float,
+    "concurrency": coerce_quantity,
     "transfer_bytes": partial(coerce_quantity, parser=parse_bytes),
-    "parallel_flows": int,
+    "parallel_flows": coerce_quantity,  # LoadSpec checks it is whole and in range
     "mode": SpawnMode.parse,
     # null, like a missing key, means one RTT
     "startup_latency": lambda value: None if value is None else coerce_quantity(value, parse_seconds),

@@ -9,11 +9,12 @@ loop thread for the whole pool; each accepted connection reads the declared
 payload into the loop's one buffer, is acknowledged with one byte, and repeats
 until the peer closes, and ``stop()`` closes every live connection.
 ``run_clients`` runs its loop on the calling thread and spawns each client at
-its offset from the loop's timer. ``ClientRunConfig`` is the shared
+its offset from the loop's timer. ``PortPool`` alone checks a pool, as the
+base of both configs. ``ClientRunConfig`` is also the shared
 ``schedule.LoadSpec`` (alone it validates a load, fixes its whole bytes and
-bounds its client count) plus the server, pool and timeouts, so the client
-side spawns on the simulator's schedule, echoes the same load keys, and logs
-one record row per client from a monotonic clock, each checked by
+bounds its client and flow counts), so the client side spawns on the
+simulator's schedule, echoes the same load keys, and logs one record row per
+client (its error text, or None) from a monotonic clock, each checked by
 ``records.check_row``. A run comes back as ``records.read_jsonl`` reads a log:
 the header and one ``FlowTable`` in client order.
 
@@ -146,11 +147,12 @@ def _until_readable(sock: socket.socket):
     yield sock, selectors.EVENT_READ, None
 
 
-@dataclass(frozen=True)
-class ServerConfig:
+@dataclass(frozen=True, kw_only=True)
+class PortPool:
+    """Sequential TCP ports; the base of both ends, so each checks its pool alike."""
+
     base_port: int
     pool_size: int = DEFAULT_POOL_SIZE
-    bind_address: str = "127.0.0.1"
 
     def __post_init__(self) -> None:
         if not 0 < self.base_port <= 65535:
@@ -163,6 +165,11 @@ class ServerConfig:
     @property
     def ports(self) -> tuple[int, ...]:
         return tuple(range(self.base_port, self.base_port + self.pool_size))
+
+
+@dataclass(frozen=True, kw_only=True)
+class ServerConfig(PortPool):
+    bind_address: str = "127.0.0.1"
 
 
 class TransferServer:
@@ -260,19 +267,16 @@ class TransferServer:
 
 
 @dataclass(frozen=True, kw_only=True)
-class ClientRunConfig(LoadSpec):
-    """A measured run: the shared load spec plus where and how to connect."""
+class ClientRunConfig(LoadSpec, PortPool):
+    """A measured run: the shared load spec and port pool, plus where and how to connect."""
 
     server_address: str
-    base_port: int
-    pool_size: int = DEFAULT_POOL_SIZE  # client i targets base_port + (i mod pool_size)
     connect_timeout: float = 10.0
     transfer_timeout: float = 120.0
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.pool_size <= 0:
-            raise ValueError(f"pool_size must be > 0, got {self.pool_size}")
+        LoadSpec.__post_init__(self)
+        PortPool.__post_init__(self)
         if self.connect_timeout <= 0 or self.transfer_timeout <= 0:
             raise ValueError("timeouts must be > 0")
 
@@ -332,11 +336,12 @@ def run_clients(config: ClientRunConfig) -> tuple[dict, FlowTable]:
         targets = socket.getaddrinfo(config.server_address, None, type=socket.SOCK_STREAM)
     except OSError as exc:
         targets = exc
+    ports = config.ports
     rows: list[tuple] = []  # one per client, in completion order
     loop = _Loop()
 
     def start_client(client_id: int) -> None:
-        port = config.base_port + (client_id % config.pool_size)
+        port = ports[client_id % len(ports)]
         spawn_s = time.monotonic() - epoch
         acked = [0] * len(sizes)
         errors = [""] * len(sizes)
@@ -356,9 +361,9 @@ def run_clients(config: ClientRunConfig) -> tuple[dict, FlowTable]:
                 error = "; ".join(filter(None, errors))
                 row = (
                     client_id, spawn_s, complete_s, complete_s - spawn_s, sum(acked),
-                    config.parallel_flows, "error" if error else "ok", error or None,
+                    config.parallel_flows, error or None,
                 )
-                check_row(*row[1:7])
+                check_row(*row[1:6])
                 rows.append(row)
 
         for index in range(len(sizes)):

@@ -4,22 +4,23 @@ Pure functions over immutable specs: transfer and compute times, the file
 I/O overhead coefficient, the Streaming Speed Score, deadline tiers, and the
 stream-vs-file-transfer comparison, offered load and carried utilization.
 All quantities are SI (bytes, bytes/s, FLOP, FLOP/s, seconds), and a
-``LinkSpec`` read from config data takes its own defaults. No shared state and
-no I/O but the ``logging`` warning of a utilization clamped past rounding.
+``LinkSpec`` read from config data takes its own defaults. A ``TimeBreakdown``
+computes its total from its parts, so no stored total can disagree with
+them. No shared state and no I/O but the ``logging`` warning of a
+utilization clamped past rounding.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
 from .quantities import coerce_quantity, parse_rate, parse_seconds
 
 logger = logging.getLogger(__name__)
-_BREAKDOWN_RTOL = 1e-9
 
 DEFAULT_TIERS: tuple[tuple[str, float], ...] = (
     ("Tier 1", 1.0),
@@ -121,7 +122,7 @@ def link_from_mapping(raw) -> LinkSpec:
     """A LinkSpec from the link keys present in config data (unit literals or SI numbers)."""
     readers = {
         "bandwidth": partial(coerce_quantity, parser=parse_rate),
-        "alpha": float,
+        "alpha": coerce_quantity,
         "rtt": partial(coerce_quantity, parser=parse_seconds),
     }
     return LinkSpec(**{key: read(raw[key]) for key, read in readers.items() if key in raw})
@@ -134,29 +135,25 @@ class IoOverhead:
     theta: float = 1.0
 
     def __post_init__(self) -> None:
-        # theta = 1 means pure streaming; < 1 would imply negative I/O time
-        if self.theta < 1:
+        # theta = 1 means pure streaming; < 1 would imply negative I/O time; NaN is no theta
+        if not self.theta >= 1:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
 
 
 @dataclass(frozen=True)
 class TimeBreakdown:
-    """Remote-path completion time split into its additive parts."""
+    """Remote-path completion time split into its additive parts and their total."""
 
     transfer_s: float
     io_s: float
     remote_s: float
-    total_s: float
+    total_s: float = field(init=False)  # transfer_s + io_s + remote_s, in that order
 
     def __post_init__(self) -> None:
-        for name in ("transfer_s", "remote_s", "io_s", "total_s"):
-            if getattr(self, name) < 0:
+        for name in ("transfer_s", "remote_s", "io_s"):
+            if not getattr(self, name) >= 0:  # NaN too: inf x 0 s of transfer has no I/O time
                 raise ValueError(f"{name} must be >= 0")
-        parts = self.transfer_s + self.remote_s + self.io_s
-        if not math.isclose(self.total_s, parts, rel_tol=_BREAKDOWN_RTOL, abs_tol=1e-15):
-            raise ValueError(
-                f"total_s {self.total_s} does not match component sum {parts}"
-            )
+        object.__setattr__(self, "total_s", self.transfer_s + self.io_s + self.remote_s)
 
 
 @dataclass(frozen=True)
@@ -284,13 +281,7 @@ def breakdown_from_parts(transfer_s: float, remote_s: float, io: IoOverhead) -> 
     """Assemble a remote-path breakdown; io time is (theta - 1) x transfer."""
     if transfer_s < 0 or remote_s < 0:
         raise ValueError("transfer and remote times must be >= 0")
-    io_s = (io.theta - 1.0) * transfer_s
-    return TimeBreakdown(
-        transfer_s=transfer_s,
-        remote_s=remote_s,
-        io_s=io_s,
-        total_s=transfer_s + io_s + remote_s,
-    )
+    return TimeBreakdown(transfer_s=transfer_s, io_s=(io.theta - 1.0) * transfer_s, remote_s=remote_s)
 
 
 def remote_completion(

@@ -138,11 +138,14 @@ def parse_seconds(text: str) -> float:
     return _parse_dimension(text, Dimension.SECONDS, "a duration")
 
 
-def coerce_quantity(value, parser) -> float:
-    """A config value in SI: literals go through ``parser``, finite numbers pass as is."""
+def coerce_quantity(value, parser=float) -> float:
+    """A config value in SI: strings go through ``parser``, finite numbers pass as floats."""
     if isinstance(value, str):
         return parser(value)
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise QuantityError(f"quantity {value!r} overflows a float") from None
     if not math.isfinite(number):
         raise QuantityError(f"quantity {value!r} is not finite")
     return number

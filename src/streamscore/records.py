@@ -4,8 +4,9 @@ One record per spawned client, whether the transfer was measured on a real
 network or produced by the simulator; the analysis pipeline consumes both
 through this schema. ``FlowTable`` is the one record type: one tuple per
 field, and its field order is the key order of a log line. ``check_row`` is
-the one row validator. A log file is a single header line ``{"run": {...}}``
-followed by one record object per line.
+the one row validator. ``error`` (None on success) alone marks a failure; a
+line's ``"status"`` is written from it and checked against it here only. A
+log file is a header line ``{"run": {...}}`` and then one record per line.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO
 
+from .schedule import MAX_FLOWS
+
 # One record line. %r writes builtin ints and finite floats exactly as
-# json.dumps does (not so a subclass such as numpy.float64), and status is
-# always "ok" or "error"; only the error text needs an escaping encoder.
+# json.dumps does (not so a subclass such as numpy.float64); the last %s is
+# the row's status tail, and only the error text needs an escaping encoder.
 _RECORD_LINE = (
     '{"client_id": %r, "spawn_s": %r, "complete_s": %r, "fct_s": %r, '
-    '"bytes": %r, "flows": %r, "status": "%s"%s}\n'
+    '"bytes": %r, "flows": %r, "status": %s}\n'
 )
 
 
@@ -29,9 +32,7 @@ class LogFormatError(ValueError):
     """A JSONL transfer log that does not match the record schema."""
 
 
-def check_row(
-    spawn_s: float, complete_s: float, fct_s: float, nbytes: int, flows: int, status: str
-) -> None:
+def check_row(spawn_s: float, complete_s: float, fct_s: float, nbytes: int, flows: int) -> None:
     """Raise ValueError unless one record's values are in range."""
     # every comparison with NaN is False, so the negated forms reject it
     if not -math.inf < spawn_s <= complete_s < math.inf:
@@ -46,10 +47,8 @@ def check_row(
         raise ValueError(f"fct_s {fct_s} is not complete_s - spawn_s ({complete_s - spawn_s})")
     if not 0 <= nbytes < 2**63:  # a byte count any OS can hold, and a sum a float can
         raise ValueError(f"bytes must be in [0, 2**63), got {nbytes}")
-    if not flows >= 1:
-        raise ValueError(f"flows must be >= 1, got {flows}")
-    if status not in ("ok", "error"):
-        raise ValueError(f"status must be 'ok' or 'error', got {status!r}")
+    if not 1 <= flows <= MAX_FLOWS:
+        raise ValueError(f"flows must be in [1, {MAX_FLOWS}], got {flows}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,7 @@ class FlowTable:
     fct_s: tuple[float, ...] = ()
     bytes: tuple[int, ...] = ()
     flows: tuple[int, ...] = ()
-    status: tuple[str, ...] = ()  # "ok" or "error"
-    error: tuple[str | None, ...] = ()
+    error: tuple[str | None, ...] = ()  # None for a successful transfer
 
     def __post_init__(self) -> None:
         if len(set(map(len, self._columns()))) > 1:
@@ -82,7 +80,7 @@ class FlowTable:
 
     def ok_mask(self) -> list[bool]:
         """Per row: whether the transfer succeeded."""
-        return [status == "ok" for status in self.status]
+        return [error is None for error in self.error]
 
 
 _COLUMNS = tuple(f.name for f in fields(FlowTable))
@@ -92,11 +90,11 @@ def write_jsonl(
     target: Path | str | IO[str], records: FlowTable, run_meta: dict | None = None
 ) -> None:
     """Write a header line followed by one record per line."""
-    errors = ["" if e is None else ', "error": ' + json.dumps(e) for e in records.error]
+    tails = ['"ok"' if e is None else '"error", "error": ' + json.dumps(e) for e in records.error]
 
     def _write(fh: IO[str]) -> None:
         fh.write(json.dumps({"run": run_meta or {}}) + "\n")
-        fh.writelines(map(_RECORD_LINE.__mod__, zip(*records._columns()[:-1], errors)))
+        fh.writelines(map(_RECORD_LINE.__mod__, zip(*records._columns()[:-1], tails)))
 
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
@@ -118,15 +116,16 @@ def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, FlowTable]:
 
     The header is optional so that bare record streams still load, but only
     the first line may be one. A line that is not a JSON object, holds NaN or
-    Infinity, is a second header, misses a field, fails ``check_row`` or
-    repeats a client_id raises LogFormatError naming its line; nothing is
-    skipped.
+    Infinity, is a second header, misses a field, has a fractional count,
+    fails ``check_row``, pairs its status and error other than as "ok" with
+    none or "error" with a string, or repeats a client_id raises
+    LogFormatError naming its line; nothing is skipped.
     """
 
     def _read(fh: IO[str]) -> tuple[dict, FlowTable]:
         meta: dict = {}
         columns: tuple[list, ...] = tuple([] for _ in _COLUMNS)
-        add_id, add_spawn, add_complete, add_fct, add_bytes, add_flows, add_status, add_error = (
+        add_id, add_spawn, add_complete, add_fct, add_bytes, add_flows, add_error = (
             column.append for column in columns
         )
         seen: set[int] = set()
@@ -155,16 +154,18 @@ def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, FlowTable]:
                 continue
             opened = True
             try:
-                client_id, spawn, complete, fct, nbytes, flows, status = (
-                    int(obj["client_id"]),
-                    float(obj["spawn_s"]),
-                    float(obj["complete_s"]),
-                    float(obj["fct_s"]),
-                    int(obj["bytes"]),
-                    int(obj["flows"]),
-                    str(obj.get("status", "ok")),
+                raw_id, spawn, complete, fct, raw_bytes, raw_flows, status, error = (
+                    obj["client_id"], float(obj["spawn_s"]), float(obj["complete_s"]),
+                    float(obj["fct_s"]), obj["bytes"], obj["flows"], obj.get("status", "ok"),
+                    obj.get("error"),
                 )
-                check_row(spawn, complete, fct, nbytes, flows, status)
+                client_id, nbytes, flows = int(raw_id), int(raw_bytes), int(raw_flows)
+                if client_id != raw_id or nbytes != raw_bytes or flows != raw_flows:
+                    raise ValueError(f"counts must be whole: client_id {raw_id!r}, "
+                                     f"bytes {raw_bytes!r}, flows {raw_flows!r}")
+                check_row(spawn, complete, fct, nbytes, flows)
+                if not (status == "ok" if error is None else status == "error" and isinstance(error, str)):
+                    raise ValueError(f"status {status!r} does not agree with error {error!r}")
             except KeyError as exc:
                 raise LogFormatError(
                     f"line {lineno}: bad flow record: missing field {exc}"
@@ -180,8 +181,7 @@ def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, FlowTable]:
             add_fct(fct)
             add_bytes(nbytes)
             add_flows(flows)
-            add_status("ok" if status == "ok" else "error")  # one shared string per status
-            add_error(obj.get("error"))
+            add_error(error)
         return meta, FlowTable(*map(tuple, columns))
 
     if isinstance(source, (str, Path)):

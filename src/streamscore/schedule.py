@@ -4,7 +4,8 @@
 is the base of ``fluidsim.Scenario`` and ``loadgen.ClientRunConfig`` and the
 one place a load is defaulted and validated, so a simulated and a measured run
 of one load spawn on the same offsets and echo the same load keys. It alone
-fixes the whole bytes per client and a client count bounded by ``MAX_CLIENTS``.
+fixes the whole bytes per client, a client count bounded by ``MAX_CLIENTS``
+and a whole flow count bounded by ``MAX_FLOWS``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 MAX_CLIENTS = 5_000_000  # ~400 B of peak RSS per simulated client: about 2 GB at the ceiling
+MAX_FLOWS = 1024  # a sanity bound on flows per client: a larger count is a typo, not a load
 
 
 class SpawnMode(Enum):
@@ -39,7 +41,7 @@ class LoadSpec:
     duration: float  # seconds of client spawning
     concurrency: float  # clients per second
     transfer_bytes: int  # whole bytes per client; an integral float is stored as an int
-    parallel_flows: int = 1
+    parallel_flows: int = 1  # whole flows per client; an integral float is stored as an int
     mode: SpawnMode = SpawnMode.SIMULTANEOUS
 
     def __post_init__(self) -> None:
@@ -52,8 +54,9 @@ class LoadSpec:
         if not float(self.transfer_bytes).is_integer():
             raise ValueError(f"transfer_bytes must be whole bytes, got {self.transfer_bytes}")
         object.__setattr__(self, "transfer_bytes", int(self.transfer_bytes))
-        if self.parallel_flows <= 0:
-            raise ValueError(f"parallel_flows must be > 0, got {self.parallel_flows}")
+        if not (1 <= (flows := self.parallel_flows) <= MAX_FLOWS and flows == int(flows)):
+            raise ValueError(f"parallel_flows must be a whole number in [1, {MAX_FLOWS}], got {flows}")
+        object.__setattr__(self, "parallel_flows", int(flows))
         if not 1 <= (count := self.client_count) <= MAX_CLIENTS:
             raise ValueError(f"client count must be 1 to {MAX_CLIENTS}, got {count:.10g}")
 

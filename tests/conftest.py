@@ -20,12 +20,11 @@ settings.load_profile("streamscore")
 def table_of(rows) -> FlowTable:
     """A FlowTable of row tuples in column order, each row checked by ``check_row``.
 
-    A row may stop after ``flows`` or ``status``: status defaults to "ok" and
-    error to None.
+    A row may stop after ``flows``: error then defaults to None, a success.
     """
-    full = [(*row, *("ok", None)[len(row) - 6 :]) for row in rows]
+    full = [(*row, None)[:7] for row in rows]
     for row in full:
-        check_row(*row[1:7])
+        check_row(*row[1:6])
     return FlowTable(*zip(*full))
 
 

@@ -97,7 +97,6 @@ def simulate_reference(scenario: Scenario) -> ReferenceResult:
         fct_s=fct,
         bytes=(scenario.transfer_bytes,) * n,
         flows=(scenario.parallel_flows,) * n,
-        status=("ok",) * n,
         error=(None,) * n,
     )
 

@@ -27,6 +27,7 @@ from streamscore.analysis import (
 from streamscore.fluidsim import Scenario, simulate, sweep
 from streamscore.model import LinkSpec, TierPolicy, carried_utilization
 from streamscore.records import LogFormatError, read_jsonl
+from streamscore.schedule import MAX_FLOWS
 from conftest import strict_json, table_of
 
 GBPS_25 = 25e9 / 8
@@ -34,7 +35,7 @@ GBPS_25 = 25e9 / 8
 
 def make_rows(fcts, failures=0, nbytes=500_000_000):
     rows = [(i, 0.0, fct, fct, nbytes, 1) for i, fct in enumerate(fcts)]
-    rows += [(len(fcts) + j, 0.0, 1.0, 1.0, 0, 1, "error", "timeout") for j in range(failures)]
+    rows += [(len(fcts) + j, 0.0, 1.0, 1.0, 0, 1, "timeout") for j in range(failures)]
     return rows
 
 
@@ -172,7 +173,7 @@ def test_utilization_examples():
 
 def test_utilization_counts_only_successful_bytes():
     # a failed transfer can carry the bytes of the flows that were acknowledged
-    failed = (9, 0.0, 1.0, 1.0, 500_000_000, 2, "error", "flow 1: reset")
+    failed = (9, 0.0, 1.0, 1.0, 500_000_000, 2, "flow 1: reset")
     records = table_of(make_rows([1.0, 1.0]) + [failed])
     report = build_report(records, link=LinkSpec(bandwidth=GBPS_25))
     assert report["regime"]["utilization"] == pytest.approx(0.32)
@@ -376,14 +377,18 @@ log_times = st.one_of(
 def log_lines(draw):
     """One record line as a producer writes it, fct_s = complete_s - spawn_s."""
     spawn, complete = sorted((draw(log_times), draw(log_times)))
-    return {
+    line = {
         "spawn_s": spawn,
         "complete_s": complete,
         "fct_s": complete - spawn,
         "bytes": draw(st.integers(min_value=0)),
-        "flows": draw(st.integers(min_value=1)),
-        "status": draw(st.sampled_from(["ok", "ok", "error"])),
+        "flows": draw(st.integers(1, MAX_FLOWS)),  # the reader rejects any other count
     }
+    error = draw(st.sampled_from([None, None, "refused"]))  # a failure in three
+    line["status"] = "ok" if error is None else "error"
+    if error is not None:
+        line["error"] = error
+    return line
 
 
 @given(
@@ -401,7 +406,7 @@ def test_any_accepted_log_reports_finite_figures(lines, bandwidth, rtt):
         _, records = read_jsonl(io.StringIO(text))
     except LogFormatError:
         assume(False)
-    assume("ok" in records.status)
+    assume(None in records.error)
     report = build_report(records, link=LinkSpec(bandwidth=bandwidth, rtt=rtt))
     doc = strict_json(report_json(report))
 

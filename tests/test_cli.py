@@ -80,6 +80,20 @@ def test_model_bad_theta_exits_1(capsys):
     assert "theta must be >= 1" in err
 
 
+def test_model_nan_theta_exits_1_naming_theta(capsys):
+    # the stored total's sum check used to be the only thing that caught it
+    code, out, err = run_cli(capsys, "model", "--size", "0.5GB", "--bw", "25Gbps", "--theta", "nan")
+    assert (code, out) == (1, "")
+    assert err == "error: theta must be >= 1, got nan\n"
+
+
+def test_model_zero_size_infinite_theta_exits_1(capsys):
+    # inf x 0 s of transfer is a NaN io time, as it was before the total was computed
+    code, out, err = run_cli(capsys, "model", "--size", "0B", "--bw", "25Gbps", "--theta", "inf")
+    assert (code, out) == (1, "")
+    assert err == "error: io_s must be >= 0\n"
+
+
 def test_model_infeasible_exits_2(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -279,6 +293,34 @@ def test_simulate_scenario_with_overflowing_number_exits_1(capsys, tmp_path, fie
     assert code == 1
     assert "finite" in err
     assert not out_path.exists()
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer no float can hold
+
+
+@pytest.mark.parametrize("field", ["transfer_bytes", "concurrency", "alpha", "parallel_flows"])
+def test_simulate_scenario_with_an_integer_past_float_range_exits_1(capsys, tmp_path, field):
+    raw = {"bandwidth": '"25Gbps"', "duration": '"1s"', "concurrency": "1", "transfer_bytes": '"1GB"'}
+    raw[field] = _HUGE
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text("{" + ", ".join(f'"{key}": {value}' for key, value in raw.items()) + "}")
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert (code, out) == (1, "")
+    assert err == f"error: quantity {_HUGE} overflows a float\n"
+
+
+@pytest.mark.parametrize(
+    "flows, message",
+    [("1.5", "got 1.5"), ("1025", "got 1025.0"), ("0", "got 0.0"), ('"2.5"', "got 2.5")],
+)
+def test_simulate_scenario_with_a_bad_flow_count_exits_1(capsys, tmp_path, flows, message):
+    # a fractional count used to run as 1 flow, and a count of any size was accepted
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"bandwidth": "25Gbps", "duration": "1s", "concurrency": 1, '
+                        f'"transfer_bytes": "1GB", "parallel_flows": {flows}}}')
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(scenario))
+    assert (code, out) == (1, "")
+    assert err == f"error: parallel_flows must be a whole number in [1, 1024], {message}\n"
 
 
 def test_simulate_compare_overlays_measured_log(capsys, tmp_path):
@@ -583,6 +625,22 @@ def test_casestudy_custom_input_all_feasible(capsys, tmp_path):
     assert rows[0]["worst_fct_s"] == 0.5
 
 
+@pytest.mark.parametrize("key", ["compute", "load"])
+def test_casestudy_integer_past_float_range_exits_1(capsys, tmp_path, key):
+    workflow = {"name": "a", "throughput": "1GBps", "compute": "1TF"}
+    curve = [[0.32, "0.5s"]]
+    if key == "compute":
+        workflow["compute"] = "HUGE"
+    else:
+        curve[0][0] = "HUGE"
+    study = tmp_path / "study.json"
+    text = json.dumps({"workflows": [workflow], "link": {"bandwidth": "25Gbps"}, "worst_fct_curve": curve})
+    study.write_text(text.replace('"HUGE"', _HUGE))
+    code, out, err = run_cli(capsys, "casestudy", "--input", str(study))
+    assert (code, out) == (1, "")
+    assert err == f"error: quantity {_HUGE} overflows a float\n"
+
+
 # --- measure (in-process run against a library server) ---
 
 
@@ -610,13 +668,14 @@ def test_measure_run_loopback(capsys, tmp_path):
 
 def test_measure_run_all_failed_exits_2(capsys, tmp_path):
     base = find_free_port_block(1)  # nothing listening
-    code, _, _ = run_cli(
+    code, out, _ = run_cli(
         capsys,
         "measure", "run", "--server", "127.0.0.1", "--base-port", str(base),
         "--duration", "1s", "--concurrency", "1", "--size", "1KB",
-        "--connect-timeout", "1s", "--transfer-timeout", "1s",
+        "--connect-timeout", "1s", "--transfer-timeout", "1s", "--json",
     )
     assert code == 2
+    assert json.loads(out) == {"records": 1, "failures": 1, "max_fct_s": None}
 
 
 def test_measure_run_fractional_size_exits_1_before_connecting(capsys):
@@ -628,6 +687,28 @@ def test_measure_run_fractional_size_exits_1_before_connecting(capsys):
     assert code == 1
     assert out == ""
     assert "transfer_bytes must be whole bytes, got 1.5" in err
+
+
+@pytest.mark.parametrize(
+    "pool, message",
+    [(["--base-port", "70000"], "base_port must be a TCP port, got 70000"),
+     (["--base-port", "65535", "--pool-size", "2"], "port pool extends past 65535"),
+     (["--base-port", "5201", "--pool-size", "0"], "pool_size must be > 0, got 0")],
+)
+def test_measure_run_rejects_a_bad_pool_as_serve_does_before_any_socket(capsys, monkeypatch, pool, message):
+    # run used to end in an OverflowError traceback from connect_ex
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "getaddrinfo", no_socket)
+    errors = []
+    for command in (["measure", "run", "--server", "127.0.0.1", "--duration", "1s",
+                     "--concurrency", "1", "--size", "1KB"], ["measure", "serve"]):
+        code, out, err = run_cli(capsys, *command, *pool)
+        assert (code, out) == (1, "")
+        errors.append(err)
+    assert errors == [f"error: {message}\n"] * 2
 
 
 def test_measure_commands_leave_unset_fields_to_the_spec_defaults(capsys, monkeypatch):

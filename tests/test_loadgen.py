@@ -138,9 +138,8 @@ def test_loopback_run_simultaneous_counts_and_bytes():
             )
         )
     assert len(records) == 6  # 2 batches x 3 clients
-    assert "error" not in records.status
-    for status, nbytes, flows, fct in zip(records.status, records.bytes, records.flows, records.fct_s):
-        assert status == "ok"
+    assert all(records.ok_mask())
+    for nbytes, flows, fct in zip(records.bytes, records.flows, records.fct_s):
         assert nbytes == 1_000_000  # per-flow byte audit sums exactly
         assert flows == 4
         assert fct > 0
@@ -232,9 +231,8 @@ def test_refused_connections_logged_as_failures():
             transfer_timeout=2.0,
         )
     )
-    assert records.status == ("error", "error")
-    for status, error, nbytes in zip(records.status, records.error, records.bytes):
-        assert status == "error"
+    assert records.ok_mask() == [False, False]
+    for error, nbytes in zip(records.error, records.bytes):
         assert error
         assert nbytes == 0
 
@@ -252,8 +250,22 @@ def test_port_assignment_round_robins_over_pool():
                 transfer_bytes=1000,
             )
         )
-        assert "error" not in records.status
+        assert all(records.ok_mask())
         assert server.transfers_served == 4
+
+
+def test_client_i_targets_port_i_mod_pool_size():
+    # only the pool's second port listens, so only the odd clients reach a server
+    base = find_free_port_block(2)
+    with TransferServer(ServerConfig(base_port=base + 1, pool_size=1)) as server:
+        _, records = run_clients(
+            ClientRunConfig(
+                server_address="127.0.0.1", base_port=base, pool_size=2, duration=1.0,
+                concurrency=4.0, transfer_bytes=1000, connect_timeout=2.0,
+            )
+        )
+    assert records.ok_mask() == [False, True, False, True]
+    assert server.transfers_served == 2
 
 
 def test_transfer_is_counted_before_its_ack(monkeypatch):
@@ -280,7 +292,7 @@ def test_transfer_is_counted_before_its_ack(monkeypatch):
                 mode=SpawnMode.SCHEDULED,
             )
         )
-    assert "error" not in records.status
+    assert all(records.ok_mask())
     assert counts_at_ack == [1, 2]
 
 
@@ -348,7 +360,7 @@ def test_run_clients_starts_no_thread(monkeypatch):
             )
         )
     assert len(records) == 3
-    assert "error" not in records.status
+    assert all(records.ok_mask())
     assert created == []
 
 
@@ -449,6 +461,6 @@ def test_host_name_resolved_once_per_run_in_resolver_order(monkeypatch):
                 parallel_flows=2,
             )
         )
-    assert "error" not in records.status
+    assert all(records.ok_mask())
     assert records.bytes == (1000,) * 3
     assert lookups == ["dtn.example.org"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -53,8 +54,9 @@ def test_link_alpha_bounds():
 
 
 def test_theta_below_one_rejected():
-    with pytest.raises(ValueError, match="theta must be >= 1"):
-        IoOverhead(0.5)
+    for theta in (0.5, math.nan):  # NaN is no theta either
+        with pytest.raises(ValueError, match="theta must be >= 1"):
+            IoOverhead(theta)
 
 
 def test_tier_policy_validation():
@@ -66,9 +68,16 @@ def test_tier_policy_validation():
         TierPolicy((("a", 10.0), ("b", 5.0)))
 
 
-def test_breakdown_sum_enforced():
-    with pytest.raises(ValueError):
+def test_breakdown_total_is_computed_from_its_parts():
+    # transfer + io + remote, in that order: 0.1 + 0.2 + 3.0 is 3.3, 0.1 + 3.0 + 0.2 is not
+    b = TimeBreakdown(transfer_s=0.1, io_s=0.2, remote_s=3.0)
+    assert b.total_s == 3.3
+    assert list(asdict(b)) == ["transfer_s", "io_s", "remote_s", "total_s"]
+    with pytest.raises(TypeError):
         TimeBreakdown(transfer_s=1.0, remote_s=1.0, io_s=0.0, total_s=3.0)
+    for name in ("transfer_s", "io_s", "remote_s"):
+        with pytest.raises(ValueError, match=name):
+            TimeBreakdown(**{"transfer_s": 1.0, "io_s": 0.0, "remote_s": 1.0, name: math.nan})
 
 
 def test_scan_spec_files_bounded_by_frames():

@@ -10,12 +10,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from streamscore.records import FlowTable, LogFormatError, check_row, read_jsonl, write_jsonl
+from streamscore.schedule import MAX_FLOWS
 
 from conftest import table_of
 
 SAMPLE_ROWS = [
-    (0, 0.0, 0.16, 0.16, 500, 2, "ok", None),
-    (1, 0.5, 0.7, 0.2, 0, 2, "error", "connection refused"),
+    (0, 0.0, 0.16, 0.16, 500, 2, None),
+    (1, 0.5, 0.7, 0.2, 0, 2, "connection refused"),
 ]
 
 
@@ -37,15 +38,15 @@ def test_schema_field_names_are_stable(tmp_path):
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
     assert "run" in header
-    # the one schema: the table's columns in order, error last and only when set
+    # the one schema: the table's columns in order, then the status the error
+    # implies, and the error last and only when set
     names = [f.name for f in fields(FlowTable)]
-    assert names == [
-        "client_id", "spawn_s", "complete_s", "fct_s", "bytes", "flows", "status", "error",
-    ]
+    assert names == ["client_id", "spawn_s", "complete_s", "fct_s", "bytes", "flows", "error"]
     first = json.loads(lines[1])
-    assert list(first) == names[:-1]
+    assert list(first) == [*names[:-1], "status"]
+    assert first["status"] == "ok"
     second = json.loads(lines[2])
-    assert list(second) == names
+    assert list(second) == [*names[:-1], "status", "error"]
     assert second["status"] == "error"
     assert second["error"] == "connection refused"
 
@@ -68,9 +69,10 @@ def test_malformed_lines_raise():
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        check_row(spawn_s=2.0, complete_s=1.0, fct_s=-1.0, nbytes=1, flows=1, status="ok")
-    with pytest.raises(ValueError):
-        check_row(spawn_s=0.0, complete_s=1.0, fct_s=1.0, nbytes=1, flows=1, status="meh")
+        check_row(spawn_s=2.0, complete_s=1.0, fct_s=-1.0, nbytes=1, flows=1)
+    check_row(spawn_s=0.0, complete_s=1.0, fct_s=1.0, nbytes=1, flows=MAX_FLOWS)
+    with pytest.raises(ValueError, match=f"flows must be in \\[1, {MAX_FLOWS}\\], got {MAX_FLOWS + 1}"):
+        check_row(spawn_s=0.0, complete_s=1.0, fct_s=1.0, nbytes=1, flows=MAX_FLOWS + 1)
 
 
 VALID = dict(spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows=1)
@@ -93,7 +95,7 @@ VALID = dict(spawn_s=0.0, complete_s=1.0, fct_s=1.0, bytes=1, flows=1)
 def test_record_rejects_non_finite_and_negative(field, value):
     row = {**VALID, field: value}
     with pytest.raises(ValueError, match=field):
-        check_row(*row.values(), "ok")
+        check_row(*row.values())
 
 
 # each bad line follows one valid record; the first three are the records of
@@ -115,6 +117,17 @@ BAD_LINES = [
     # U+00A0 and U+3000 are Unicode whitespace, not JSON whitespace
     ('\u00a0{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "invalid JSON"),
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}\u3000', "invalid JSON"),
+    # status and error must agree: an "ok" line with an error used to count as a success
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1, "status": "ok", "error": "boom"}', "status 'ok' does not agree with error 'boom'"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1, "error": "boom"}', "status 'ok' does not agree"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1, "status": "error"}', "status 'error' does not agree with error None"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1, "status": "error", "error": 7}', "status 'error' does not agree with error 7"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1, "status": "meh"}', "status 'meh' does not agree"),
+    # fractional counts used to be truncated to 1, 9 and 1
+    ('{"client_id": 1.7, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "counts must be whole: client_id 1.7"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9.5, "flows": 1}', "bytes 9.5"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1.9}', "flows 1.9"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1025}', "flows must be in [1, 1024], got 1025"),
 ]
 
 
@@ -172,25 +185,26 @@ def flow_rows(draw):
         complete,
         fct,
         draw(st.integers(0, 2**63 - 1)),  # bytes
-        draw(st.integers(min_value=1)),  # flows
-        draw(st.sampled_from(["ok", "error"])),
-        draw(st.one_of(st.none(), st.text())),  # error
+        draw(st.integers(1, MAX_FLOWS)),  # flows
+        draw(st.one_of(st.none(), st.text())),  # error: None marks a success
     )
 
 
 def schema_dict(row: tuple) -> dict:
-    # README field order; error only when set
-    obj = dict(zip([f.name for f in fields(FlowTable)], row))
-    if obj["error"] is None:
-        del obj["error"]
+    # README field order; the status the error implies, and the error only when set
+    *values, error = row
+    obj = dict(zip([f.name for f in fields(FlowTable)], values))
+    obj["status"] = "ok" if error is None else "error"
+    if error is not None:
+        obj["error"] = error
     return obj
 
 
 @given(st.lists(flow_rows(), max_size=8, unique_by=lambda row: row[0]))
 @example([
-    (-1, -0.0, 5e-324, -0.0, 0, 1, "error", 'say "hi" \\ \x00\x1f\u2028 caf\u00e9 \U0001f600'),
-    (2**70, 1.7976931348623157e308, 1.7976931348623157e308, 1e-310, 2**63 - 1, 7, "ok", None),
-    (3, -1.7976931348623157e308, 0.0, 1.7976931348623157e308, 5, 1, "ok", None),
+    (-1, -0.0, 5e-324, -0.0, 0, 1, 'say "hi" \\ \x00\x1f\u2028 caf\u00e9 \U0001f600'),
+    (2**70, 1.7976931348623157e308, 1.7976931348623157e308, 1e-310, 2**63 - 1, 7, None),
+    (3, -1.7976931348623157e308, 0.0, 1.7976931348623157e308, 5, MAX_FLOWS, ""),
 ])
 def test_written_lines_equal_json_dumps_and_read_back(rows):
     records = table_of(rows)
@@ -218,10 +232,15 @@ def test_flow_table_rows_and_columns_agree():
         FlowTable(client_id=(0,))
 
 
-def test_read_returns_a_table_with_one_shared_status_string(tmp_path):
+def test_read_returns_a_table_whose_error_column_marks_failures(tmp_path):
     path = tmp_path / "run.jsonl"
     write_jsonl(path, table_of(SAMPLE_ROWS + [(7, 1.0, 2.0, 1.0, 5, 1)]), run_meta={})
     _, table = read_jsonl(path)
     assert isinstance(table, FlowTable)
     assert table.client_id == (0, 1, 7)
-    assert table.status == ("ok", "error", "ok") and table.status[0] is table.status[2]
+    assert table.error == (None, "connection refused", None)
+    assert table.ok_mask() == [True, False, True]
+    # an empty error text still marks a failure
+    line = '{"client_id": 0, "spawn_s": 0, "complete_s": 1, "fct_s": 1, "bytes": 0, "flows": 1, "status": "error", "error": ""}'
+    _, table = read_jsonl(io.StringIO(line))
+    assert table.error == ("",) and table.ok_mask() == [False]

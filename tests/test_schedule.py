@@ -8,7 +8,7 @@ import pytest
 from streamscore.fluidsim import Scenario
 from streamscore.loadgen import ClientRunConfig
 from streamscore.model import LinkSpec
-from streamscore.schedule import MAX_CLIENTS, LoadSpec, SpawnMode
+from streamscore.schedule import MAX_CLIENTS, MAX_FLOWS, LoadSpec, SpawnMode
 
 LOAD = dict(duration=3.0, concurrency=2.5, transfer_bytes=1000, parallel_flows=3)
 LOAD_KEYS = ["duration", "concurrency", "parallel_flows", "transfer_bytes", "mode"]
@@ -26,7 +26,9 @@ def _backends(**load) -> tuple[Scenario, ClientRunConfig]:
     "name, bad",
     [("duration", 0.0), ("duration", -1.0), ("duration", math.inf), ("concurrency", 0.0),
      ("concurrency", math.nan), ("transfer_bytes", -1), ("transfer_bytes", math.inf),
-     ("transfer_bytes", 1.5), ("parallel_flows", 0)],
+     ("transfer_bytes", 1.5), ("parallel_flows", 0), ("parallel_flows", 1.5),
+     ("parallel_flows", MAX_FLOWS + 1), ("parallel_flows", math.inf),
+     pytest.param("parallel_flows", 10**400, id="parallel_flows-10**400")],
 )
 def test_both_backends_share_one_load_spec(mode, name, bad):
     load = dict(LOAD, mode=mode)
@@ -52,6 +54,13 @@ def test_only_the_simulator_rejects_an_empty_transfer():
     assert replace(live, transfer_bytes=0).transfer_bytes == 0
     with pytest.raises(ValueError, match="transfer_bytes must be > 0"):
         replace(sim, transfer_bytes=0)
+
+
+def test_flow_count_is_whole_and_at_most_the_ceiling():
+    for backend in _backends(**dict(LOAD, parallel_flows=float(MAX_FLOWS))):
+        assert type(backend.parallel_flows) is int and backend.parallel_flows == MAX_FLOWS
+    with pytest.raises(ValueError, match=f"parallel_flows must be a whole number in \\[1, {MAX_FLOWS}\\], got 2.5"):
+        LoadSpec(**dict(LOAD, parallel_flows=2.5))
 
 
 def test_integral_float_bytes_are_stored_as_an_int():
