@@ -14,15 +14,14 @@ holds NaN or Infinity.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import compress
 from pathlib import Path
-from typing import Sequence
 
 from .model import (
     DEFAULT_TIER_POLICY,
@@ -134,11 +133,11 @@ def delay_comparator(trans_s: float, prop_s: float, queue_s: float = 0.0) -> dic
 
 
 def stats_ratios(a: FctStats, b: FctStats) -> dict[str, float | None]:
-    """Per-statistic a/b ratios for comparing two runs."""
+    """Per-statistic a/b ratios for comparing two runs; None where b's is 0 or a ratio overflows."""
     out: dict[str, float | None] = {}
     for name in ("min", "max", "mean", "p50", "p90", "p99"):
         denom = getattr(b, name)
-        out[name] = None if denom == 0 else getattr(a, name) / denom
+        out[name] = None if denom == 0 else finite_or_none(getattr(a, name) / denom)
     return out
 
 
@@ -162,8 +161,8 @@ def row_dict(row) -> dict:
     return asdict(row, dict_factory=_row_values)
 
 
-def _finite(value: float) -> float | None:
-    """A report figure, or None where it overflowed."""
+def finite_or_none(value: float) -> float | None:
+    """A figure, or None where it overflowed: JSON holds no NaN or Infinity."""
     return value if math.isfinite(value) else None
 
 
@@ -204,15 +203,15 @@ def build_report(
     if link is not None and modal is not None:
         theoretical = theoretical_transfer_time(modal, link)
         if theoretical > 0 and stats.max > 0:
-            sss_value = _finite(streaming_speed_score(stats.max, theoretical))
+            sss_value = finite_or_none(streaming_speed_score(stats.max, theoretical))
         util = carried_utilization(
             sum(compress(records.bytes, ok)), max(compress(records.complete_s, ok)), link
         )
         if stats.mean > 0:
             # the fitted-efficiency question is open: report both candidates
             efficiency = {
-                "alpha_from_mean_fct": _finite((modal / stats.mean) / link.bandwidth),
-                "alpha_from_worst_fct": _finite((modal / stats.max) / link.bandwidth),
+                "alpha_from_mean_fct": finite_or_none((modal / stats.mean) / link.bandwidth),
+                "alpha_from_worst_fct": finite_or_none((modal / stats.max) / link.bandwidth),
                 "note": "achieved-rate fraction of raw bandwidth; mean-based vs worst-case-based fits",
             }
         delay_block = delay_comparator(trans_s=theoretical, prop_s=link.rtt / 2)
@@ -304,6 +303,7 @@ def write_report(
     report_path.write_text(text + "\n", encoding="utf-8")
     written.append(report_path)
 
+    import csv  # the two CSV writers are its only users
     cdf_path = out / "series_cdf.csv"
     with open(cdf_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -317,6 +317,7 @@ def write_sweep_csv(rows, path: Path | str) -> Path:
     """Worst-FCT-versus-load series from (non-empty) fluidsim sweep rows."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    import csv
     table = [row_dict(row) for row in rows]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -87,6 +87,12 @@ def _table(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
 
 
+def _json(doc) -> str:
+    # NaN and Infinity are not JSON: an SSS that overflowed is null by now, as in
+    # report.json, and any other non-finite figure stops the command with exit 1
+    return json.dumps(doc, indent=2, allow_nan=False)
+
+
 def _write_or_print(payload: str, out: str | None) -> None:
     if out:
         Path(out).write_text(payload + "\n", encoding="utf-8")
@@ -240,7 +246,7 @@ def cmd_model(args) -> int:
     if args.json:
         doc = {
             "breakdown": dataclasses.asdict(breakdown),
-            "sss": sss_value,
+            "sss": None if sss_value is None else analysis.finite_or_none(sss_value),
             "tier": tier,
             "delay_model": delay_block,
             "decision": None
@@ -253,7 +259,7 @@ def cmd_model(args) -> int:
                 "local_s": decision.local_s,
             },
         }
-        _write_or_print(json.dumps(doc, indent=2), args.out)
+        _write_or_print(_json(doc), args.out)
     else:
         rows = [
             ("transfer", f"{_fmt(breakdown.transfer_s)} s"),
@@ -297,7 +303,8 @@ def cmd_simulate(args) -> int:
         if args.out:
             analysis.write_sweep_csv(rows, args.out)
         if args.json:
-            print(json.dumps([analysis.row_dict(row) for row in rows], indent=2))
+            print(_json([{**analysis.row_dict(row), "sss": analysis.finite_or_none(row.sss)}
+                         for row in rows]))
         else:
             print("concurrency  parallel  mode          load    worst_fct  sss")
             for row in rows:
@@ -327,10 +334,11 @@ def cmd_simulate(args) -> int:
         comparison = report["comparison"]
 
     if args.json:
-        doc = {"summary": summary, "clients": len(result.spawns)}
+        doc = {"summary": {**summary, "sss": analysis.finite_or_none(summary["sss"])},
+               "clients": len(result.spawns)}
         if comparison is not None:
             doc["comparison"] = comparison
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         print(_table([
             ("clients", str(len(result.spawns))),
@@ -384,7 +392,7 @@ def cmd_measure_run(args) -> int:
     failures = len(records) - records.error.count(None)
     if args.json:
         doc = {"records": len(records), "failures": failures, "max_fct_s": worst}
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         print(_table([
             ("records", str(len(records))),
@@ -453,7 +461,7 @@ def cmd_casestudy(args) -> int:
 
     if args.json:
         doc = [analysis.row_dict(row) for row in results]
-        _write_or_print(json.dumps(doc, indent=2), args.out)
+        _write_or_print(_json(doc), args.out)
     else:
         lines = []
         for row in results:

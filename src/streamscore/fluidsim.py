@@ -190,6 +190,8 @@ def simulate(scenario: Scenario) -> SimResult:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep point: a concurrency and flow count, and its simulated outcome."""
+
     concurrency: float
     parallel_flows: int
     mode: SpawnMode

@@ -7,20 +7,17 @@ All quantities are SI (bytes, bytes/s, FLOP, FLOP/s, seconds), and a
 ``LinkSpec`` read from config data takes its own defaults. A ``TimeBreakdown``
 computes its total from its parts, so no stored total can disagree with
 them. No shared state and no I/O but the ``logging`` warning of a
-utilization clamped past rounding.
+utilization clamped past rounding, the one place that imports ``logging``.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
 from .quantities import coerce_quantity, parse_rate, parse_seconds
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TIERS: tuple[tuple[str, float], ...] = (
     ("Tier 1", 1.0),
@@ -113,8 +110,10 @@ def carried_utilization(delivered_bytes: int, last_complete_s: float, link: Link
         return None
     fraction = delivered_bytes / capacity
     if fraction > 1.0 + 1e-9:
-        logger.warning("utilization %.10g exceeds 1.0 (window %.6gs); clamping - the link "
-                       "bandwidth figure is likely below the achieved rate", fraction, last_complete_s)
+        import logging  # here only: a run that never clamps never loads it
+        logging.getLogger(__name__).warning(
+            "utilization %.10g exceeds 1.0 (window %.6gs); clamping - the link bandwidth "
+            "figure is likely below the achieved rate", fraction, last_complete_s)
     return min(fraction, 1.0)
 
 
@@ -135,9 +134,9 @@ class IoOverhead:
     theta: float = 1.0
 
     def __post_init__(self) -> None:
-        # theta = 1 means pure streaming; < 1 would imply negative I/O time; NaN is no theta
-        if not self.theta >= 1:
-            raise ValueError(f"theta must be >= 1, got {self.theta}")
+        # theta = 1 means pure streaming; < 1 would imply negative I/O time; NaN and inf are no theta
+        if not 1 <= self.theta < math.inf:
+            raise ValueError(f"theta must be >= 1 and finite, got {self.theta}")
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from io import TextIOBase
 from pathlib import Path
-from typing import IO
 
 from .schedule import MAX_FLOWS
 
@@ -87,12 +87,12 @@ _COLUMNS = tuple(f.name for f in fields(FlowTable))
 
 
 def write_jsonl(
-    target: Path | str | IO[str], records: FlowTable, run_meta: dict | None = None
+    target: Path | str | TextIOBase, records: FlowTable, run_meta: dict | None = None
 ) -> None:
     """Write a header line followed by one record per line."""
     tails = ['"ok"' if e is None else '"error", "error": ' + json.dumps(e) for e in records.error]
 
-    def _write(fh: IO[str]) -> None:
+    def _write(fh: TextIOBase) -> None:
         fh.write(json.dumps({"run": run_meta or {}}) + "\n")
         fh.writelines(map(_RECORD_LINE.__mod__, zip(*records._columns()[:-1], tails)))
 
@@ -111,18 +111,36 @@ def _reject_constant(name: str) -> float:
 _decoder = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, FlowTable]:
+# The reader calls these only for a value of another class than both writers write (a
+# float time, an int count): the other JSON number converts, and a string or a bool, which
+# float() and int() would take, is rejected.
+def _time(name: str, value) -> float:
+    if value.__class__ is not int:
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _count(name: str, value) -> int:
+    if value.__class__ is not float:
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    if (whole := int(value)) != value:  # int() raises on inf and NaN
+        raise ValueError(f"counts must be whole: {name} {value!r}")
+    return whole
+
+
+def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
     """Parse a transfer log into its run metadata and a table of its records.
 
     The header is optional so that bare record streams still load, but only
     the first line may be one. A line that is not a JSON object, holds NaN or
-    Infinity, is a second header, misses a field, has a fractional count,
-    fails ``check_row``, pairs its status and error other than as "ok" with
-    none or "error" with a string, or repeats a client_id raises
-    LogFormatError naming its line; nothing is skipped.
+    Infinity, is a second header, misses a field, holds a string or a boolean
+    where a number belongs, has a fractional count, fails ``check_row``, pairs
+    its status and error other than as "ok" with none or "error" with a
+    string, or repeats a client_id raises LogFormatError naming its line;
+    nothing is skipped.
     """
 
-    def _read(fh: IO[str]) -> tuple[dict, FlowTable]:
+    def _read(fh: TextIOBase) -> tuple[dict, FlowTable]:
         meta: dict = {}
         columns: tuple[list, ...] = tuple([] for _ in _COLUMNS)
         add_id, add_spawn, add_complete, add_fct, add_bytes, add_flows, add_error = (
@@ -154,15 +172,17 @@ def read_jsonl(source: Path | str | IO[str]) -> tuple[dict, FlowTable]:
                 continue
             opened = True
             try:
-                raw_id, spawn, complete, fct, raw_bytes, raw_flows, status, error = (
-                    obj["client_id"], float(obj["spawn_s"]), float(obj["complete_s"]),
-                    float(obj["fct_s"]), obj["bytes"], obj["flows"], obj.get("status", "ok"),
-                    obj.get("error"),
+                client_id, spawn, complete, fct, nbytes, flows, status, error = (
+                    obj["client_id"], obj["spawn_s"], obj["complete_s"], obj["fct_s"], obj["bytes"],
+                    obj["flows"], obj.get("status", "ok"), obj.get("error"),
                 )
-                client_id, nbytes, flows = int(raw_id), int(raw_bytes), int(raw_flows)
-                if client_id != raw_id or nbytes != raw_bytes or flows != raw_flows:
-                    raise ValueError(f"counts must be whole: client_id {raw_id!r}, "
-                                     f"bytes {raw_bytes!r}, flows {raw_flows!r}")
+                # one class test per field; only a number of the other class makes a call
+                spawn = spawn if spawn.__class__ is float else _time("spawn_s", spawn)
+                complete = complete if complete.__class__ is float else _time("complete_s", complete)
+                fct = fct if fct.__class__ is float else _time("fct_s", fct)
+                client_id = client_id if client_id.__class__ is int else _count("client_id", client_id)
+                nbytes = nbytes if nbytes.__class__ is int else _count("bytes", nbytes)
+                flows = flows if flows.__class__ is int else _count("flows", flows)
                 check_row(spawn, complete, fct, nbytes, flows)
                 if not (status == "ok" if error is None else status == "error" and isinstance(error, str)):
                     raise ValueError(f"status {status!r} does not agree with error {error!r}")

@@ -57,6 +57,7 @@ class Mutant:
 
 EXACT_LOAD = "one exact load: whole bytes, a bounded client count, a busy-period clock"
 ONE_COPY = "one copy of each fact: the failure marker, the port pool, the remote total"
+COLD_START = "a leaner cold start: rare-path imports deferred; finite theta, typed log numbers, strict JSON"
 MUTANTS = (
     # --- named in the notes of the change that made one exact load ---
     Mutant("origin-not-reset-at-idle-restart", "fluidsim.py",
@@ -101,7 +102,8 @@ MUTANTS = (
            "port = ports[client_id % len(ports)]", "port = ports[0]", ONE_COPY),
     # --- the remote total is computed ---
     Mutant("theta-nan-accepted", "model.py",
-           "if not self.theta >= 1:", "if self.theta < 1:", ONE_COPY),
+           "if not 1 <= self.theta < math.inf:", "if self.theta < 1 or self.theta == math.inf:",
+           ONE_COPY),
     Mutant("breakdown-nan-part-accepted", "model.py",
            "if not getattr(self, name) >= 0:", "if getattr(self, name) < 0:", ONE_COPY),
     Mutant("breakdown-total-summed-in-another-order", "model.py",
@@ -109,8 +111,7 @@ MUTANTS = (
            ONE_COPY),
     # --- whole numbers, overflow and the flow ceiling ---
     Mutant("log-counts-truncated", "records.py",
-           "if client_id != raw_id or nbytes != raw_bytes or flows != raw_flows:", "if False:",
-           ONE_COPY),
+           "if (whole := int(value)) != value:", "if (whole := int(value)) is None:", ONE_COPY),
     Mutant("log-flows-unbounded", "records.py",
            "if not 1 <= flows <= MAX_FLOWS:", "if not 1 <= flows:", ONE_COPY),
     Mutant("fractional-flow-count-accepted", "schedule.py",
@@ -120,6 +121,31 @@ MUTANTS = (
            ONE_COPY),
     Mutant("overflow-not-caught", "quantities.py",
            "    except OverflowError:\n", "    except ZeroDivisionError:\n", ONE_COPY),
+    # --- a leaner cold start ---
+    Mutant("logging-imported-with-the-model", "model.py",
+           "import math\nfrom dataclasses", "import logging\nimport math\nfrom dataclasses", COLD_START),
+    Mutant("csv-imported-with-the-analysis", "analysis.py",
+           "import json\nimport math\n", "import csv\nimport json\nimport math\n", COLD_START),
+    Mutant("typing-imported-with-the-records", "records.py",
+           "from io import TextIOBase\n", "from typing import IO as TextIOBase\n", COLD_START),
+    Mutant("theta-inf-accepted", "model.py",
+           "if not 1 <= self.theta < math.inf:", "if not self.theta >= 1:", COLD_START),
+    Mutant("string-time-accepted", "records.py",
+           "if value.__class__ is not int:", "if False:", COLD_START),
+    Mutant("boolean-count-accepted", "records.py",
+           "if value.__class__ is not float:", "if False:", COLD_START),
+    Mutant("json-allows-nan", "cli.py",
+           "json.dumps(doc, indent=2, allow_nan=False)", "json.dumps(doc, indent=2)", COLD_START),
+    Mutant("model-sss-not-mapped-to-null", "cli.py",
+           '"sss": None if sss_value is None else analysis.finite_or_none(sss_value),', '"sss": sss_value,',
+           COLD_START),
+    Mutant("simulate-sss-not-mapped-to-null", "cli.py",
+           '{**summary, "sss": analysis.finite_or_none(summary["sss"])}', "summary", COLD_START),
+    Mutant("compare-ratio-not-mapped-to-null", "analysis.py",
+           "else finite_or_none(getattr(a, name) / denom)", "else getattr(a, name) / denom", COLD_START),
+    Mutant("sweep-sss-not-mapped-to-null", "cli.py",
+           '{**analysis.row_dict(row), "sss": analysis.finite_or_none(row.sss)}', "analysis.row_dict(row)",
+           COLD_START),
 )
 
 

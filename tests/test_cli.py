@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import signal
 import socket
@@ -84,14 +85,21 @@ def test_model_nan_theta_exits_1_naming_theta(capsys):
     # the stored total's sum check used to be the only thing that caught it
     code, out, err = run_cli(capsys, "model", "--size", "0.5GB", "--bw", "25Gbps", "--theta", "nan")
     assert (code, out) == (1, "")
-    assert err == "error: theta must be >= 1, got nan\n"
+    assert err == "error: theta must be >= 1 and finite, got nan\n"
 
 
 def test_model_zero_size_infinite_theta_exits_1(capsys):
-    # inf x 0 s of transfer is a NaN io time, as it was before the total was computed
+    # inf x 0 s of transfer used to be caught only as a NaN io time; theta is checked first now
     code, out, err = run_cli(capsys, "model", "--size", "0B", "--bw", "25Gbps", "--theta", "inf")
     assert (code, out) == (1, "")
-    assert err == "error: io_s must be >= 0\n"
+    assert err == "error: theta must be >= 1 and finite, got inf\n"
+
+
+def test_model_infinite_theta_exits_1_naming_theta(capsys):
+    # it used to print "io overhead inf s", "remote total inf s" and "tier none" with exit 0
+    code, out, err = run_cli(capsys, "model", "--size", "1GB", "--bw", "25Gbps", "--theta", "inf")
+    assert (code, out) == (1, "")
+    assert err == "error: theta must be >= 1 and finite, got inf\n"
 
 
 def test_model_infeasible_exits_2(capsys):
@@ -397,6 +405,67 @@ def test_analyze_subnormal_fct_reports_only_finite_figures(capsys, tmp_path):
     assert report["transfer_efficiency"]["alpha_from_worst_fct"] is None
     assert 0.0 < report["regime"]["sss"] < 1e-300  # 5e-324 s over 3.2e-7 s: subnormal
     assert report["regime"]["utilization"] == 1.0  # clamped, with the measured-log warning
+
+
+_ONE_SLOW_CLIENT = ["--bw", "25Gbps", "--size", "1GB", "--duration", "1s", "--concurrency", "1",
+                    "--rtt", "1e308s"]
+
+
+@pytest.mark.parametrize(
+    "argv, sss_of",
+    [
+        (["model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s"], lambda doc: doc["sss"]),
+        (["simulate", *_ONE_SLOW_CLIENT], lambda doc: doc["summary"]["sss"]),
+        (["simulate", *_ONE_SLOW_CLIENT, "--sweep", "1"], lambda doc: doc[0]["sss"]),
+    ],
+    ids=["model", "simulate", "sweep"],
+)
+def test_json_writes_an_overflowed_sss_as_null(capsys, argv, sss_of):
+    # 1e308 s over a 0.32 s ideal transfer: the --json documents used to print "sss": Infinity
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert sss_of(strict_json(out)) is None
+    code, out, _ = run_cli(capsys, *argv)  # the text table may say inf
+    assert code == 0
+    assert "inf" in out
+
+
+def test_analyze_json_writes_an_overflowed_compare_ratio_as_null(capsys, tmp_path):
+    # 1e300 s over 1e-10 s: every ratio overflows, and `analyze --json` used to print Infinity
+    logs = {}
+    for name, fct in (("slow", "1e300"), ("fast", "1e-10")):
+        logs[name] = tmp_path / f"{name}.jsonl"
+        logs[name].write_text(f'{{"client_id": 0, "spawn_s": 0.0, "complete_s": {fct}, "fct_s": {fct}, '
+                              '"bytes": 1000, "flows": 1}\n')
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(logs["slow"]), "--compare", str(logs["fast"]),
+                           "--json")
+    assert code == 0
+    assert set(strict_json(out)["comparison"]["ratios"].values()) == {None}
+
+
+def test_json_with_another_non_finite_figure_exits_1(capsys):
+    # a 1e308 s worst case x theta 3 overflows the io time: fail, not "io_s": Infinity
+    code, out, err = run_cli(capsys, "model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s",
+                             "--theta", "3", "--json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+def test_analyze_json_clamp_warning_goes_to_stderr(tmp_path):
+    # 1 GB in 1 ms is 1000 GB/s over a 25 Gbps link: the utilization clamps and warns, and
+    # the warning, whose logging import is deferred to that branch, stays off stdout
+    log = tmp_path / "fast.jsonl"
+    log.write_text('{"client_id": 0, "spawn_s": 0.0, "complete_s": 0.001, "fct_s": 0.001, '
+                   '"bytes": 1000000000, "flows": 1}\n')
+    done = subprocess.run(
+        [sys.executable, "-m", "streamscore", "analyze", "--in", str(log), "--link-bw", "25Gbps",
+         "--json"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ("utilization 320 exceeds 1.0 (window 0.001s); clamping - the link "
+                           "bandwidth figure is likely below the achieved rate\n")
+    assert strict_json(done.stdout)["regime"]["utilization"] == 1.0
 
 
 def test_analyze_takes_no_alpha(capsys):
@@ -945,3 +1014,22 @@ def test_cli_import_leaves_harness_and_case_study_unloaded():
     loaded = set(json.loads(done.stdout))
     assert not loaded & {"loadgen", "casestudy"}
     assert set(layers) <= loaded
+
+
+def test_cli_import_leaves_rare_path_stdlib_unloaded():
+    # logging (only for the clamp warning), csv (only for the CSV writers) and typing (no
+    # runtime use) cost each CLI child start-up time. -S: a site hook may preload typing
+    import streamscore
+
+    code = (
+        "import sys; before = set(sys.modules); import streamscore.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(streamscore.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=30, check=True,
+        env=env,
+    )
+    added = set(done.stdout.split())
+    assert {"streamscore.cli", "streamscore.model", "json", "argparse"} <= added
+    assert not added & {"logging", "csv", "typing", "traceback", "textwrap", "string"}

@@ -177,6 +177,15 @@ def test_theta_fit_rejects_bad_inputs():
         io_overhead_from_times(-0.1, 0.16)
 
 
+def test_theta_must_be_finite():
+    # an infinite theta used to give an infinite io overhead and "tier none"
+    with pytest.raises(ValueError, match="theta must be >= 1 and finite, got inf"):
+        IoOverhead(math.inf)
+    for io_s in (math.inf, 1e308):  # a fit that overflows is no theta either
+        with pytest.raises(ValueError, match="theta must be >= 1 and finite, got inf"):
+            io_overhead_from_times(io_s, 1e-10)
+
+
 # --- streaming speed score ---
 
 

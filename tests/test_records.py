@@ -58,6 +58,14 @@ def test_read_tolerates_missing_header_and_blank_lines():
     assert records.client_id == (3,)
 
 
+def test_read_takes_whole_float_counts_and_integer_times():
+    body = '{"client_id": 3.0, "spawn_s": 0, "complete_s": 1, "fct_s": 1, "bytes": 9.0, "flows": 2.0}\n'
+    _, records = read_jsonl(io.StringIO(body))
+    assert (records.client_id, records.bytes, records.flows) == ((3,), (9,), (2,))
+    assert (records.spawn_s, records.fct_s) == ((0.0,), (1.0,))
+    assert type(records.bytes[0]) is int and type(records.spawn_s[0]) is float
+
+
 def test_malformed_lines_raise():
     with pytest.raises(LogFormatError):
         read_jsonl(io.StringIO("not json\n"))
@@ -128,6 +136,14 @@ BAD_LINES = [
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9.5, "flows": 1}', "bytes 9.5"),
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1.9}', "flows 1.9"),
     ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1025}', "flows must be in [1, 1024], got 1025"),
+    # float() takes a string and int() a bool: string times used to analyze to max fct 1 s,
+    # and a true spawn time, client id or flow count to 1
+    ('{"client_id": 3, "spawn_s": "0.5", "complete_s": "1.5", "fct_s": "1", "bytes": 9, "flows": 1}', "spawn_s must be a JSON number, got '0.5'"),
+    ('{"client_id": 3, "spawn_s": 0.5, "complete_s": 1.5, "fct_s": "1", "bytes": 9, "flows": 1}', "fct_s must be a JSON number, got '1'"),
+    ('{"client_id": 3, "spawn_s": true, "complete_s": 1.5, "fct_s": 0.5, "bytes": 9, "flows": 1}', "spawn_s must be a JSON number, got True"),
+    ('{"client_id": true, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1}', "client_id must be a JSON number, got True"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": true}', "flows must be a JSON number, got True"),
+    ('{"client_id": 3, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": false, "flows": 1}', "bytes must be a JSON number, got False"),
 ]
 
 
