@@ -123,11 +123,11 @@ def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) 
 
 
 def delay_comparator(trans_s: float, prop_s: float, queue_s: float = 0.0) -> dict:
-    """Full delay sum next to the propagation-only optimistic baseline."""
+    """Full delay sum next to the propagation-only optimistic baseline; null where one overflows."""
     d = DelayDecomposition(proc_s=0.0, queue_s=queue_s, trans_s=trans_s, prop_s=prop_s)
     return {
-        "total_s": total_delay(d),
-        "propagation_only_s": propagation_only_delay(d),
+        "total_s": finite_or_none(total_delay(d)),
+        "propagation_only_s": finite_or_none(propagation_only_delay(d)),
         "label": OPTIMISTIC_BASELINE_LABEL,
     }
 
@@ -249,6 +249,9 @@ def build_report(
     }
 
 
+_CHUNK = 4096  # numbers encoded at a time, so the encoder's per-number strings stay few
+
+
 def _number_array(values: list, depth: int) -> str:
     """Numbers, or pairs of numbers, as json.dumps(indent=2) lays them out at ``depth``.
 
@@ -258,14 +261,18 @@ def _number_array(values: list, depth: int) -> str:
     if not values:
         return "[]"
     pad = ["\n" + "  " * d for d in range(depth, depth + 3)]
-    text = json.dumps(values)[1:-1]
-    if isinstance(values[0], (list, tuple)):  # pairs, one level deeper
-        text = text.replace("], [", "]\x00[").replace(", ", "," + pad[2])
-        text = text.replace("[", "[" + pad[2]).replace("]", pad[1] + "]")
-        text = text.replace("\x00", "," + pad[1])
-    else:
-        text = text.replace(", ", "," + pad[1])
-    return "[" + pad[1] + text + pad[0] + "]"
+    pairs = isinstance(values[0], (list, tuple))  # pairs, one level deeper
+
+    def lay_out(start: int) -> str:
+        text = json.dumps(values[start:start + _CHUNK], allow_nan=False)[1:-1]
+        if pairs:
+            text = text.replace("], [", "]\x00[").replace(", ", "," + pad[2])
+            text = text.replace("[", "[" + pad[2]).replace("]", pad[1] + "]")
+            return text.replace("\x00", "," + pad[1])
+        return text.replace(", ", "," + pad[1])
+
+    body = ("," + pad[1]).join(map(lay_out, range(0, len(values), _CHUNK)))
+    return "".join(("[", pad[1], body, pad[0], "]"))
 
 
 def report_json(report: dict) -> str:
@@ -273,14 +280,15 @@ def report_json(report: dict) -> str:
 
     Byte-identical to ``json.dumps(report, indent=2)``, whose pure-Python
     encoder is slow on the two large number arrays: ``cdf`` and
-    ``inputs.fct_values`` are encoded apart and spliced in.
+    ``inputs.fct_values`` are encoded apart and spliced in. A non-finite
+    figure raises ValueError: the text is JSON, with no NaN or Infinity.
     """
     arrays = {"\x00cdf": (report["cdf"], 1), "\x00fct_values": (report["inputs"]["fct_values"], 2)}
     inputs = {**report["inputs"], "fct_values": "\x00fct_values"}
-    text = json.dumps({**report, "cdf": "\x00cdf", "inputs": inputs}, indent=2)
+    text = json.dumps({**report, "cdf": "\x00cdf", "inputs": inputs}, indent=2, allow_nan=False)
     for mark, (values, depth) in arrays.items():
         if text.count(json.dumps(mark)) != 1:  # another string equals the mark
-            return json.dumps(report, indent=2)
+            return json.dumps(report, indent=2, allow_nan=False)
         text = text.replace(json.dumps(mark), _number_array(values, depth))
     return text
 
@@ -300,7 +308,8 @@ def write_report(
     report_path = out / "report.json"
     if text is None:
         text = report_json(report)
-    report_path.write_text(text + "\n", encoding="utf-8")
+    with open(report_path, "w", encoding="utf-8") as fh:
+        fh.writelines((text, "\n"))  # no concatenated copy of a large text
     written.append(report_path)
 
     import csv  # the two CSV writers are its only users

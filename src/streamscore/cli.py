@@ -75,11 +75,10 @@ def _fmt(value: float) -> str:
 
 
 def _delay_row(block: dict) -> tuple[str, str]:
-    return (
-        "delay total",
-        f"{_fmt(block['total_s'])} s (propagation only "
-        f"{_fmt(block['propagation_only_s'])} s, {block['label']})",
-    )
+    # a figure that overflowed is null in the block, and prints as inf
+    total, prop = ("inf" if block[key] is None else _fmt(block[key])
+                   for key in ("total_s", "propagation_only_s"))
+    return ("delay total", f"{total} s (propagation only {prop} s, {block['label']})")
 
 
 def _table(rows: list[tuple[str, str]]) -> str:

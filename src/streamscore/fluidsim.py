@@ -21,8 +21,9 @@ the busy period, and an FCT is ``startup + (t_done - (activation - origin))``,
 so a client served alone gets exactly ``startup + S/C`` at any spawn time.
 
 ``simulate`` keeps only the loop's own columns: spawn and FCT times per
-client and absolute ``(start, end, lo, hi, rate)`` rows per interval, plus
-the ``utilization`` (``model.carried_utilization`` of the records, as
+client (float64 arrays of 8 bytes a client; the loop runs on lists, which
+index faster) and absolute ``(start, end, lo, hi, rate)`` rows per interval,
+plus the ``utilization`` (``model.carried_utilization`` of the records, as
 ``analyze`` reports it) and ``max_fct`` summary. ``SimResult.records`` (a
 ``FlowTable`` over those columns, with no row objects) and
 ``SimResult.trace`` are built from them on first read, so ``sweep``, which
@@ -38,7 +39,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from array import array
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
 
@@ -98,23 +100,24 @@ class SimResult:
     """The event loop's columns and summary; record table and trace on demand.
 
     ``records`` and ``trace`` are built on first read and cached; equality and
-    hashing use the fields, not these views. A sweep reads neither.
+    hashing use the fields, not these views, and hashing skips the two arrays
+    (the rest fixes them). A sweep reads neither view.
     """
 
     scenario: Scenario
-    spawns: tuple[float, ...]  # per client id
-    fcts: tuple[float, ...]
+    spawns: array[float] = field(hash=False)  # per client id
+    fcts: array[float] = field(hash=False)
     intervals: tuple[tuple[float, float, int, int, float], ...]  # (start, end, lo, hi, rate)
     utilization: float  # model.carried_utilization of the records
     max_fct: float
 
     @cached_property
     def records(self) -> FlowTable:
-        n, nbytes = len(self.spawns), self.scenario.transfer_bytes
-        completions = tuple(map(operator.add, self.spawns, self.fcts))
+        n = len(self.spawns)
         return FlowTable(
-            tuple(range(n)), self.spawns, completions, self.fcts,
-            (nbytes,) * n, (self.scenario.parallel_flows,) * n, (None,) * n,
+            range(n), self.spawns, array("d", map(operator.add, self.spawns, self.fcts)), self.fcts,
+            array("q", [self.scenario.transfer_bytes]) * n,
+            array("q", [self.scenario.parallel_flows]) * n, (None,) * n,
         )
 
     @cached_property
@@ -137,7 +140,7 @@ class SimResult:
 
 def simulate(scenario: Scenario) -> SimResult:
     """Run the event loop to the last completion and keep its columns."""
-    spawns = tuple(scenario.spawn_times())
+    spawns = array("d", scenario.spawn_times())
     capacity = scenario.link.effective_rate
     size = float(scenario.transfer_bytes)  # the loop's clock arithmetic stays in floats
     residual_eps = size * 1e-12
@@ -180,7 +183,7 @@ def simulate(scenario: Scenario) -> SimResult:
     return SimResult(
         scenario=scenario,
         spawns=spawns,
-        fcts=tuple(fcts),
+        fcts=array("d", fcts),
         intervals=tuple(intervals),
         # clients complete in id order, so the last one finishes the run
         utilization=carried_utilization(size * total, spawns[-1] + fcts[-1], scenario.link),

@@ -2,8 +2,10 @@
 
 One record per spawned client, whether the transfer was measured on a real
 network or produced by the simulator; the analysis pipeline consumes both
-through this schema. ``FlowTable`` is the one record type: one tuple per
-field, and its field order is the key order of a log line. ``check_row`` is
+through this schema. ``FlowTable`` is the one record type: one column per
+field, and its field order is the key order of a log line. The five numeric
+columns are typed arrays (8 bytes a number: float64 times, int64 counts);
+``client_id`` (any JSON integer) and ``error`` are tuples. ``check_row`` is
 the one row validator. ``error`` (None on success) alone marks a failure; a
 line's ``"status"`` is written from it and checked against it here only. A
 log file is a header line ``{"run": {...}}`` and then one record per line.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, fields
 from io import TextIOBase
 from pathlib import Path
@@ -42,8 +45,10 @@ def check_row(spawn_s: float, complete_s: float, fct_s: float, nbytes: int, flow
         )
     if not 0 <= fct_s < math.inf:
         raise ValueError(f"fct_s must be finite and >= 0, got {fct_s}")
-    # both producers write exactly complete_s - spawn_s
-    if not abs(fct_s - (complete_s - spawn_s)) <= 1e-9 * max(1.0, abs(complete_s)):
+    # both producers write exactly complete_s - spawn_s: |fct_s - that| <= 1e-9 * max(1, |complete_s|),
+    # spelled without calls, since the reader checks every row (both values are finite here)
+    slack = 1e-9 * (complete_s if complete_s > 1.0 else -complete_s if complete_s < -1.0 else 1.0)
+    if not -slack <= fct_s - (complete_s - spawn_s) <= slack:
         raise ValueError(f"fct_s {fct_s} is not complete_s - spawn_s ({complete_s - spawn_s})")
     if not 0 <= nbytes < 2**63:  # a byte count any OS can hold, and a sum a float can
         raise ValueError(f"bytes must be in [0, 2**63), got {nbytes}")
@@ -53,26 +58,37 @@ def check_row(spawn_s: float, complete_s: float, fct_s: float, nbytes: int, flow
 
 @dataclass(frozen=True)
 class FlowTable:
-    """Flow records as one tuple per record field, rows in log order.
+    """Flow records as one column per record field, rows in log order.
 
     The simulator, the live harness, the log reader and writer and the
-    report all read and build the columns directly. Producers hand over
-    rows that already passed ``check_row``.
+    report all read and build the columns directly. A producer may hand over
+    any sequence per column; construction makes each numeric column an
+    ``array`` of its typecode (an array that has it already is kept, not
+    copied) and the other two tuples. Producers hand over rows that already
+    passed ``check_row``.
     """
 
+    # every default is an empty tuple, typed by __post_init__ like a producer's column
     client_id: tuple[int, ...] = ()
-    spawn_s: tuple[float, ...] = ()
-    complete_s: tuple[float, ...] = ()
-    fct_s: tuple[float, ...] = ()
-    bytes: tuple[int, ...] = ()
-    flows: tuple[int, ...] = ()
+    spawn_s: array[float] = ()
+    complete_s: array[float] = ()
+    fct_s: array[float] = ()
+    bytes: array[int] = ()
+    flows: array[int] = ()
     error: tuple[str | None, ...] = ()  # None for a successful transfer
 
     def __post_init__(self) -> None:
+        for name, code in _TYPECODES.items():
+            column = getattr(self, name)
+            if code is None:
+                column = tuple(column)  # a tuple is returned as it is
+            elif not (column.__class__ is array and column.typecode == code):
+                column = array(code, column)
+            object.__setattr__(self, name, column)
         if len(set(map(len, self._columns()))) > 1:
             raise ValueError("flow table columns differ in length")
 
-    def _columns(self) -> tuple[tuple, ...]:
+    def _columns(self) -> tuple:
         return tuple(getattr(self, name) for name in _COLUMNS)
 
     def __len__(self) -> int:
@@ -84,6 +100,10 @@ class FlowTable:
 
 
 _COLUMNS = tuple(f.name for f in fields(FlowTable))
+# per column: the array typecode of a numeric column, or None for a tuple
+_TYPECODES = {name: None for name in _COLUMNS} | {
+    "spawn_s": "d", "complete_s": "d", "fct_s": "d", "bytes": "q", "flows": "q",
+}
 
 
 def write_jsonl(
@@ -142,7 +162,8 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
 
     def _read(fh: TextIOBase) -> tuple[dict, FlowTable]:
         meta: dict = {}
-        columns: tuple[list, ...] = tuple([] for _ in _COLUMNS)
+        # numbers go straight into their typed arrays; the table keeps them
+        columns = tuple([] if code is None else array(code) for code in _TYPECODES.values())
         add_id, add_spawn, add_complete, add_fct, add_bytes, add_flows, add_error = (
             column.append for column in columns
         )
@@ -202,7 +223,7 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
             add_bytes(nbytes)
             add_flows(flows)
             add_error(error)
-        return meta, FlowTable(*map(tuple, columns))
+        return meta, FlowTable(*columns)
 
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-MAX_CLIENTS = 5_000_000  # ~400 B of peak RSS per simulated client: about 2 GB at the ceiling
+MAX_CLIENTS = 5_000_000  # ~370 B of peak RSS per simulated client: about 2 GB at the ceiling
 MAX_FLOWS = 1024  # a sanity bound on flows per client: a larger count is a typo, not a load
 
 

@@ -4,6 +4,8 @@ import gc
 import json
 import socket
 import time
+import tracemalloc
+from array import array
 from contextlib import closing, contextmanager
 
 from hypothesis import settings
@@ -26,6 +28,29 @@ def table_of(rows) -> FlowTable:
     for row in full:
         check_row(*row[1:6])
     return FlowTable(*zip(*full))
+
+
+NUMERIC_TYPECODES = {"spawn_s": "d", "complete_s": "d", "fct_s": "d", "bytes": "q", "flows": "q"}
+
+
+def assert_typed_columns(table: FlowTable) -> None:
+    """The table's numbers sit in float64 and int64 arrays; client_id and error are tuples."""
+    for name, code in NUMERIC_TYPECODES.items():
+        column = getattr(table, name)
+        assert type(column) is array and column.typecode == code, (name, column)
+    assert type(table.client_id) is tuple and type(table.error) is tuple
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated while it ran, in bytes (``tracemalloc``)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def _reject_constant(name: str):

@@ -58,6 +58,7 @@ class Mutant:
 EXACT_LOAD = "one exact load: whole bytes, a bounded client count, a busy-period clock"
 ONE_COPY = "one copy of each fact: the failure marker, the port pool, the remote total"
 COLD_START = "a leaner cold start: rare-path imports deferred; finite theta, typed log numbers, strict JSON"
+TYPED = "typed-array flow columns: 8 bytes a number; a null delay total and a strict report encoder"
 MUTANTS = (
     # --- named in the notes of the change that made one exact load ---
     Mutant("origin-not-reset-at-idle-restart", "fluidsim.py",
@@ -146,6 +147,39 @@ MUTANTS = (
     Mutant("sweep-sss-not-mapped-to-null", "cli.py",
            '{**analysis.row_dict(row), "sss": analysis.finite_or_none(row.sss)}', "analysis.row_dict(row)",
            COLD_START),
+    # --- typed-array flow columns ---
+    Mutant("times-stored-as-float32", "records.py",
+           '"spawn_s": "d", "complete_s": "d", "fct_s": "d"', '"spawn_s": "f", "complete_s": "f", "fct_s": "f"',
+           TYPED),
+    Mutant("simulated-fcts-stored-as-float32", "fluidsim.py",
+           'fcts=array("d", fcts),', 'fcts=array("f", fcts),', TYPED),
+    Mutant("typed-coercion-skipped", "records.py",
+           "            elif not (column.__class__ is array and column.typecode == code):\n",
+           "            elif False:\n", TYPED),
+    Mutant("reader-columns-boxed", "records.py",
+           "return meta, FlowTable(*columns)", "return meta, FlowTable(*map(tuple, columns))", TYPED),
+    Mutant("simulated-fcts-kept-as-tuple", "fluidsim.py",
+           'fcts=array("d", fcts),', "fcts=tuple(fcts),", TYPED),
+    Mutant("fct-slack-ignores-negative-times", "records.py",
+           "-complete_s if complete_s < -1.0 else 1.0", "1.0", TYPED),
+    Mutant("fct-check-one-sided", "records.py",
+           "if not -slack <= fct_s - (complete_s - spawn_s) <= slack:",
+           "if not fct_s - (complete_s - spawn_s) <= slack:", TYPED),
+    # --- the delay total and the report encoder ---
+    Mutant("delay-total-not-mapped-to-null", "analysis.py",
+           '"total_s": finite_or_none(total_delay(d)),', '"total_s": total_delay(d),', TYPED),
+    Mutant("report-json-allows-nan", "analysis.py",
+           '"inputs": inputs}, indent=2, allow_nan=False)', '"inputs": inputs}, indent=2)', TYPED),
+    Mutant("report-json-fallback-allows-nan", "analysis.py",
+           "return json.dumps(report, indent=2, allow_nan=False)", "return json.dumps(report, indent=2)",
+           TYPED),
+    Mutant("report-array-allows-nan", "analysis.py",
+           "json.dumps(values[start:start + _CHUNK], allow_nan=False)",
+           "json.dumps(values[start:start + _CHUNK])", TYPED),
+    Mutant("report-chunks-joined-unindented", "analysis.py",
+           'body = ("," + pad[1]).join(', 'body = ", ".join(', TYPED),
+    Mutant("report-written-without-final-newline", "analysis.py",
+           'fh.writelines((text, "\\n"))', "fh.writelines((text,))", TYPED),
 )
 
 

@@ -365,6 +365,31 @@ def test_report_json_falls_back_when_a_string_looks_like_a_splice_mark():
     assert report_json(report) == json.dumps(report, indent=2)
 
 
+@pytest.mark.parametrize("labels", [("primary", "comparison"), ("\x00cdf", "comparison")])
+@pytest.mark.parametrize("where", ["regime", "cdf", "fct_values"])
+def test_report_json_refuses_a_non_finite_figure(labels, where):
+    # on the splice path, in a spliced array and on the json.dumps fallback: never Infinity or NaN
+    for figure in (math.inf, math.nan):
+        report = build_report(make_records([0.2, 0.1]), compare_records=make_records([0.3]),
+                              comparison_labels=labels)
+        if where == "regime":
+            report["regime"]["worst_fct"] = figure
+        elif where == "cdf":
+            report["cdf"][-1] = (figure, 1.0)
+        else:
+            report["inputs"]["fct_values"][-1] = figure
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            report_json(report)
+
+
+def test_report_json_splices_arrays_larger_than_one_encoder_chunk():
+    # the arrays are encoded a chunk at a time; the joins must not show
+    fcts = [i / 7 for i in range(1, 10_000)]
+    report = build_report(make_records(fcts), link=LinkSpec(bandwidth=GBPS_25, rtt=0.016))
+    assert len(report["cdf"]) == len(fcts)
+    assert report_json(report) == json.dumps(report, indent=2)
+
+
 # --- any log the reader accepts reports only finite, non-negative figures ---
 
 log_times = st.one_of(
@@ -400,6 +425,8 @@ def log_lines(draw):
            "status": "ok"}], GBPS_25, 0.0)
 @example([{"spawn_s": 0.0, "complete_s": 1.7976931348623157e308, "fct_s": 1.7976931348623157e308,
            "bytes": 1, "flows": 1, "status": "ok"}] * 2, 1e15, 0.0)
+@example([{"spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 10**9, "flows": 1,
+           "status": "ok"}], 1e-300, 0.016)  # the delay total overflows
 def test_any_accepted_log_reports_finite_figures(lines, bandwidth, rtt):
     text = "".join(json.dumps({"client_id": i, **line}) + "\n" for i, line in enumerate(lines))
     try:
@@ -419,5 +446,7 @@ def test_any_accepted_log_reports_finite_figures(lines, bandwidth, rtt):
     if doc["transfer_efficiency"] is not None:
         figures += [doc["transfer_efficiency"]["alpha_from_mean_fct"],
                     doc["transfer_efficiency"]["alpha_from_worst_fct"]]
+    if doc["delay_model"] is not None:
+        figures += [doc["delay_model"]["total_s"], doc["delay_model"]["propagation_only_s"]]
     assert all(value is None or finite(value) for value in figures), figures
     assert doc["regime"]["utilization"] is None or doc["regime"]["utilization"] <= 1.0

@@ -443,6 +443,24 @@ def test_analyze_json_writes_an_overflowed_compare_ratio_as_null(capsys, tmp_pat
     assert set(strict_json(out)["comparison"]["ratios"].values()) == {None}
 
 
+def test_analyze_writes_an_overflowed_delay_total_as_null(capsys, tmp_path):
+    # 1 GB over 1e-300 bps: the delay total overflows; stdout and report.json used to hold Infinity
+    log = tmp_path / "one.jsonl"
+    log.write_text('{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, '
+                   '"bytes": 1000000000, "flows": 1}\n')
+    argv = ("analyze", "--in", str(log), "--link-bw", "1e-300bps")
+    code, out, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "report"), "--json")
+    assert code == 0
+    written = (tmp_path / "report" / "report.json").read_text()
+    assert written == out
+    for text in (out, written):
+        assert '"total_s": null' in text
+        assert strict_json(text)["delay_model"]["total_s"] is None
+    code, out, _ = run_cli(capsys, *argv)  # the text table says inf
+    assert code == 0
+    assert "delay total  inf s (propagation only 0 s" in out
+
+
 def test_json_with_another_non_finite_figure_exits_1(capsys):
     # a 1e308 s worst case x theta 3 overflows the io time: fail, not "io_s": Infinity
     code, out, err = run_cli(capsys, "model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s",
@@ -956,7 +974,7 @@ def test_measure_run_unresolvable_server_logs_every_client_and_exits_2(
     assert records.client_id == (0, 1)
     expected = f"[Errno {socket.EAI_NONAME}] Name or service not known"
     assert records.error == (f"flow 0: {expected}; flow 1: {expected}",) * 2
-    assert records.bytes == (0, 0)
+    assert records.bytes.tolist() == [0, 0]
 
 
 def test_measure_serve_port_conflict_exits_2(capsys):

@@ -23,7 +23,8 @@ from streamscore.loadgen import (
 )
 from streamscore.schedule import SpawnMode
 
-from conftest import CountingServer, find_free_port_block, gc_pauses, spawn_diagnostics
+from conftest import (CountingServer, assert_typed_columns, find_free_port_block, gc_pauses,
+                      spawn_diagnostics)
 
 
 # --- wire protocol ---
@@ -138,6 +139,7 @@ def test_loopback_run_simultaneous_counts_and_bytes():
             )
         )
     assert len(records) == 6  # 2 batches x 3 clients
+    assert_typed_columns(records)
     assert all(records.ok_mask())
     for nbytes, flows, fct in zip(records.bytes, records.flows, records.fct_s):
         assert nbytes == 1_000_000  # per-flow byte audit sums exactly
@@ -462,5 +464,5 @@ def test_host_name_resolved_once_per_run_in_resolver_order(monkeypatch):
             )
         )
     assert all(records.ok_mask())
-    assert records.bytes == (1000,) * 3
+    assert records.bytes.tolist() == [1000] * 3
     assert lookups == ["dtn.example.org"]
