@@ -59,7 +59,80 @@ EXACT_LOAD = "one exact load: whole bytes, a bounded client count, a busy-period
 ONE_COPY = "one copy of each fact: the failure marker, the port pool, the remote total"
 COLD_START = "a leaner cold start: rare-path imports deferred; finite theta, typed log numbers, strict JSON"
 TYPED = "typed-array flow columns: 8 bytes a number; a null delay total and a strict report encoder"
+ONE_NUMBER = "one definition per number: offered load, carried utilization, the remote total"
+ONE_LOAD = "one load description, stated once: shared flags, spec-only defaults, one validation site"
+ENTRY = "one process entry point: the heap frozen once the command is done; no flag silently dropped"
 MUTANTS = (
+    # --- named in the notes of the change that made one definition per number ---
+    Mutant("offered-load-over-raw-bandwidth", "model.py",
+           "return rate / link.effective_rate", "return rate / link.bandwidth", ONE_NUMBER),
+    Mutant("carried-utilization-over-effective-rate", "model.py",
+           "capacity = link.bandwidth * last_complete_s", "capacity = link.effective_rate * last_complete_s",
+           ONE_NUMBER),
+    Mutant("utilization-not-clamped", "model.py",
+           "return min(fraction, 1.0)", "return fraction", ONE_NUMBER),
+    Mutant("overflowed-figure-kept", "analysis.py",
+           "return value if math.isfinite(value) else None", "return value", ONE_NUMBER),
+    Mutant("overflowed-mean-not-recomputed", "analysis.py",
+           "if mean == math.inf:", "if False:", ONE_NUMBER),
+    Mutant("fct-check-dropped", "records.py",
+           "if not -slack <= fct_s - (complete_s - spawn_s) <= slack:", "if False:", ONE_NUMBER),
+    Mutant("log-bytes-unbounded", "records.py",
+           "if not 0 <= nbytes < 2**63:", "if not 0 <= nbytes:", ONE_NUMBER),
+    Mutant("decide-feasibility-line-moved", "model.py",
+           "offered_load(needed, link) > 1:", "offered_load(needed, link) > 1.1:", ONE_NUMBER),
+    Mutant("case-study-feasibility-line-moved", "casestudy.py",
+           "    if load > 1:\n", "    if load > 1.1:\n", ONE_NUMBER),
+    Mutant("model-breakdown-ignores-worst", "cli.py",
+           "decision = decide(workload, link, compute, io, args.tiers, worst_case_transfer=args.worst)",
+           "decision = decide(workload, link, compute, io, args.tiers)", ONE_NUMBER),
+    Mutant("simulated-bytes-counted-per-flow", "fluidsim.py",
+           "carried_utilization(size * total,", "carried_utilization(size * total * scenario.parallel_flows,",
+           ONE_NUMBER),
+    Mutant("sweep-load-over-raw-bandwidth", "fluidsim.py",
+           "load = offered_load(concurrency * base.transfer_bytes, base.link)",
+           "load = concurrency * base.transfer_bytes / base.link.bandwidth", ONE_NUMBER),
+    # --- named in the notes of the change that stated one load description once ---
+    Mutant("infinite-duration-or-concurrency-accepted", "schedule.py",
+           "if not (value > 0 and math.isfinite(value)):", "if not value > 0:", ONE_LOAD),
+    Mutant("infinite-transfer-bytes-accepted", "schedule.py",
+           "if not (self.transfer_bytes >= 0 and math.isfinite(self.transfer_bytes)):",
+           "if not self.transfer_bytes >= 0:", ONE_LOAD),
+    Mutant("clamp-warns-on-rounding", "model.py",
+           "if fraction > 1.0 + 1e-9:", "if fraction > 1.0:", ONE_LOAD),
+    Mutant("clamp-tolerance-1e-6", "model.py",
+           "if fraction > 1.0 + 1e-9:", "if fraction > 1.0 + 1e-6:", ONE_LOAD),
+    Mutant("clamp-fraction-fixed-point", "model.py",
+           '"utilization %.10g exceeds', '"utilization %.4f exceeds', ONE_LOAD),
+    Mutant("clamp-window-fixed-point", "model.py",
+           "(window %.6gs)", "(window %.3fs)", ONE_LOAD),
+    Mutant("missing-flag-check-off", "cli.py",
+           "    if missing:\n        raise UsageError(", "    if False:\n        raise UsageError(", ONE_LOAD),
+    Mutant("cli-default-on-pool-size", "cli.py",
+           'pool.add_argument("--pool-size", type=int)', 'pool.add_argument("--pool-size", type=int, default=4)',
+           ONE_LOAD),
+    Mutant("cli-default-on-parallel", "cli.py",
+           'load.add_argument("--parallel", type=int,', 'load.add_argument("--parallel", type=int, default=2,',
+           ONE_LOAD),
+    Mutant("cli-default-on-transfer-timeout", "cli.py",
+           'p_run.add_argument("--transfer-timeout", type=parse_seconds)',
+           'p_run.add_argument("--transfer-timeout", type=parse_seconds, default=60.0)', ONE_LOAD),
+    Mutant("cli-default-on-bind", "cli.py",
+           'p_serve.add_argument("--bind")', 'p_serve.add_argument("--bind", default="0.0.0.0")', ONE_LOAD),
+    Mutant("scenario-reader-restates-load-defaults", "fluidsim.py",
+           "    return Scenario(\n        link=link_from_mapping(flat),\n",
+           '    flat = {"parallel_flows": 2, "mode": "scheduled", **flat}\n'
+           "    return Scenario(\n        link=link_from_mapping(flat),\n", ONE_LOAD),
+    Mutant("link-reader-restates-alpha-default", "model.py",
+           "return LinkSpec(**{key: read(raw[key]) for key, read in readers.items() if key in raw})",
+           'return LinkSpec(**{"alpha": 0.8, **{key: read(raw[key]) for key, read in readers.items() '
+           "if key in raw}})", ONE_LOAD),
+    Mutant("null-startup-read-as-zero", "fluidsim.py",
+           "lambda value: None if value is None else coerce_quantity(value, parse_seconds)",
+           "lambda value: coerce_quantity(value or 0, parse_seconds)", ONE_LOAD),
+    Mutant("quantity-parsed-as-float", "quantities.py",
+           "value = float(_EXACT.multiply(Decimal(number), factor))",
+           "value = float(number) * float(factor)", ONE_LOAD),
     # --- named in the notes of the change that made one exact load ---
     Mutant("origin-not-reset-at-idle-restart", "fluidsim.py",
            "            origin = start = activations[hi]\n",
@@ -180,6 +253,34 @@ MUTANTS = (
            'body = ("," + pad[1]).join(', 'body = ", ".join(', TYPED),
     Mutant("report-written-without-final-newline", "analysis.py",
            'fh.writelines((text, "\\n"))', "fh.writelines((text,))", TYPED),
+    # --- one process entry point ---
+    Mutant("freeze-in-main", "cli.py",
+           "        return args.func(args)\n", "        status = args.func(args)\n        __import__(\"gc\").freeze()\n"
+           "        return status\n", ENTRY),
+    Mutant("run-skips-the-freeze", "cli.py",
+           "    gc.freeze()\n    raise SystemExit(status)\n", "    raise SystemExit(status)\n", ENTRY),
+    Mutant("gc-imported-with-the-cli", "cli.py",
+           "import dataclasses\nimport json\n", "import dataclasses\nimport gc\nimport json\n", ENTRY),
+    Mutant("python-m-calls-main", "__main__.py",
+           "from .cli import run\n\nif __name__ == \"__main__\":\n    run()\n",
+           "from .cli import main\n\nif __name__ == \"__main__\":\n    raise SystemExit(main())\n", ENTRY),
+    # --- an empty list and a flag the mode never reads ---
+    Mutant("empty-list-accepted", "cli.py",
+           "    if not parts:\n", "    if False:\n", ENTRY),
+    Mutant("sweep-list-skips-the-empty-check", "cli.py",
+           "return [float(part) for part in _parts(text)]",
+           'return [float(part) for part in text.split(",") if part.strip()]', ENTRY),
+    Mutant("parallel-list-skips-the-empty-check", "cli.py",
+           "return [int(part) for part in _parts(text)]",
+           'return [int(part) for part in text.split(",") if part.strip()]', ENTRY),
+    Mutant("tiers-skip-the-empty-check", "cli.py",
+           "TierPolicy.from_deadlines([parse_seconds(part) for part in _parts(text)])",
+           'TierPolicy.from_deadlines([parse_seconds(part) for part in text.split(",") if part.strip()])',
+           ENTRY),
+    Mutant("sweep-ignores-compare", "cli.py",
+           "    if args.sweep is not None and args.compare is not None:\n", "    if False:\n", ENTRY),
+    Mutant("parallel-list-without-sweep-dropped", "cli.py",
+           "    if args.parallel_list is not None and args.sweep is None:\n", "    if False:\n", ENTRY),
 )
 
 

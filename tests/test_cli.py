@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -348,6 +349,42 @@ def test_simulate_compare_overlays_measured_log(capsys, tmp_path):
     assert "simulated" in doc["comparison"]
     assert "measured" in doc["comparison"]
     assert doc["comparison"]["ratios"]["max"] < 1.0  # zero-startup run is faster
+
+
+_SIM = ["simulate", "--bw", "25Gbps", "--duration", "2s", "--concurrency", "1", "--size", "0.5GB"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        ([*_SIM, "--sweep", ","], "--sweep"),
+        ([*_SIM, "--sweep", ""], "--sweep"),
+        ([*_SIM, "--sweep", "1,2", "--parallel-list", ""], "--parallel-list"),
+        ([*_SIM, "--sweep", "1,2", "--parallel-list", " , "], "--parallel-list"),
+        (["model", "--size", "1GB", "--bw", "1Gbps", "--tiers", ","], "--tiers"),
+    ],
+)
+def test_an_empty_list_exits_1_naming_the_flag(capsys, argv, flag):
+    # an empty list used to read as the flag left out: one plain run, or the
+    # scenario's own flow count
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"argument {flag}: no values in " in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--sweep", "1,2", "--compare", "/nonexistent.jsonl"], "--compare does not apply to --sweep"),
+        (["--parallel-list", "2,4"], "--parallel-list requires --sweep"),
+    ],
+)
+def test_simulate_flag_its_mode_never_reads_exits_1(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *_SIM, *argv, "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
 
 
 # --- analyze ---
@@ -1036,7 +1073,8 @@ def test_cli_import_leaves_harness_and_case_study_unloaded():
 
 def test_cli_import_leaves_rare_path_stdlib_unloaded():
     # logging (only for the clamp warning), csv (only for the CSV writers) and typing (no
-    # runtime use) cost each CLI child start-up time. -S: a site hook may preload typing
+    # runtime use) cost each CLI child start-up time; gc (only for the freeze at exit), imported
+    # first, raises a large analyze's peak RSS. -S: a site hook may preload typing
     import streamscore
 
     code = (
@@ -1050,4 +1088,95 @@ def test_cli_import_leaves_rare_path_stdlib_unloaded():
     )
     added = set(done.stdout.split())
     assert {"streamscore.cli", "streamscore.model", "json", "argparse"} <= added
-    assert not added & {"logging", "csv", "typing", "traceback", "textwrap", "string"}
+    assert not added & {"logging", "csv", "typing", "traceback", "textwrap", "string", "gc"}
+
+
+# --- the process entry point ---
+
+
+def test_in_process_commands_leave_the_collector_unfrozen_and_no_finalizer_in_garbage(
+    capsys, tmp_path, monkeypatch
+):
+    # cli.run freezes the collector so a CLI process exits without collecting; main
+    # must not, since tests, perfbench's replay and library callers go on running.
+    # What the exit skips must need no finalizer: the commands leave no uncollectable
+    # garbage, and collecting theirs raises no ResourceWarning (an error here)
+    from streamscore.loadgen import ServerConfig, TransferServer
+
+    log, base = tmp_path / "sim.jsonl", find_free_port_block(2)
+    commands = [
+        (["model", "--size", "1GB", "--bw", "1Gbps", "--local-rate", "1TF", "--remote-rate", "1TF"], 0),
+        ([*_SIM, "--out", str(log)], 0),
+        ([*_SIM, "--sweep", "1,2", "--parallel-list", "1,2", "--out", str(tmp_path / "sweep.csv")], 0),
+        (["analyze", "--in", str(log), "--link-bw", "25Gbps", "--out", str(tmp_path / "report")], 0),
+        (["casestudy", "--json"], 2),  # the demo has an infeasible workflow
+        (["measure", "run", "--server", "127.0.0.1", "--base-port", str(base), "--pool-size", "2",
+          "--duration", "1s", "--concurrency", "2", "--size", "1KB", "--out", str(tmp_path / "m.jsonl")],
+         0),
+    ]
+    frozen = gc.get_freeze_count()
+    gc.collect()
+    with TransferServer(ServerConfig(base_port=base, pool_size=2)):
+        for argv, status in commands:
+            assert main(argv) == status, capsys.readouterr().err
+            assert gc.get_freeze_count() == frozen, argv[0]
+            gc.collect()
+            assert gc.garbage == [], argv[0]
+
+    def interrupt(seconds):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(time, "sleep", interrupt)
+    assert main(["measure", "serve", "--base-port", str(base), "--pool-size", "2"]) == 0
+    assert gc.get_freeze_count() == frozen
+    gc.collect()
+    assert gc.garbage == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--size", "1GB", "--bw", "1Gbps"],
+        ["model", "--size", "1GB", "--bw", "1Gbps", "--theta", "0.5"],
+        ["model", "--size", "1GB", "--bw", "1Gbps", "--work", "1TFLOP", "--interval", "1s",
+         "--local-rate", "1TF", "--remote-rate", "1TF"],
+    ],
+)
+def test_python_m_streamscore_exits_with_mains_code_and_a_frozen_heap(capsys, argv):
+    expected = main(argv)
+    capsys.readouterr()
+    code = (
+        "import gc, runpy, sys\n"
+        f"sys.argv = ['streamscore', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('streamscore', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, gc.get_freeze_count())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, check=True)
+    _, status, frozen = done.stdout.splitlines()[-1].split()
+    assert int(status) == expected
+    assert int(frozen) > 0
+
+
+def test_help_exits_without_the_freeze():
+    code = (
+        "import gc, sys\n"
+        "from streamscore import cli\n"
+        "sys.argv = ['streamscore', '--help']\n"
+        "try:\n"
+        "    cli.run()\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, gc.get_freeze_count())\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=30, check=True)
+    assert done.stdout.splitlines()[-1] == "exit 0 0"
+
+
+def test_installed_script_runs_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"streamscore": "streamscore.cli:run"}

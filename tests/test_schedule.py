@@ -21,6 +21,12 @@ def _backends(**load) -> tuple[Scenario, ClientRunConfig]:
     )
 
 
+def test_infinite_transfer_bytes_is_named_as_not_finite():
+    # inf also fails the whole-bytes test, whose message would hide the cause
+    with pytest.raises(ValueError, match="^transfer_bytes must be finite and >= 0, got inf$"):
+        LoadSpec(**{**LOAD, "transfer_bytes": math.inf})
+
+
 @pytest.mark.parametrize("mode", list(SpawnMode))
 @pytest.mark.parametrize(
     "name, bad",
