@@ -38,7 +38,7 @@ from .records import FlowTable
 
 OPTIMISTIC_BASELINE_LABEL = "optimistic baseline"
 
-REPORT_SCHEMA = "streamscore-report/2"
+REPORT_SCHEMA = "streamscore-report/3"
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,15 @@ def build_report(
     policy: TierPolicy = DEFAULT_TIER_POLICY,
     compare_records: FlowTable | None = None,
     comparison_labels: tuple[str, str] = ("primary", "comparison"),
+    run: dict | None = None,
+    comparison_run: dict | None = None,
 ) -> dict:
     """Assemble the full JSON report for one run (plus an optional second).
+
+    ``run`` and ``comparison_run`` are the two logs' headers, kept as they
+    are under ``inputs``. The CDF states each successful FCT once: with n =
+    ``stats.count``, a step (fct, p) stands for round(p·n) FCTs up to fct, so
+    fct occurs that many times minus the count of the step before.
 
     With a link spec the report gains SSS, carried utilization, both
     transfer efficiency estimates (mean- and worst-based, labeled), and the
@@ -189,9 +196,9 @@ def build_report(
     figure is null when it overflows.
     """
     ok = records.ok_mask()
-    # one sort feeds the stats, the CDF and the embedded inputs
-    fct_values, failures = _ok_fcts(records, ok)
-    stats = fct_stats(fct_values, failures)
+    # one sort feeds the stats and the CDF
+    fcts, failures = _ok_fcts(records, ok)
+    stats = fct_stats(fcts, failures)
 
     sss_value: float | None = None
     util: float | None = None
@@ -229,7 +236,7 @@ def build_report(
     return {
         "schema": REPORT_SCHEMA,
         "stats": asdict(stats),
-        "cdf": fct_cdf(fct_values),
+        "cdf": fct_cdf(fcts),
         "regime": {
             "regime": classify_regime(stats.max, policy).value,
             "worst_fct": stats.max,
@@ -242,36 +249,34 @@ def build_report(
         "transfer_efficiency": efficiency,
         "delay_model": delay_block,
         "inputs": {
-            "fct_values": fct_values,
             "failures": stats.failures,
             "bytes": modal,
+            "run": run,
+            "comparison_run": comparison_run,
         },
     }
 
 
-_CHUNK = 4096  # numbers encoded at a time, so the encoder's per-number strings stay few
+_CHUNK = 4096  # pairs encoded at a time, so the encoder's per-number strings stay few
 
 
-def _number_array(values: list, depth: int) -> str:
-    """Numbers, or pairs of numbers, as json.dumps(indent=2) lays them out at ``depth``.
+def _cdf_array(cdf: list) -> str:
+    """The CDF's (fct, probability) pairs as json.dumps(indent=2) lays them out in the report.
 
     The C encoder writes each number as the indent=2 encoder does, and no
     number's text holds a bracket, comma or space: re-indenting is exact.
     """
-    if not values:
+    if not cdf:
         return "[]"
-    pad = ["\n" + "  " * d for d in range(depth, depth + 3)]
-    pairs = isinstance(values[0], (list, tuple))  # pairs, one level deeper
+    pad = ["\n" + "  " * depth for depth in (1, 2, 3)]  # the list, a pair, a number
 
     def lay_out(start: int) -> str:
-        text = json.dumps(values[start:start + _CHUNK], allow_nan=False)[1:-1]
-        if pairs:
-            text = text.replace("], [", "]\x00[").replace(", ", "," + pad[2])
-            text = text.replace("[", "[" + pad[2]).replace("]", pad[1] + "]")
-            return text.replace("\x00", "," + pad[1])
-        return text.replace(", ", "," + pad[1])
+        text = json.dumps(cdf[start:start + _CHUNK], allow_nan=False)[1:-1]
+        text = text.replace("], [", "]\x00[").replace(", ", "," + pad[2])
+        text = text.replace("[", "[" + pad[2]).replace("]", pad[1] + "]")
+        return text.replace("\x00", "," + pad[1])
 
-    body = ("," + pad[1]).join(map(lay_out, range(0, len(values), _CHUNK)))
+    body = ("," + pad[1]).join(map(lay_out, range(0, len(cdf), _CHUNK)))
     return "".join(("[", pad[1], body, pad[0], "]"))
 
 
@@ -279,18 +284,15 @@ def report_json(report: dict) -> str:
     """The report's JSON text, as report.json and ``analyze --json`` hold it.
 
     Byte-identical to ``json.dumps(report, indent=2)``, whose pure-Python
-    encoder is slow on the two large number arrays: ``cdf`` and
-    ``inputs.fct_values`` are encoded apart and spliced in. A non-finite
-    figure raises ValueError: the text is JSON, with no NaN or Infinity.
+    encoder is slow on a long ``cdf``: the CDF is encoded apart and spliced
+    in. A non-finite figure raises ValueError: the text is JSON, with no NaN
+    or Infinity.
     """
-    arrays = {"\x00cdf": (report["cdf"], 1), "\x00fct_values": (report["inputs"]["fct_values"], 2)}
-    inputs = {**report["inputs"], "fct_values": "\x00fct_values"}
-    text = json.dumps({**report, "cdf": "\x00cdf", "inputs": inputs}, indent=2, allow_nan=False)
-    for mark, (values, depth) in arrays.items():
-        if text.count(json.dumps(mark)) != 1:  # another string equals the mark
-            return json.dumps(report, indent=2, allow_nan=False)
-        text = text.replace(json.dumps(mark), _number_array(values, depth))
-    return text
+    mark = json.dumps("\x00cdf")
+    text = json.dumps({**report, "cdf": "\x00cdf"}, indent=2, allow_nan=False)
+    if text.count(mark) != 1:  # another string equals the mark
+        return json.dumps(report, indent=2, allow_nan=False)
+    return text.replace(mark, _cdf_array(report["cdf"]))
 
 
 def write_report(

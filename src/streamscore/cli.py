@@ -303,6 +303,10 @@ def cmd_simulate(args) -> int:
         raise UsageError("--compare does not apply to --sweep")
     if args.parallel_list is not None and args.sweep is None:
         raise UsageError("--parallel-list requires --sweep")
+    if args.sweep is not None:
+        if args.concurrency is not None:  # a warning, not an error: scripts pass it, as a sweep once required it
+            print("warning: --concurrency is ignored: --sweep sets the concurrency", file=sys.stderr)
+        args.concurrency = args.sweep[0]  # the base's; the sweep replaces it with each value
     base = _scenario_from_args(args)
 
     if args.sweep:
@@ -411,7 +415,7 @@ def cmd_measure_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _, records = read_jsonl(args.infile)
+    run, records = read_jsonl(args.infile)
     if None not in records.error:
         raise UsageError(f"no successful records in {args.infile}")
 
@@ -419,16 +423,12 @@ def cmd_analyze(args) -> int:
     if args.link_bw is not None:
         link = LinkSpec(bandwidth=args.link_bw, rtt=args.rtt)
 
-    compare_records = None
+    compare_run = compare_records = None
     if args.compare:
-        _, compare_records = read_jsonl(args.compare)
+        compare_run, compare_records = read_jsonl(args.compare)
 
-    report = analysis.build_report(
-        records,
-        link=link,
-        policy=args.tiers,
-        compare_records=compare_records,
-    )
+    report = analysis.build_report(records, link=link, policy=args.tiers, compare_records=compare_records,
+                                   run=run, comparison_run=compare_run)
     text = analysis.report_json(report) if args.out or args.json else None
     if args.out:
         analysis.write_report(report, args.out, text)

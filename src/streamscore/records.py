@@ -18,6 +18,7 @@ import math
 from array import array
 from dataclasses import dataclass, fields
 from io import TextIOBase
+from operator import itemgetter
 from pathlib import Path
 
 from .schedule import MAX_FLOWS
@@ -129,6 +130,8 @@ def _reject_constant(name: str) -> float:
 
 # NaN and Infinity are not JSON; the stdlib decoder accepts them unless told not to
 _decoder = json.JSONDecoder(parse_constant=_reject_constant)
+# a record's required fields; a missing one raises KeyError, the first missing in this order
+_required = itemgetter("client_id", "spawn_s", "complete_s", "fct_s", "bytes", "flows")
 
 
 # The reader calls these only for a value of another class than both writers write (a
@@ -167,7 +170,9 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
         add_id, add_spawn, add_complete, add_fct, add_bytes, add_flows, add_error = (
             column.append for column in columns
         )
-        seen: set[int] = set()
+        # both writers write ascending ids, and an id above all before it is new; the first one
+        # that is not starts a set of the ids, which checks every id from there on (last = inf)
+        last, seen = -math.inf, None
         opened = False  # a header may only be the first non-blank line
         scan = _decoder.scan_once  # raw_decode without its Python frames
         for lineno, line in enumerate(fh, start=1):
@@ -193,10 +198,8 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
                 continue
             opened = True
             try:
-                client_id, spawn, complete, fct, nbytes, flows, status, error = (
-                    obj["client_id"], obj["spawn_s"], obj["complete_s"], obj["fct_s"], obj["bytes"],
-                    obj["flows"], obj.get("status", "ok"), obj.get("error"),
-                )
+                client_id, spawn, complete, fct, nbytes, flows = _required(obj)
+                status, error = obj.get("status", "ok"), obj.get("error")
                 # one class test per field; only a number of the other class makes a call
                 spawn = spawn if spawn.__class__ is float else _time("spawn_s", spawn)
                 complete = complete if complete.__class__ is float else _time("complete_s", complete)
@@ -213,9 +216,14 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
                 ) from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise LogFormatError(f"line {lineno}: bad flow record: {exc}") from exc
-            if client_id in seen:
-                raise LogFormatError(f"line {lineno}: duplicate client_id {client_id}")
-            seen.add(client_id)
+            if client_id > last:
+                last = client_id
+            else:
+                if seen is None:
+                    seen, last = set(columns[0]), math.inf
+                if client_id in seen:
+                    raise LogFormatError(f"line {lineno}: duplicate client_id {client_id}")
+                seen.add(client_id)
             add_id(client_id)
             add_spawn(spawn)
             add_complete(complete)

@@ -62,6 +62,7 @@ TYPED = "typed-array flow columns: 8 bytes a number; a null delay total and a st
 ONE_NUMBER = "one definition per number: offered load, carried utilization, the remote total"
 ONE_LOAD = "one load description, stated once: shared flags, spec-only defaults, one validation site"
 ENTRY = "one process entry point: the heap frozen once the command is done; no flag silently dropped"
+ONE_FCT = "one copy of each FCT: the CDF alone in report.json, the log headers beside it; no id set"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -242,13 +243,13 @@ MUTANTS = (
     Mutant("delay-total-not-mapped-to-null", "analysis.py",
            '"total_s": finite_or_none(total_delay(d)),', '"total_s": total_delay(d),', TYPED),
     Mutant("report-json-allows-nan", "analysis.py",
-           '"inputs": inputs}, indent=2, allow_nan=False)', '"inputs": inputs}, indent=2)', TYPED),
+           '"cdf": "\\x00cdf"}, indent=2, allow_nan=False)', '"cdf": "\\x00cdf"}, indent=2)', TYPED),
     Mutant("report-json-fallback-allows-nan", "analysis.py",
            "return json.dumps(report, indent=2, allow_nan=False)", "return json.dumps(report, indent=2)",
            TYPED),
     Mutant("report-array-allows-nan", "analysis.py",
-           "json.dumps(values[start:start + _CHUNK], allow_nan=False)",
-           "json.dumps(values[start:start + _CHUNK])", TYPED),
+           "json.dumps(cdf[start:start + _CHUNK], allow_nan=False)",
+           "json.dumps(cdf[start:start + _CHUNK])", TYPED),
     Mutant("report-chunks-joined-unindented", "analysis.py",
            'body = ("," + pad[1]).join(', 'body = ", ".join(', TYPED),
     Mutant("report-written-without-final-newline", "analysis.py",
@@ -281,6 +282,25 @@ MUTANTS = (
            "    if args.sweep is not None and args.compare is not None:\n", "    if False:\n", ENTRY),
     Mutant("parallel-list-without-sweep-dropped", "cli.py",
            "    if args.parallel_list is not None and args.sweep is None:\n", "    if False:\n", ENTRY),
+    # --- one copy of each FCT, and the reader without its id set ---
+    Mutant("reader-in-order-test-admits-equal", "records.py",
+           "if client_id > last:", "if client_id >= last:", ONE_FCT),
+    Mutant("reader-id-set-seeded-empty", "records.py",
+           "seen, last = set(columns[0]), math.inf", "seen, last = set(), math.inf", ONE_FCT),
+    Mutant("reader-id-set-skips-later-ascending-ids", "records.py",
+           "seen, last = set(columns[0]), math.inf", "seen = set(columns[0])", ONE_FCT),
+    Mutant("cdf-spliced-at-the-wrong-depth", "analysis.py",
+           "for depth in (1, 2, 3)]", "for depth in (2, 3, 4)]", ONE_FCT),
+    Mutant("report-drops-the-log-header", "cli.py",
+           "run=run, comparison_run=compare_run)", "run=None, comparison_run=compare_run)", ONE_FCT),
+    Mutant("report-drops-the-comparison-header", "cli.py",
+           "run=run, comparison_run=compare_run)", "run=run, comparison_run=None)", ONE_FCT),
+    Mutant("model-infeasible-without-local-rate-dropped", "cli.py",
+           "            if decision.choice is Choice.INFEASIBLE\n", "            if False\n", ONE_FCT),
+    Mutant("sweep-requires-concurrency", "cli.py",
+           "        args.concurrency = args.sweep[0]", "        pass", ONE_FCT),
+    Mutant("sweep-concurrency-ignored-silently", "cli.py",
+           "        if args.concurrency is not None:  #", "        if False:  #", ONE_FCT),
 )
 
 

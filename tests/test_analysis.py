@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, example, given
@@ -209,7 +210,10 @@ def test_report_structure_and_round_trip(tmp_path):
 
     assert set(report) >= {"schema", "stats", "cdf", "regime", "comparison"}
     assert not {"sss", "decision"} & set(report)  # schema 2: SSS lives in regime only
-    assert report["schema"] == "streamscore-report/2"
+    assert report["schema"] == "streamscore-report/3"
+    # schema 3: the CDF alone states the FCTs, and the inputs name the logs' headers
+    assert report["inputs"] == {"failures": 1, "bytes": 500_000_000, "run": None,
+                                "comparison_run": None}
     assert report["regime"]["sss"] == pytest.approx(5.0 / 0.16, rel=1e-9)
     assert report["stats"]["failures"] == 1
     assert report["comparison"] is None
@@ -219,11 +223,6 @@ def test_report_structure_and_round_trip(tmp_path):
     # both efficiency fits exposed and labeled
     eff = report["transfer_efficiency"]
     assert eff["alpha_from_worst_fct"] < eff["alpha_from_mean_fct"]
-
-    # a report's embedded inputs re-analyze to identical statistics
-    again = fct_stats(report["inputs"]["fct_values"], report["inputs"]["failures"])
-    for field in ("count", "failures", "min", "max", "mean", "p50", "p90", "p99"):
-        assert getattr(again, field) == report["stats"][field]
 
     paths = write_report(report, tmp_path)
     assert (tmp_path / "report.json").exists()
@@ -329,7 +328,7 @@ def test_sweep_csv_has_header_and_24_rows(tmp_path):
     assert len(parsed) == 25  # header + 24 data rows
 
 
-# --- report encoder: json.dumps(indent=2) bytes, large arrays spliced in ---
+# --- report encoder: json.dumps(indent=2) bytes, the CDF spliced in ---
 
 report_fcts = st.one_of(
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),  # subnormals too
@@ -338,56 +337,72 @@ report_fcts = st.one_of(
 )
 
 
-def _without_arrays(report: dict, cdf: list, values: list) -> dict:
-    return {**report, "cdf": cdf, "inputs": {**report["inputs"], "fct_values": values}}
-
-
 @given(st.lists(report_fcts, min_size=1, max_size=40), st.integers(0, 2), st.booleans())
 @example([-0.0], 0, False)
 @example([5e-324, 1e16, 3, 3, 0.1], 1, True)
 @example([7], 0, True)
 def test_report_json_equals_json_dumps_indent_2(fcts, failures, with_link):
     link = LinkSpec(bandwidth=GBPS_25, rtt=0.016) if with_link else None
-    report = build_report(make_records(fcts, failures), link=link)
+    report = build_report(make_records(fcts, failures), link=link,
+                          run={"source": "test", "concurrency": 5.5, "tags": [1, 2]})
     assert report_json(report) == json.dumps(report, indent=2)
-    # empty and one-element arrays
-    for cdf, values in (([], []), (report["cdf"][:1], report["inputs"]["fct_values"][:1])):
-        edited = _without_arrays(report, cdf, values)
+    # an empty and a one-step CDF
+    for cdf in ([], report["cdf"][:1]):
+        edited = {**report, "cdf": cdf}
         assert report_json(edited) == json.dumps(edited, indent=2)
 
 
 def test_report_json_falls_back_when_a_string_looks_like_a_splice_mark():
-    report = build_report(
-        make_records([0.2, 0.1]),
-        compare_records=make_records([0.3]),
-        comparison_labels=("\x00cdf", "\x00fct_values"),
-    )
-    assert report_json(report) == json.dumps(report, indent=2)
+    # in a comparison label, and in a log header
+    for labels, run in ((("\x00cdf", "comparison"), None), (("primary", "comparison"), {"note": "\x00cdf"})):
+        report = build_report(make_records([0.2, 0.1]), compare_records=make_records([0.3]),
+                              comparison_labels=labels, run=run)
+        assert report_json(report) == json.dumps(report, indent=2)
 
 
 @pytest.mark.parametrize("labels", [("primary", "comparison"), ("\x00cdf", "comparison")])
-@pytest.mark.parametrize("where", ["regime", "cdf", "fct_values"])
+@pytest.mark.parametrize("where", ["regime", "cdf", "run"])
 def test_report_json_refuses_a_non_finite_figure(labels, where):
-    # on the splice path, in a spliced array and on the json.dumps fallback: never Infinity or NaN
+    # on the splice path, in the spliced CDF and on the json.dumps fallback: never Infinity or NaN
     for figure in (math.inf, math.nan):
         report = build_report(make_records([0.2, 0.1]), compare_records=make_records([0.3]),
-                              comparison_labels=labels)
+                              comparison_labels=labels, run={"bandwidth": 1.0})
         if where == "regime":
             report["regime"]["worst_fct"] = figure
         elif where == "cdf":
             report["cdf"][-1] = (figure, 1.0)
         else:
-            report["inputs"]["fct_values"][-1] = figure
+            report["inputs"]["run"]["bandwidth"] = figure
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             report_json(report)
 
 
 def test_report_json_splices_arrays_larger_than_one_encoder_chunk():
-    # the arrays are encoded a chunk at a time; the joins must not show
+    # the CDF is encoded a chunk at a time; the joins must not show
     fcts = [i / 7 for i in range(1, 10_000)]
     report = build_report(make_records(fcts), link=LinkSpec(bandwidth=GBPS_25, rtt=0.016))
     assert len(report["cdf"]) == len(fcts)
     assert report_json(report) == json.dumps(report, indent=2)
+
+
+def expand_cdf(cdf: list, count: int) -> list[float]:
+    """Every FCT of a report's CDF: a step (fct, p) stands for round(p * count) FCTs up to fct."""
+    fcts: list[float] = []
+    for fct, probability in cdf:
+        fcts += [fct] * (round(probability * count) - len(fcts))
+    return fcts
+
+
+@given(st.lists(report_fcts, min_size=1, max_size=60), st.integers(0, 3))
+@example([0.5] * 4999 + [0.25] * 3 + [7.0], 2)  # steps of 1, 3 and 4,999 FCTs
+@example([1e16, 5e-324, 1e16, 0.0, -0.0], 0)
+def test_report_cdf_and_count_give_back_every_fct(fcts, failures):
+    # the report's text, read back: its CDF and count give every FCT with its multiplicity,
+    # and those FCTs re-analyze to the report's own statistics
+    doc = strict_json(report_json(build_report(make_records(fcts, failures))))
+    again = expand_cdf(doc["cdf"], doc["stats"]["count"])
+    assert again == sorted(map(float, fcts))
+    assert asdict(fct_stats(again, doc["inputs"]["failures"])) == doc["stats"]
 
 
 # --- any log the reader accepts reports only finite, non-negative figures ---

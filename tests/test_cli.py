@@ -103,6 +103,18 @@ def test_model_infinite_theta_exits_1_naming_theta(capsys):
     assert err == "error: theta must be >= 1 and finite, got inf\n"
 
 
+def test_model_infeasible_without_a_local_rate_exits_2(capsys):
+    # 1 GB every 0.1 s is 80 Gbps offered to a 1 Gbps link: infeasible, whatever the local rate
+    argv = ["model", "--size", "1GB", "--bw", "1Gbps", "--interval", "0.1s"]
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (2, "")
+    decision = strict_json(out)["decision"]
+    assert (decision["choice"], decision["local_s"], decision["tier_achieved"]) == ("infeasible", None, None)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert "\ndecision        infeasible (gain 0): sustained rate 1e+10 B/s exceeds" in out
+
+
 def test_model_infeasible_exits_2(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -387,6 +399,25 @@ def test_simulate_flag_its_mode_never_reads_exits_1(capsys, tmp_path, argv, mess
     assert not out_path.exists()
 
 
+def test_sweep_needs_no_concurrency_and_ignores_one_given(capsys, tmp_path):
+    # a sweep used to require --concurrency (or a scenario's) and then ignore it
+    base = ["simulate", "--bw", "25Gbps", "--duration", "2s", "--size", "0.5GB", "--json"]
+    code, out, err = run_cli(capsys, *base, "--sweep", "1,2")
+    assert (code, err) == (0, "")
+    assert [row["concurrency"] for row in json.loads(out)] == [1.0, 2.0]
+    code, given, err = run_cli(capsys, *base, "--sweep", "1,2", "--concurrency", "99")
+    assert (code, given) == (0, out)
+    assert err == "warning: --concurrency is ignored: --sweep sets the concurrency\n"
+    # a scenario file's concurrency is replaced by the sweep too, and a bad sweep value still exits 1
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("bandwidth = 25Gbps\nduration = 2s\nconcurrency = 99\ntransfer_bytes = 0.5GB\n")
+    code, from_file, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--sweep", "1,2", "--json")
+    assert (code, from_file) == (0, out)
+    for values in ("0,2", "2,0"):
+        code, out, err = run_cli(capsys, *base, "--sweep", values)
+        assert (code, out, err) == (1, "", "error: concurrency must be finite and > 0, got 0.0\n")
+
+
 # --- analyze ---
 
 
@@ -577,9 +608,13 @@ def test_simulate_and_analyze_match_golden_bytes(capsys, tmp_path):
         "--out", str(out_dir), "--json",
     )
     assert code == 0
-    for name in ("report.json", "series_cdf.csv"):
-        assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
-    assert out.encode("utf-8") == (GOLDEN / "report.json").read_bytes()
+    # report.json holds the log's header under inputs.run, wall clock stamp and all
+    stamp = re.compile(r',\n +"started_unix_ms": \d+')
+    for text in ((out_dir / "report.json").read_text(encoding="utf-8"), out):
+        unstamped, stamps = stamp.subn("", text)
+        assert stamps == 1
+        assert unstamped.encode("utf-8") == (GOLDEN / "report.json").read_bytes()
+    assert (out_dir / "series_cdf.csv").read_bytes() == (GOLDEN / "series_cdf.csv").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -716,6 +751,10 @@ def test_analyze_compare_runs(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["comparison"]["ratios"]["max"] > 1.0
+    # inputs holds each log's header as the reader gives it
+    headers = [read_jsonl(path)[0] for path in (log_a, log_b)]
+    assert [report["inputs"]["run"], report["inputs"]["comparison_run"]] == headers
+    assert [header["concurrency"] for header in headers] == [8.0, 4.0]
 
 
 # --- casestudy ---

@@ -181,6 +181,27 @@ def test_read_rejects_bad_records_naming_the_line(bad, reason):
     assert reason in str(info.value)
 
 
+def id_line(client_id: int) -> str:
+    return GOOD_LINE.replace('"client_id": 0', f'"client_id": {client_id}') + "\n"
+
+
+@given(st.lists(st.integers(-3, 3), max_size=8))
+@example([1, 1])  # a repeat in ascending order
+@example([3, 1, 3])  # a repeat after the ids went out of order
+@example([3, 1, 5, 5])  # an ascending repeat after the ids went out of order
+@example([2**70, -(2**70), 2**70])
+def test_read_rejects_exactly_the_first_repeated_client_id(ids):
+    # the reference: a log is rejected at the first line whose id an earlier line holds
+    body = "".join(map(id_line, ids))
+    repeat = next((n for n, client_id in enumerate(ids) if client_id in ids[:n]), None)
+    if repeat is None:
+        assert read_jsonl(io.StringIO(body))[1].client_id == tuple(ids)
+    else:
+        with pytest.raises(LogFormatError) as info:
+            read_jsonl(io.StringIO(body))
+        assert str(info.value) == f"line {repeat + 1}: duplicate client_id {ids[repeat]}"
+
+
 @pytest.mark.parametrize(
     "body, lineno",
     [
@@ -324,10 +345,11 @@ def test_round_trip_keeps_extreme_numbers_bit_exact(tmp_path):
     assert math.copysign(1.0, back.spawn_s[0]) == -1.0 and back.complete_s[0] == 5e-324
 
 
-# read_jsonl's tracemalloc peak on the 20,000-record log below is 216 B a record on CPython
-# 3.11 with typed columns, and 350 B with one tuple per column (a float or int object per
-# number). The budget is the measured figure plus 15%, so boxed columns fail it.
-READ_PEAK_BUDGET_B = 250
+# read_jsonl's tracemalloc peak on the 20,000-record log below is 103.5 B a record on CPython
+# 3.11 with typed columns and no id set for an ascending log; a set of every client_id made it
+# 216 B, and one tuple per column (a float or int object per number) makes it 288 B. The
+# budget is the measured figure plus 15%, so either fails it.
+READ_PEAK_BUDGET_B = 120
 
 
 def test_read_jsonl_peak_memory_per_record_stays_in_budget(tmp_path):
