@@ -314,25 +314,24 @@ def write_report(
         fh.writelines((text, "\n"))  # no concatenated copy of a large text
     written.append(report_path)
 
-    import csv  # the two CSV writers are its only users
-    cdf_path = out / "series_cdf.csv"
-    with open(cdf_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fct_s", "cumulative_probability"])
-        writer.writerows(report["cdf"])
-    written.append(cdf_path)
+    written.append(write_csv(out / "series_cdf.csv", ("fct_s", "cumulative_probability"), report["cdf"]))
     return written
 
 
 def write_sweep_csv(rows, path: Path | str) -> Path:
     """Worst-FCT-versus-load series from (non-empty) fluidsim sweep rows."""
+    table = [row_dict(row) for row in rows]
+    return write_csv(path, table[0], (row.values() for row in table))
+
+
+def write_csv(path: Path | str, header, rows) -> Path:
+    """A CSV file of a header line and then the rows; its directory is made if missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    import csv
-    table = [row_dict(row) for row in rows]
+    import csv  # the CSV files are its only users
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(table[0])
-        writer.writerows(row.values() for row in table)
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 

@@ -173,6 +173,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--sweep", type=_float_list, help="concurrency values, e.g. 1,2,3,4,5,6,7,8")
     p_sim.add_argument("--parallel-list", type=_int_list, help="parallel-flow values, e.g. 2,4,8")
     p_sim.add_argument("--compare", help="measured JSONL log to compare against")
+    p_sim.add_argument("--trace", help="CSV file for the allocation trace, one row an interval")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_measure = sub.add_parser("measure", help="live measurement harness")
@@ -299,10 +300,13 @@ def _scenario_from_args(args) -> fluidsim.Scenario:
 
 def cmd_simulate(args) -> int:
     # a flag the chosen mode never reads is an error, not silently dropped
-    if args.sweep is not None and args.compare is not None:
-        raise UsageError("--compare does not apply to --sweep")
+    for flag in ("compare", "trace"):
+        if args.sweep is not None and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag} does not apply to --sweep")
     if args.parallel_list is not None and args.sweep is None:
         raise UsageError("--parallel-list requires --sweep")
+    if args.parallel_list is not None and args.parallel is not None:
+        raise UsageError("--parallel does not apply with --parallel-list")
     if args.sweep is not None:
         if args.concurrency is not None:  # a warning, not an error: scripts pass it, as a sweep once required it
             print("warning: --concurrency is ignored: --sweep sets the concurrency", file=sys.stderr)
@@ -332,6 +336,9 @@ def cmd_simulate(args) -> int:
         meta = base.config_echo()
         meta["started_unix_ms"] = int(time.time() * 1000)
         write_jsonl(args.out, result.records, run_meta=meta)
+    if args.trace:
+        analysis.write_csv(args.trace, ("start_s", "end_s", "first_client", "end_client", "rate_Bps"),
+                           result.intervals)
 
     summary = result.summary()
     comparison = None

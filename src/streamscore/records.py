@@ -155,12 +155,12 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
     """Parse a transfer log into its run metadata and a table of its records.
 
     The header is optional so that bare record streams still load, but only
-    the first line may be one. A line that is not a JSON object, holds NaN or
-    Infinity, is a second header, misses a field, holds a string or a boolean
-    where a number belongs, has a fractional count, fails ``check_row``, pairs
-    its status and error other than as "ok" with none or "error" with a
-    string, or repeats a client_id raises LogFormatError naming its line;
-    nothing is skipped.
+    the first line may be one, and its ``run`` must be an object. A line that
+    is not a JSON object, holds NaN or Infinity, is a second header, misses a
+    field, holds a string or a boolean where a number belongs, has a
+    fractional count, fails ``check_row``, pairs its status and error other
+    than as "ok" with none or "error" with a string, or repeats a client_id
+    raises LogFormatError naming its line; nothing is skipped.
     """
 
     def _read(fh: TextIOBase) -> tuple[dict, FlowTable]:
@@ -195,6 +195,8 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
                     raise LogFormatError(f"line {lineno}: a run header may only open the log")
                 opened = True
                 meta = obj["run"]
+                if not isinstance(meta, dict):
+                    raise LogFormatError(f"line {lineno}: run header must be an object")
                 continue
             opened = True
             try:

@@ -63,6 +63,7 @@ ONE_NUMBER = "one definition per number: offered load, carried utilization, the 
 ONE_LOAD = "one load description, stated once: shared flags, spec-only defaults, one validation site"
 ENTRY = "one process entry point: the heap frozen once the command is done; no flag silently dropped"
 ONE_FCT = "one copy of each FCT: the CDF alone in report.json, the log headers beside it; no id set"
+ACTIVE = "a simulator that keeps only what it returns: no per-client lists, the trace replayed on read"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -88,8 +89,8 @@ MUTANTS = (
            "decision = decide(workload, link, compute, io, args.tiers, worst_case_transfer=args.worst)",
            "decision = decide(workload, link, compute, io, args.tiers)", ONE_NUMBER),
     Mutant("simulated-bytes-counted-per-flow", "fluidsim.py",
-           "carried_utilization(size * total,", "carried_utilization(size * total * scenario.parallel_flows,",
-           ONE_NUMBER),
+           "float(scenario.transfer_bytes) * len(spawns),",
+           "float(scenario.transfer_bytes) * len(spawns) * scenario.parallel_flows,", ONE_NUMBER),
     Mutant("sweep-load-over-raw-bandwidth", "fluidsim.py",
            "load = offered_load(concurrency * base.transfer_bytes, base.link)",
            "load = concurrency * base.transfer_bytes / base.link.bandwidth", ONE_NUMBER),
@@ -136,11 +137,11 @@ MUTANTS = (
            "value = float(number) * float(factor)", ONE_LOAD),
     # --- named in the notes of the change that made one exact load ---
     Mutant("origin-not-reset-at-idle-restart", "fluidsim.py",
-           "            origin = start = activations[hi]\n",
-           "            start = activations[hi]\n", EXACT_LOAD),
+           "            origin = start = activation\n",
+           "            start = activation\n", EXACT_LOAD),
     Mutant("fct-from-absolute-clock", "fluidsim.py",
-           "fcts[lo] = startup + (t - (activations[lo] - origin))",
-           "fcts[lo] = startup + ((origin + t) - activations[lo])", EXACT_LOAD),
+           "add_fct(startup + (t - (spawns[lo] + startup - origin)))",
+           "add_fct(startup + ((origin + t) - (spawns[lo] + startup)))", EXACT_LOAD),
     Mutant("client-ceiling-exclusive", "schedule.py",
            "(count := self.client_count) <= MAX_CLIENTS:",
            "(count := self.client_count) < MAX_CLIENTS:", EXACT_LOAD),
@@ -226,14 +227,14 @@ MUTANTS = (
            '"spawn_s": "d", "complete_s": "d", "fct_s": "d"', '"spawn_s": "f", "complete_s": "f", "fct_s": "f"',
            TYPED),
     Mutant("simulated-fcts-stored-as-float32", "fluidsim.py",
-           'fcts=array("d", fcts),', 'fcts=array("f", fcts),', TYPED),
+           'fcts = array("d")  #', 'fcts = array("f")  #', TYPED),
     Mutant("typed-coercion-skipped", "records.py",
            "            elif not (column.__class__ is array and column.typecode == code):\n",
            "            elif False:\n", TYPED),
     Mutant("reader-columns-boxed", "records.py",
            "return meta, FlowTable(*columns)", "return meta, FlowTable(*map(tuple, columns))", TYPED),
     Mutant("simulated-fcts-kept-as-tuple", "fluidsim.py",
-           'fcts=array("d", fcts),', "fcts=tuple(fcts),", TYPED),
+           "        fcts=fcts,\n", "        fcts=tuple(fcts),\n", TYPED),
     Mutant("fct-slack-ignores-negative-times", "records.py",
            "-complete_s if complete_s < -1.0 else 1.0", "1.0", TYPED),
     Mutant("fct-check-one-sided", "records.py",
@@ -279,7 +280,7 @@ MUTANTS = (
            'TierPolicy.from_deadlines([parse_seconds(part) for part in text.split(",") if part.strip()])',
            ENTRY),
     Mutant("sweep-ignores-compare", "cli.py",
-           "    if args.sweep is not None and args.compare is not None:\n", "    if False:\n", ENTRY),
+           'for flag in ("compare", "trace"):', 'for flag in ("trace",):', ENTRY),
     Mutant("parallel-list-without-sweep-dropped", "cli.py",
            "    if args.parallel_list is not None and args.sweep is None:\n", "    if False:\n", ENTRY),
     # --- one copy of each FCT, and the reader without its id set ---
@@ -301,6 +302,24 @@ MUTANTS = (
            "        args.concurrency = args.sweep[0]", "        pass", ONE_FCT),
     Mutant("sweep-concurrency-ignored-silently", "cli.py",
            "        if args.concurrency is not None:  #", "        if False:  #", ONE_FCT),
+    # --- the simulator keeps its columns and a count; the trace is replayed ---
+    Mutant("activation-without-startup-in-fct", "fluidsim.py",
+           "add_fct(startup + (t - (spawns[lo] + startup - origin)))",
+           "add_fct(startup + (t - (spawns[lo] - origin)))", ACTIVE),
+    Mutant("interval-count-skips-arrivals", "fluidsim.py",
+           "            served += capacity * (t_arrival - t) / n\n            count += 1\n",
+           "            served += capacity * (t_arrival - t) / n\n", ACTIVE),
+    Mutant("simultaneous-batch-not-rounded-up", "schedule.py",
+           "repeat(math.ceil(self.concurrency))", "repeat(self.concurrency)", ACTIVE),
+    Mutant("replay-drops-completion-rows", "fluidsim.py",
+           "                rows.append((start, origin + t_finish, lo, hi, rate))\n",
+           "                pass\n", ACTIVE),
+    Mutant("trace-written-with-sweep", "cli.py",
+           'for flag in ("compare", "trace"):', 'for flag in ("compare",):', ACTIVE),
+    Mutant("parallel-with-parallel-list-dropped", "cli.py",
+           "    if args.parallel_list is not None and args.parallel is not None:\n", "    if False:\n", ACTIVE),
+    Mutant("run-header-not-checked-as-object", "records.py",
+           "                if not isinstance(meta, dict):\n", "                if False:\n", ACTIVE),
 )
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import re
 import signal
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from streamscore import fluidsim
 from streamscore.cli import UsageError, build_parser, main
 from streamscore.loadgen import ACK, pack_header
 from streamscore.records import read_jsonl
@@ -389,6 +391,10 @@ def test_an_empty_list_exits_1_naming_the_flag(capsys, argv, flag):
     [
         (["--sweep", "1,2", "--compare", "/nonexistent.jsonl"], "--compare does not apply to --sweep"),
         (["--parallel-list", "2,4"], "--parallel-list requires --sweep"),
+        (["--sweep", "1,2", "--trace", "/nonexistent/trace.csv"], "--trace does not apply to --sweep"),
+        # the --parallel value used to be dropped without a word
+        (["--sweep", "1", "--parallel", "3", "--parallel-list", "1,2"],
+         "--parallel does not apply with --parallel-list"),
     ],
 )
 def test_simulate_flag_its_mode_never_reads_exits_1(capsys, tmp_path, argv, message):
@@ -397,6 +403,26 @@ def test_simulate_flag_its_mode_never_reads_exits_1(capsys, tmp_path, argv, mess
     assert (code, out) == (1, "")
     assert err == f"error: {message}\n"
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("mode", ["simultaneous", "scheduled"])
+def test_simulate_trace_csv_holds_every_interval_and_every_byte(capsys, tmp_path, mode):
+    trace_path = tmp_path / "trace" / "alloc.csv"
+    argv = ["simulate", "--bw", "25Gbps", "--duration", "20s", "--concurrency", "9", "--size", "0.5GB",
+            "--mode", mode, "--json"]
+    code, plain, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--trace", str(trace_path))
+    assert (code, out, err) == (0, plain, "")  # the trace changes nothing printed
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "start_s,end_s,first_client,end_client,rate_Bps"
+    rows = [(float(a), float(b), int(lo), int(hi), float(rate))
+            for a, b, lo, hi, rate in (line.split(",") for line in lines[1:])]
+    result = fluidsim.simulate(fluidsim.scenario_from_mapping(
+        {"bandwidth": "25Gbps", "duration": "20s", "concurrency": 9, "transfer_bytes": "0.5GB", "mode": mode}))
+    assert len(rows) == result.interval_count > 30
+    assert tuple(rows) == result.intervals  # floats round-trip through their CSV text
+    delivered = math.fsum(rate * (end - start) * (hi - lo) for start, end, lo, hi, rate in rows)
+    assert delivered == pytest.approx(len(result.spawns) * 0.5e9, rel=1e-9, abs=0)
 
 
 def test_sweep_needs_no_concurrency_and_ignores_one_given(capsys, tmp_path):
@@ -427,6 +453,17 @@ def test_analyze_empty_log_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--in", str(empty))
     assert code == 1
     assert "no successful records" in err
+
+
+def test_analyze_log_whose_header_is_not_an_object_exits_1(capsys, tmp_path):
+    # the list used to be copied into report.json as inputs.run, with exit 0
+    log, report = tmp_path / "list-header.jsonl", tmp_path / "report"
+    log.write_text('{"run": [1, "x"]}\n{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, '
+                   '"fct_s": 1.0, "bytes": 9, "flows": 1}\n')
+    code, out, err = run_cli(capsys, "analyze", "--in", str(log), "--out", str(report), "--json")
+    assert (code, out) == (1, "")
+    assert err.endswith("line 1: run header must be an object\n")
+    assert not report.exists()
 
 
 def test_analyze_all_failed_log_exits_1_naming_the_log(capsys, tmp_path):

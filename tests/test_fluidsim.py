@@ -54,7 +54,7 @@ def load(mode: SpawnMode, concurrency: float, duration: float) -> LoadSpec:
 def test_simultaneous_batches_each_whole_second():
     offsets = load(SpawnMode.SIMULTANEOUS, 8, 10.0).spawn_times()
     assert len(offsets) == 80
-    assert offsets[:8] == [0.0] * 8
+    assert offsets[:8].tolist() == [0.0] * 8
     assert sorted(set(offsets)) == [float(s) for s in range(10)]
 
 
@@ -297,10 +297,15 @@ def test_overloaded_run_memory_is_linear():
     assert peak < 64 * 2**20
 
 
-# The tracemalloc peak of simulate(...).records on the 20,000-client burst below is 154 B a
-# client on CPython 3.11 with typed columns, and 204 B with one tuple per column (a float or int
-# object per number). The budget is the measured figure plus 15%, so boxed columns fail it.
-SIM_PEAK_BUDGET_B = 180
+# The tracemalloc peak of simulate(...).records on the 20,000-client burst below is 88.9 B a
+# client on CPython 3.11 with typed columns and the trace left to a replay; it was 154 B when
+# simulate kept one boxed row per interval, and 204 B with one tuple per column as well. The
+# budget is the measured figure plus 15%, so a kept trace or boxed columns fail it.
+SIM_PEAK_BUDGET_B = 102
+# simulate alone keeps its two 8-byte columns and a deque of the active clients: 16.3 B a
+# client at load 0.8 and 21.5 B at load 1.12 (10^5 scheduled clients), against 320 and 464 B
+# with per-client lists and a kept trace. Any per-client list of boxed floats (32 B a client) fails it.
+SIM_CLIENT_BUDGET_B = 32
 
 
 def test_simulated_records_peak_memory_per_client_stays_in_budget():
@@ -311,6 +316,19 @@ def test_simulated_records_peak_memory_per_client_stays_in_budget():
     assert len(records) == count
     assert_typed_columns(records)
     assert peak / count < SIM_PEAK_BUDGET_B, f"{peak / count:.1f} B per client"
+
+
+@pytest.mark.parametrize("load", [0.8, 1.12])
+def test_simulate_peak_memory_per_client_follows_the_active_set(load):
+    size, clients = 0.5e9, 100_000
+    concurrency = load * GBPS_25 / size
+    s = scenario(duration=clients / concurrency, concurrency=concurrency, mode=SpawnMode.SCHEDULED,
+                 startup_latency=None)
+    result, peak = traced_peak(lambda: simulate(s))
+    count = len(result.spawns)
+    assert count >= clients
+    assert result.interval_count > (1.9 if load > 1 else 0.99) * clients  # the trace would be large
+    assert peak / count < SIM_CLIENT_BUDGET_B, f"{peak / count:.1f} B per client"
 
 
 def test_result_columns_and_records_are_typed_arrays():
@@ -364,8 +382,10 @@ def test_records_and_trace_are_built_on_first_read(monkeypatch):
     records = result.records
     assert built == {"FlowTable": 1}
     assert len(records) == 70 and records.fct_s == result.fcts
+    # the trace replays the loop once, and agrees with the count the run kept
+    assert "intervals" not in vars(result)
     trace = result.trace
-    assert built["AllocationInterval"] == len(result.intervals) > 70
+    assert built["AllocationInterval"] == len(result.intervals) == result.interval_count > 70
     assert result.records is records and result.trace is trace  # cached, built once
     assert built["FlowTable"] == 1
 

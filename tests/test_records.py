@@ -217,6 +217,14 @@ def test_read_rejects_a_run_header_after_the_first_line(body, lineno):
     assert str(info.value) == f"line {lineno}: a run header may only open the log"
 
 
+@pytest.mark.parametrize("run", ['[1, "x"]', "null", '"x"', "7"])
+def test_read_rejects_a_run_header_that_is_not_an_object(run):
+    # a list header used to land in report.json as inputs.run
+    with pytest.raises(LogFormatError) as info:
+        read_jsonl(io.StringIO(f'{{"run": {run}}}\n' + GOOD_LINE + "\n"))
+    assert str(info.value) == "line 1: run header must be an object"
+
+
 def test_header_after_blank_lines_still_opens_the_log():
     meta, records = read_jsonl(io.StringIO('\n\n{"run": {"a": 1}}\n' + GOOD_LINE + "\n"))
     assert meta == {"a": 1} and len(records) == 1

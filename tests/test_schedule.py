@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -52,6 +53,20 @@ def test_both_backends_share_one_load_spec(mode, name, bad):
         with pytest.raises(ValueError, match=f"^{name} must be") as excinfo:
             replace(backend, **{name: bad})
         assert excinfo.traceback[-1].path.name == "schedule.py"
+
+
+@pytest.mark.parametrize("mode", list(SpawnMode))
+@pytest.mark.parametrize("concurrency", [0.7, 2.5, 3.0])
+def test_spawn_times_are_a_float64_array_of_the_closed_form(mode, concurrency):
+    spec = LoadSpec(mode=mode, concurrency=concurrency, duration=4.0, transfer_bytes=1)
+    times = spec.spawn_times()
+    assert (type(times), times.typecode) == (array, "d")
+    batch = math.ceil(concurrency)  # a simultaneous second spawns a whole batch
+    simultaneous = mode is SpawnMode.SIMULTANEOUS
+    assert times.tolist() == [float(k // batch) if simultaneous else k / concurrency
+                              for k in range(spec.client_count)]
+    if simultaneous and concurrency == 2.5:
+        assert times.tolist() == [0.0] * 3 + [1.0] * 3 + [2.0] * 3 + [3.0] * 3
 
 
 def test_only_the_simulator_rejects_an_empty_transfer():
