@@ -18,11 +18,12 @@ import json
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from enum import Enum
 from itertools import compress
 from pathlib import Path
 
+from ._frozen import frozen
 from .model import (
     DEFAULT_TIER_POLICY,
     DelayDecomposition,
@@ -41,7 +42,7 @@ OPTIMISTIC_BASELINE_LABEL = "optimistic baseline"
 REPORT_SCHEMA = "streamscore-report/3"
 
 
-@dataclass(frozen=True)
+@frozen
 class FctStats:
     """Flow-completion-time summary over the successful records of a run."""
 
@@ -325,13 +326,20 @@ def write_sweep_csv(rows, path: Path | str) -> Path:
 
 
 def write_csv(path: Path | str, header, rows) -> Path:
-    """A CSV file of a header line and then the rows; its directory is made if missing."""
+    """A CSV file of a header line and then the rows; its directory is made if missing.
+
+    ``rows`` is an iterable of rows, or a function that passes each row, as it
+    is made, to the function it is given, so no row is kept.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     import csv  # the CSV files are its only users
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if callable(rows):
+            rows(writer.writerow)
+        else:
+            writer.writerows(rows)
     return path
 

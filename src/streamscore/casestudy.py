@@ -11,9 +11,10 @@ range are answered by extending the end segments but tagged as extrapolated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
+from ._frozen import frozen
 from .model import (
     DEFAULT_TIER_POLICY,
     LinkSpec,
@@ -33,7 +34,7 @@ from .quantities import (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Workflow:
     """One analysis workflow: data rate out of the instrument, compute need.
 
@@ -53,7 +54,7 @@ class Workflow:
             raise ValueError(f"compute must be >= 0, got {self.compute}")
 
 
-@dataclass(frozen=True)
+@frozen
 class CaseStudyInput:
     workflows: tuple[Workflow, ...]
     link: LinkSpec
@@ -94,7 +95,7 @@ def interpolate_worst_fct(
     return max(0.0, value), extrapolated
 
 
-@dataclass(frozen=True)
+@frozen
 class TierBudget:
     tier: str
     deadline_s: float
@@ -102,7 +103,7 @@ class TierBudget:
     required_remote_rate: float | None  # FLOP/s; None when no budget remains
 
 
-@dataclass(frozen=True)
+@frozen
 class WorkflowResult:
     name: str
     throughput: float

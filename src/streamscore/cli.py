@@ -314,6 +314,7 @@ def cmd_simulate(args) -> int:
     base = _scenario_from_args(args)
 
     if args.sweep:
+        # a sweep list replaces the scenario file's key: this one its parallel_flows, --sweep its concurrency
         parallel_values = args.parallel_list or [base.parallel_flows]
         rows = fluidsim.sweep(base, args.sweep, parallel_values)
         if args.out:
@@ -338,7 +339,7 @@ def cmd_simulate(args) -> int:
         write_jsonl(args.out, result.records, run_meta=meta)
     if args.trace:
         analysis.write_csv(args.trace, ("start_s", "end_s", "first_client", "end_client", "rate_Bps"),
-                           result.intervals)
+                           result.replay)
 
     summary = result.summary()
     comparison = None

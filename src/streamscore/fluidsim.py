@@ -32,7 +32,8 @@ load 1.12 (tracemalloc peak, 10^5 scheduled clients, CPython 3.11).
 ``SimResult.records`` (a ``FlowTable`` over the two columns, with no row
 objects) is built on first read. ``SimResult.intervals``, the absolute
 ``(start, end, lo, hi, rate)`` rows, replays the deterministic loop with a
-row sink on first read, and ``SimResult.trace`` is built from those rows.
+row sink on first read, and ``SimResult.trace`` is built from those rows;
+``SimResult.replay`` hands each row to a sink as it is made, and keeps none.
 ``sweep``, which reads only the summary, builds none of them.
 
 Identical scenario inputs produce bit-identical results: the event loop is
@@ -47,10 +48,11 @@ import math
 import operator
 from array import array
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 from functools import cached_property, partial
 from pathlib import Path
 
+from ._frozen import frozen
 from .model import (LinkSpec, carried_utilization, link_from_mapping, offered_load,
                     streaming_speed_score, theoretical_transfer_time)
 from .quantities import coerce_quantity, parse_bytes, parse_seconds
@@ -61,7 +63,7 @@ from .schedule import LoadSpec, SpawnMode
 _EVENT_EPS = 1e-12
 
 
-@dataclass(frozen=True, kw_only=True)
+@frozen(kw_only=True)
 class Scenario(LoadSpec):
     """One simulated load-generation run against a bottleneck link."""
 
@@ -92,7 +94,7 @@ class Scenario(LoadSpec):
         }
 
 
-@dataclass(frozen=True, slots=True)
+@frozen
 class AllocationInterval:
     """A span during which a fixed client set shared the link equally."""
 
@@ -102,7 +104,7 @@ class AllocationInterval:
     rate_per_client: float  # bytes/s
 
 
-@dataclass(frozen=True)
+@frozen
 class SimResult:
     """The event loop's columns and summary; record table and trace on demand.
 
@@ -129,11 +131,15 @@ class SimResult:
             array("q", [self.scenario.parallel_flows]) * n, (None,) * n,
         )
 
+    def replay(self, emit) -> None:
+        """Pass ``emit`` each ``(start, end, lo, hi, rate)`` row as the replayed loop makes it."""
+        _run(self.scenario, emit)
+
     @cached_property
     def intervals(self) -> tuple[tuple[float, float, int, int, float], ...]:
         """``(start, end, lo, hi, rate)`` per interval: clients ``range(lo, hi)`` at ``rate`` B/s each."""
         rows: list[tuple[float, float, int, int, float]] = []
-        _run(self.scenario, rows)
+        self.replay(rows.append)
         return tuple(rows)
 
     @cached_property
@@ -154,8 +160,8 @@ class SimResult:
         }
 
 
-def _run(scenario: Scenario, rows: list | None = None) -> tuple[array, array, int]:
-    """The event loop's spawn and FCT columns and interval count; ``rows``, if given, gets each row."""
+def _run(scenario: Scenario, emit=None) -> tuple[array, array, int]:
+    """The event loop's spawn and FCT columns and interval count; ``emit``, if given, gets each row."""
     spawns = scenario.spawn_times()
     capacity = scenario.link.effective_rate
     size = float(scenario.transfer_bytes)  # the loop's clock arithmetic stays in floats
@@ -191,15 +197,15 @@ def _run(scenario: Scenario, rows: list | None = None) -> tuple[array, array, in
         if t_arrival < t_finish - _EVENT_EPS:
             served += capacity * (t_arrival - t) / n
             count += 1
-            if rows is not None:
-                rows.append((start, origin + t_arrival, lo, hi, rate))
+            if emit is not None:
+                emit((start, origin + t_arrival, lo, hi, rate))
             start = origin + t_arrival
             t = t_arrival
         else:
             served = finish_at[0]
             count += 1
-            if rows is not None:
-                rows.append((start, origin + t_finish, lo, hi, rate))
+            if emit is not None:
+                emit((start, origin + t_finish, lo, hi, rate))
             start = origin + t_finish
             t = t_finish
             while lo < hi and finish_at[0] - served <= residual_eps:
@@ -225,7 +231,7 @@ def simulate(scenario: Scenario) -> SimResult:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class SweepRow:
     """One sweep point: a concurrency and flow count, and its simulated outcome."""
 

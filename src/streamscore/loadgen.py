@@ -35,8 +35,8 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
 
+from ._frozen import frozen
 from .records import FlowTable, check_row
 from .schedule import LoadSpec
 
@@ -147,7 +147,7 @@ def _until_readable(sock: socket.socket):
     yield sock, selectors.EVENT_READ, None
 
 
-@dataclass(frozen=True, kw_only=True)
+@frozen(kw_only=True)
 class PortPool:
     """Sequential TCP ports; the base of both ends, so each checks its pool alike."""
 
@@ -167,7 +167,7 @@ class PortPool:
         return tuple(range(self.base_port, self.base_port + self.pool_size))
 
 
-@dataclass(frozen=True, kw_only=True)
+@frozen(kw_only=True)
 class ServerConfig(PortPool):
     bind_address: str = "127.0.0.1"
 
@@ -266,7 +266,7 @@ class TransferServer:
                 return  # drop without acknowledgment
 
 
-@dataclass(frozen=True, kw_only=True)
+@frozen(kw_only=True)
 class ClientRunConfig(LoadSpec, PortPool):
     """A measured run: the shared load spec and port pool, plus where and how to connect."""
 

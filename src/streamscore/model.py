@@ -13,10 +13,11 @@ utilization clamped past rounding, the one place that imports ``logging``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from functools import partial
 
+from ._frozen import frozen
 from .quantities import coerce_quantity, parse_rate, parse_seconds
 
 DEFAULT_TIERS: tuple[tuple[str, float], ...] = (
@@ -26,7 +27,7 @@ DEFAULT_TIERS: tuple[tuple[str, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class WorkloadSpec:
     """One data unit produced by an instrument and the compute it demands."""
 
@@ -57,7 +58,7 @@ class WorkloadSpec:
         return self.unit_size / self.generation_interval
 
 
-@dataclass(frozen=True)
+@frozen
 class ComputeSpec:
     """Local and remote processing rates, FLOP/s."""
 
@@ -72,7 +73,7 @@ class ComputeSpec:
             raise ValueError(f"local_rate must be > 0, got {self.local_rate}")
 
 
-@dataclass(frozen=True)
+@frozen
 class LinkSpec:
     """Network path: raw bandwidth (bytes/s), efficiency, and RTT."""
 
@@ -127,7 +128,7 @@ def link_from_mapping(raw) -> LinkSpec:
     return LinkSpec(**{key: read(raw[key]) for key, read in readers.items() if key in raw})
 
 
-@dataclass(frozen=True)
+@frozen
 class IoOverhead:
     """File-staging overhead as a multiplier on transfer time (theta >= 1)."""
 
@@ -139,7 +140,7 @@ class IoOverhead:
             raise ValueError(f"theta must be >= 1 and finite, got {self.theta}")
 
 
-@dataclass(frozen=True)
+@frozen
 class TimeBreakdown:
     """Remote-path completion time split into its additive parts and their total."""
 
@@ -155,7 +156,7 @@ class TimeBreakdown:
         object.__setattr__(self, "total_s", self.transfer_s + self.io_s + self.remote_s)
 
 
-@dataclass(frozen=True)
+@frozen
 class DelayDecomposition:
     """Per-packet delay components, each in seconds."""
 
@@ -170,7 +171,7 @@ class DelayDecomposition:
                 raise ValueError(f"{name} must be >= 0")
 
 
-@dataclass(frozen=True)
+@frozen
 class TierPolicy:
     """Ordered completion-time deadlines, most stringent first."""
 
@@ -203,7 +204,7 @@ class Choice(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
+@frozen
 class Decision:
     """Outcome of the local-vs-remote comparison."""
 
@@ -215,7 +216,7 @@ class Decision:
     local_s: float | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class ScanSpec:
     """A scan of fixed-size frames, optionally aggregated into files."""
 
@@ -252,7 +253,7 @@ class ScanSpec:
         return self.frame_interval * self.frame_count
 
 
-@dataclass(frozen=True)
+@frozen
 class FileStreamComparison:
     """Stream-while-generating versus stage-then-transfer completion times."""
 
@@ -277,9 +278,7 @@ def remote_processing_time(workload: WorkloadSpec, compute: ComputeSpec) -> floa
 
 
 def breakdown_from_parts(transfer_s: float, remote_s: float, io: IoOverhead) -> TimeBreakdown:
-    """Assemble a remote-path breakdown; io time is (theta - 1) x transfer."""
-    if transfer_s < 0 or remote_s < 0:
-        raise ValueError("transfer and remote times must be >= 0")
+    """Assemble a remote-path breakdown; io time is (theta - 1) x transfer. TimeBreakdown checks the parts."""
     return TimeBreakdown(transfer_s=transfer_s, io_s=(io.theta - 1.0) * transfer_s, remote_s=remote_s)
 
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from io import TextIOBase
 from operator import itemgetter
 from pathlib import Path
 
+from ._frozen import frozen
 from .schedule import MAX_FLOWS
 
 # One record line. %r writes builtin ints and finite floats exactly as
@@ -57,7 +58,7 @@ def check_row(spawn_s: float, complete_s: float, fct_s: float, nbytes: int, flow
         raise ValueError(f"flows must be in [1, {MAX_FLOWS}], got {flows}")
 
 
-@dataclass(frozen=True)
+@frozen
 class FlowTable:
     """Flow records as one column per record field, rows in log order.
 

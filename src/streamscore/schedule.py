@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from operator import floordiv, truediv
+
+from ._frozen import frozen
 
 # a simulated client costs ~16 B of peak RSS below load 1 and ~24 B over it (10^6 scheduled clients peak at
 # 32 MB at load 0.8 and 40 MB at load 1.12), so a run at the ceiling peaks near 95 MB, or 130 MB overloaded
@@ -39,7 +40,7 @@ class SpawnMode(Enum):
             ) from None
 
 
-@dataclass(frozen=True, kw_only=True)
+@frozen(kw_only=True)
 class LoadSpec:
     """One run's offered load; both backends take it as their base."""
 

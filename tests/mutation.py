@@ -64,6 +64,7 @@ ONE_LOAD = "one load description, stated once: shared flags, spec-only defaults,
 ENTRY = "one process entry point: the heap frozen once the command is done; no flag silently dropped"
 ONE_FCT = "one copy of each FCT: the CDF alone in report.json, the log headers beside it; no id set"
 ACTIVE = "a simulator that keeps only what it returns: no per-client lists, the trace replayed on read"
+SHARED = "record classes that compile one method: five shared frozen methods; a trace written as it is made"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -312,7 +313,7 @@ MUTANTS = (
     Mutant("simultaneous-batch-not-rounded-up", "schedule.py",
            "repeat(math.ceil(self.concurrency))", "repeat(self.concurrency)", ACTIVE),
     Mutant("replay-drops-completion-rows", "fluidsim.py",
-           "                rows.append((start, origin + t_finish, lo, hi, rate))\n",
+           "                emit((start, origin + t_finish, lo, hi, rate))\n",
            "                pass\n", ACTIVE),
     Mutant("trace-written-with-sweep", "cli.py",
            'for flag in ("compare", "trace"):', 'for flag in ("compare",):', ACTIVE),
@@ -320,6 +321,34 @@ MUTANTS = (
            "    if args.parallel_list is not None and args.parallel is not None:\n", "    if False:\n", ACTIVE),
     Mutant("run-header-not-checked-as-object", "records.py",
            "                if not isinstance(meta, dict):\n", "                if False:\n", ACTIVE),
+    # --- the shared frozen methods, and the satellites that came with them ---
+    Mutant("frozen-eq-without-class-test", "_frozen.py",
+           "    if other.__class__ is not self.__class__:\n        return NotImplemented\n", "", SHARED),
+    Mutant("frozen-hash-ignores-hash-false", "_frozen.py",
+           "if (f.compare if f.hash is None else f.hash)", "if f.compare", SHARED),
+    Mutant("frozen-setattr-allows-a-second-assignment", "_frozen.py",
+           "if name in self.__dataclass_fields__ and name not in self.__dict__:",
+           "if name in self.__dataclass_fields__:", SHARED),
+    Mutant("frozen-repr-ignores-repr-flags", "_frozen.py",
+           "for f in fields(self) if f.repr)", "for f in fields(self))", SHARED),
+    Mutant("frozen-delattr-deletes", "_frozen.py",
+           '    raise FrozenInstanceError(f"cannot delete field {name!r}")\n',
+           "    object.__delattr__(self, name)\n", SHARED),
+    Mutant("trace-built-before-it-is-written", "cli.py",
+           "                           result.replay)", "                           result.intervals)", SHARED),
+    Mutant("scenario-flow-count-wins-over-parallel-list", "cli.py",
+           "parallel_values = args.parallel_list or [base.parallel_flows]",
+           "parallel_values = [base.parallel_flows] if args.scenario else args.parallel_list or [base.parallel_flows]", SHARED),
+    Mutant("breakdown-part-check-dropped", "model.py",
+           "            if not getattr(self, name) >= 0:", "            if False:", SHARED),
+    Mutant("casestudy-error-row-text-dropped", "cli.py",
+           '                lines.append(f"  error        {row.error}")\n', "", SHARED),
+    Mutant("casestudy-extrapolated-tag-dropped", "cli.py",
+           '                worst += " (extrapolated)"', "                pass", SHARED),
+    Mutant("closed-connection-taken-as-ack", "loadgen.py",
+           "            if ack != ACK:", "            if ack and ack != ACK:", SHARED),
+    Mutant("wrong-reply-reported-as-missing", "loadgen.py",
+           '"missing acknowledgment" if not ack else f"unexpected reply {ack!r}"', '"missing acknowledgment"', SHARED),
 )
 
 

@@ -20,7 +20,7 @@ from streamscore.loadgen import ACK, pack_header
 from streamscore.records import read_jsonl
 from streamscore.schedule import MAX_CLIENTS, LoadSpec
 
-from conftest import find_free_port_block, strict_json
+from conftest import find_free_port_block, strict_json, traced_peak
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -423,6 +423,41 @@ def test_simulate_trace_csv_holds_every_interval_and_every_byte(capsys, tmp_path
     assert tuple(rows) == result.intervals  # floats round-trip through their CSV text
     delivered = math.fsum(rate * (end - start) * (hi - lo) for start, end, lo, hi, rate in rows)
     assert delivered == pytest.approx(len(result.spawns) * 0.5e9, rel=1e-9, abs=0)
+
+
+# In-process `simulate --trace` of 20,000 scheduled clients at load 1.12 (39,999 intervals) peaks
+# at 30.9 B an interval on CPython 3.11, with each row written as the replayed loop makes it; it
+# was 215 B when the whole trace was built as row tuples first. The budget is the measured figure
+# plus 30%, so a trace built before it is written fails it.
+TRACE_BUDGET_B = 40
+
+
+def test_simulate_trace_writes_rows_as_they_are_made(capsys, tmp_path):
+    clients, load = 20_000, 1.12
+    concurrency = load * 25e9 / 8 / 0.5e9
+    trace_path = tmp_path / "alloc.csv"
+    argv = ["simulate", "--bw", "25Gbps", "--size", "0.5GB", "--duration", f"{clients / concurrency!r}s",
+            "--concurrency", repr(concurrency), "--mode", "scheduled", "--json", "--trace", str(trace_path)]
+    code, peak = traced_peak(lambda: main(argv))
+    assert (code, capsys.readouterr().err) == (0, "")
+    with open(trace_path, encoding="utf-8") as fh:
+        intervals = sum(1 for _ in fh) - 1
+    assert intervals > 1.9 * clients  # overloaded: about two intervals a client
+    assert peak / intervals < TRACE_BUDGET_B, f"{peak / intervals:.1f} B per interval"
+
+
+def test_sweep_parallel_list_replaces_the_scenario_flow_count(capsys, tmp_path):
+    # the rule the sweep follows for concurrency: a sweep list replaces the scenario file's key
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("bandwidth = 25Gbps\nduration = 2s\nconcurrency = 1\ntransfer_bytes = 0.5GB\n"
+                        "parallel_flows = 3\n")
+    base = ["simulate", "--scenario", str(scenario), "--sweep", "1", "--json"]
+    code, out, err = run_cli(capsys, *base, "--parallel-list", "1,2")
+    assert (code, err) == (0, "")
+    assert [row["parallel_flows"] for row in json.loads(out)] == [1, 2]
+    code, out, err = run_cli(capsys, *base)
+    assert (code, err) == (0, "")
+    assert [row["parallel_flows"] for row in json.loads(out)] == [3]
 
 
 def test_sweep_needs_no_concurrency_and_ignores_one_given(capsys, tmp_path):
@@ -841,6 +876,39 @@ def test_casestudy_integer_past_float_range_exits_1(capsys, tmp_path, key):
     assert err == f"error: quantity {_HUGE} overflows a float\n"
 
 
+def test_casestudy_text_shows_an_error_row_and_an_extrapolated_row(capsys, tmp_path, monkeypatch):
+    from streamscore import casestudy
+
+    def lookup(curve, load):  # a failing lookup for the second workflow only
+        if load > 0.5:
+            raise ValueError("no worst FCT for this load")
+        return interpolate(curve, load)
+
+    interpolate = casestudy.interpolate_worst_fct
+    monkeypatch.setattr(casestudy, "interpolate_worst_fct", lookup)
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({
+        "workflows": [{"name": "low", "throughput": "0.1GBps", "compute": "1TFLOP"},
+                      {"name": "broken", "throughput": "0.6GBps", "compute": "1TFLOP"}],
+        "link": {"bandwidth": "1GBps"}, "worst_fct_curve": [[0.2, "1s"], [0.4, "2s"]],
+    }))
+    code, out, err = run_cli(capsys, "casestudy", "--input", str(study))
+    # load 0.1 lies below the curve: its end segment gives 1 + (2 - 1) x (0.1 - 0.2) / 0.2 = 0.5 s
+    assert (code, err) == (2, "")  # an error row blocks, as an infeasible one does
+    assert out == (
+        "low\n"
+        "  throughput   1e+08 B/s\n"
+        "  offered load 0.1\n"
+        "  worst fct    0.5 s (extrapolated)\n"
+        "  Tier 1   (<1 s): budget 0.5 s, min remote rate 2e+12 FLOPS\n"
+        "  Tier 2   (<10 s): budget 9.5 s, min remote rate 1.05263e+11 FLOPS\n"
+        "  Tier 3   (<60 s): budget 59.5 s, min remote rate 1.68067e+10 FLOPS\n"
+        "broken\n"
+        "  throughput   6e+08 B/s\n"
+        "  error        no worst FCT for this load\n"
+    )
+
+
 # --- measure (in-process run against a library server) ---
 
 
@@ -1066,6 +1134,45 @@ def test_measure_serve_sigterm_exits_0():
         finally:
             if proc.poll() is None:
                 proc.kill()
+
+
+@pytest.mark.parametrize("reply, error", [(b"", "missing acknowledgment"),
+                                          (b"\x15", "unexpected reply b'\\x15'")])
+def test_measure_run_against_a_server_that_never_acks_exits_2(capsys, tmp_path, reply, error):
+    # a stub server reads the whole transfer, then closes without the ack byte or answers another one
+    import threading
+
+    from streamscore.loadgen import HEADER_SIZE, parse_header
+
+    def serve_one(listener: socket.socket) -> None:
+        conn, _ = listener.accept()
+        with conn:
+            header = b""
+            while len(header) < HEADER_SIZE:
+                header += conn.recv(HEADER_SIZE - len(header))
+            remaining = parse_header(header)
+            while remaining:
+                remaining -= len(conn.recv(min(remaining, 65536)))
+            conn.sendall(reply)
+
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        server = threading.Thread(target=serve_one, args=(listener,), daemon=True)
+        server.start()
+        out_path = tmp_path / "measured.jsonl"
+        code, out, _ = run_cli(
+            capsys,
+            "measure", "run", "--server", "127.0.0.1", "--base-port", str(listener.getsockname()[1]),
+            "--pool-size", "1", "--duration", "1s", "--concurrency", "1", "--size", "1KB",
+            "--transfer-timeout", "10s", "--out", str(out_path), "--json",
+        )
+        server.join(timeout=10)
+    assert code == 2
+    assert json.loads(out) == {"records": 1, "failures": 1, "max_fct_s": None}
+    _, records = read_jsonl(out_path)
+    assert records.error == (f"flow 0: {error}",)
+    assert records.bytes.tolist() == [0]
 
 
 def test_measure_run_unresolvable_server_logs_every_client_and_exits_2(

@@ -17,6 +17,7 @@ from streamscore.model import (
     TierPolicy,
     TimeBreakdown,
     WorkloadSpec,
+    breakdown_from_parts,
     classify_tier,
     decide,
     file_vs_stream,
@@ -78,6 +79,13 @@ def test_breakdown_total_is_computed_from_its_parts():
     for name in ("transfer_s", "io_s", "remote_s"):
         with pytest.raises(ValueError, match=name):
             TimeBreakdown(**{"transfer_s": 1.0, "io_s": 0.0, "remote_s": 1.0, name: math.nan})
+
+
+@pytest.mark.parametrize("transfer_s, remote_s, name", [(-1.0, 1.0, "transfer_s"), (1.0, -1.0, "remote_s")])
+def test_breakdown_from_parts_leaves_the_range_check_to_the_breakdown(transfer_s, remote_s, name):
+    # breakdown_from_parts had a check of its own; TimeBreakdown's is the one left, and names the part
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0$"):
+        breakdown_from_parts(transfer_s, remote_s, IoOverhead(2.0))
 
 
 def test_scan_spec_files_bounded_by_frames():
