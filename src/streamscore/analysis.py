@@ -63,13 +63,8 @@ class Regime(Enum):
 
 
 def nearest_rank(sorted_values: Sequence[float], percentile: int) -> float:
-    """Nearest-rank percentile: the ceil(p/100 * n)-th smallest value."""
-    n = len(sorted_values)
-    if n == 0:
-        raise ValueError("cannot take a percentile of zero values")
-    if not 0 < percentile <= 100:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    index = -((-percentile * n) // 100)  # integer ceil division
+    """Nearest-rank percentile of a non-empty ascending list: the ceil(p/100 * n)-th smallest value."""
+    index = -((-percentile * len(sorted_values)) // 100)  # integer ceil division
     return sorted_values[index - 1]
 
 
@@ -97,10 +92,8 @@ def fct_cdf(sorted_fcts: Sequence[float]) -> list[tuple[float, float]]:
     """Empirical CDF of an ascending FCT list, as (fct, probability) steps.
 
     Duplicate values coalesce to their highest rank, so probabilities
-    strictly increase across entries and the last one is exactly 1.0.
+    strictly increase across entries and the last one is exactly 1.0 (an empty list has none).
     """
-    if not sorted_fcts:
-        raise ValueError("no successful records for a CDF")
     n = len(sorted_fcts)
     series: list[tuple[float, float]] = []
     for i, value in enumerate(sorted_fcts, start=1):
@@ -111,8 +104,6 @@ def fct_cdf(sorted_fcts: Sequence[float]) -> list[tuple[float, float]]:
 
 def classify_regime(worst_fct: float, policy: TierPolicy = DEFAULT_TIER_POLICY) -> Regime:
     """Low below the tightest deadline, severe at or past the next one."""
-    if worst_fct < 0:
-        raise ValueError(f"worst_fct must be >= 0, got {worst_fct}")
     deadlines = policy.deadlines
     low_cut = deadlines[0]
     severe_cut = deadlines[1] if len(deadlines) > 1 else deadlines[0]
@@ -262,13 +253,11 @@ _CHUNK = 4096  # pairs encoded at a time, so the encoder's per-number strings st
 
 
 def _cdf_array(cdf: list) -> str:
-    """The CDF's (fct, probability) pairs as json.dumps(indent=2) lays them out in the report.
+    """A non-empty CDF's (fct, probability) pairs as json.dumps(indent=2) lays them out in the report.
 
     The C encoder writes each number as the indent=2 encoder does, and no
     number's text holds a bracket, comma or space: re-indenting is exact.
     """
-    if not cdf:
-        return "[]"
     pad = ["\n" + "  " * depth for depth in (1, 2, 3)]  # the list, a pair, a number
 
     def lay_out(start: int) -> str:
@@ -284,10 +273,11 @@ def _cdf_array(cdf: list) -> str:
 def report_json(report: dict) -> str:
     """The report's JSON text, as report.json and ``analyze --json`` hold it.
 
-    Byte-identical to ``json.dumps(report, indent=2)``, whose pure-Python
-    encoder is slow on a long ``cdf``: the CDF is encoded apart and spliced
-    in. A non-finite figure raises ValueError: the text is JSON, with no NaN
-    or Infinity.
+    Byte-identical to ``json.dumps(report, indent=2)`` on a report of
+    ``build_report``, whose CDF is never empty. That encoder is pure Python and
+    slow on a long ``cdf``, so the CDF is encoded apart and spliced in. A
+    non-finite figure raises ValueError: the text is JSON, with no NaN or
+    Infinity.
     """
     mark = json.dumps("\x00cdf")
     text = json.dumps({**report, "cdf": "\x00cdf"}, indent=2, allow_nan=False)

@@ -11,6 +11,7 @@ range are answered by extending the end segments but tagged as extrapolated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -48,9 +49,9 @@ class Workflow:
     compute: float  # FLOP per second of data
 
     def __post_init__(self) -> None:
-        if self.throughput <= 0:
+        if not self.throughput > 0:
             raise ValueError(f"throughput must be > 0, got {self.throughput}")
-        if self.compute < 0:
+        if not self.compute >= 0:
             raise ValueError(f"compute must be >= 0, got {self.compute}")
 
 
@@ -71,14 +72,14 @@ class CaseStudyInput:
             raise ValueError(f"curve points must have increasing offered load: {loads}")
         if any(not 0 <= load <= 1 for load in loads):
             raise ValueError(f"curve offered loads must lie in [0, 1]: {loads}")
+        if any(not 0 <= worst < math.inf for _, worst in self.worst_fct_curve):
+            raise ValueError(f"curve worst FCTs must be finite and >= 0: {self.worst_fct_curve}")
 
 
 def interpolate_worst_fct(
     curve: tuple[tuple[float, float], ...], load: float
 ) -> tuple[float, bool]:
-    """Piecewise-linear worst-FCT lookup; returns (value, extrapolated)."""
-    if not curve:
-        raise ValueError("empty curve")
+    """Piecewise-linear worst-FCT lookup on a non-empty curve; returns (value, extrapolated)."""
     if len(curve) == 1:
         return curve[0][1], load != curve[0][0]
 

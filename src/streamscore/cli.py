@@ -541,7 +541,3 @@ def run() -> None:
 
     gc.freeze()
     raise SystemExit(status)
-
-
-if __name__ == "__main__":
-    run()

@@ -256,8 +256,6 @@ def sweep(
     fills the rows of every flow count. Rows come back in input order
     (concurrency outer, parallel inner).
     """
-    if not concurrency_values or not parallel_values:
-        raise ValueError("sweep value lists must be non-empty")
     for flows in parallel_values:
         replace(base, parallel_flows=flows)  # the load spec rejects a bad flow count
     summaries: dict[float, dict] = {}

@@ -66,8 +66,6 @@ class ServerStartupError(OSError):
 
 
 def pack_header(payload_bytes: int) -> bytes:
-    if payload_bytes < 0:
-        raise ValueError(f"payload length must be >= 0, got {payload_bytes}")
     return _HEADER.pack(MAGIC, PROTOCOL_VERSION, payload_bytes)
 
 
@@ -84,11 +82,7 @@ def parse_header(raw: bytes) -> int:
 
 
 def split_bytes(total: int, flows: int) -> list[int]:
-    """Split a transfer across flows evenly, remainder to the last flow."""
-    if flows <= 0:
-        raise ValueError(f"flows must be > 0, got {flows}")
-    if total < 0:
-        raise ValueError(f"total must be >= 0, got {total}")
+    """Split a transfer across flows evenly, remainder to the last flow (``LoadSpec`` bounds both)."""
     per_flow = total // flows
     return [per_flow] * (flows - 1) + [total - per_flow * (flows - 1)]
 

@@ -82,10 +82,12 @@ class LinkSpec:
     rtt: float = 0.0  # seconds
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be > 0, got {self.bandwidth}")
         if not 0 < self.alpha <= 1:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not self.alpha * self.bandwidth > 0:  # every rate and load divides by it
+            raise ValueError(f"alpha x bandwidth must be > 0, got {self.alpha} x {self.bandwidth}")
         if self.rtt < 0:
             raise ValueError(f"rtt must be >= 0, got {self.rtt}")
 

@@ -65,6 +65,7 @@ ENTRY = "one process entry point: the heap frozen once the command is done; no f
 ONE_FCT = "one copy of each FCT: the CDF alone in report.json, the log headers beside it; no id set"
 ACTIVE = "a simulator that keeps only what it returns: no per-client lists, the trace replayed on read"
 SHARED = "record classes that compile one method: five shared frozen methods; a trace written as it is made"
+COVERED = "every src line runs under Tier-1, or goes: each deleted re-check's earlier check, and the new guards"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -349,6 +350,34 @@ MUTANTS = (
            "            if ack != ACK:", "            if ack and ack != ACK:", SHARED),
     Mutant("wrong-reply-reported-as-missing", "loadgen.py",
            '"missing acknowledgment" if not ack else f"unexpected reply {ack!r}"', '"missing acknowledgment"', SHARED),
+    # --- the earlier checks the deleted re-checks relied on ---
+    Mutant("fct-stats-empty-check-dropped", "analysis.py",
+           "    if not sorted_fcts:\n", "    if False:\n", COVERED),
+    Mutant("case-study-empty-curve-accepted", "casestudy.py",
+           "        if not self.worst_fct_curve:\n", "        if False:\n", COVERED),
+    Mutant("load-flow-lower-bound-dropped", "schedule.py",
+           "if not (1 <= (flows := self.parallel_flows) <= MAX_FLOWS",
+           "if not ((flows := self.parallel_flows) <= MAX_FLOWS", COVERED),
+    Mutant("load-negative-bytes-accepted", "schedule.py",
+           "if not (self.transfer_bytes >= 0 and math.isfinite(self.transfer_bytes)):",
+           "if not math.isfinite(self.transfer_bytes):", COVERED),
+    Mutant("check-row-negative-fct-accepted", "records.py",
+           "if not 0 <= fct_s < math.inf:", "if not fct_s < math.inf:", COVERED),
+    # --- a zero effective rate, NaN inputs and a cut payload ---
+    Mutant("link-rate-underflow-accepted", "model.py",
+           "        if not self.alpha * self.bandwidth > 0:", "        if False:", COVERED),
+    Mutant("link-nan-bandwidth-accepted", "model.py",
+           "if not self.bandwidth > 0:", "if self.bandwidth <= 0:", COVERED),
+    Mutant("workflow-nan-throughput-accepted", "casestudy.py",
+           "if not self.throughput > 0:", "if self.throughput <= 0:", COVERED),
+    Mutant("workflow-nan-compute-accepted", "casestudy.py",
+           "if not self.compute >= 0:", "if self.compute < 0:", COVERED),
+    Mutant("curve-worst-fct-unchecked", "casestudy.py",
+           "        if any(not 0 <= worst < math.inf for _, worst in self.worst_fct_curve):\n",
+           "        if False:\n", COVERED),
+    Mutant("cut-payload-acknowledged", "loadgen.py",
+           "                        if not got:\n                            return\n",
+           "                        if not got:\n                            break\n", COVERED),
 )
 
 

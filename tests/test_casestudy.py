@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -155,6 +156,29 @@ def test_malformed_study_rejected():
                 "worst_fct_curve": [[0.9, "1s"], [0.5, "2s"]],  # not increasing
             }
         )
+
+
+def _study(curve) -> CaseStudyInput:
+    return CaseStudyInput(workflows=(Workflow("w", 1e9, 1e12),), link=LinkSpec(bandwidth=GBPS_25),
+                          tiers=TierPolicy(), worst_fct_curve=curve)
+
+
+# NaN passed the old `<= 0` and `< 0` tests, and a NaN worst FCT evaluated to a 0.0 s worst case
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Workflow("w", math.nan, 1e12), "throughput must be > 0, got nan"),
+        (lambda: Workflow("w", 1e9, math.nan), "compute must be >= 0, got nan"),
+        (lambda: _study(((0.5, math.nan),)), "curve worst FCTs must be finite and >= 0: ((0.5, nan),)"),
+        (lambda: _study(((0.5, 1.0), (0.9, math.inf))),
+         "curve worst FCTs must be finite and >= 0: ((0.5, 1.0), (0.9, inf))"),
+        (lambda: _study(((0.5, -1.0),)), "curve worst FCTs must be finite and >= 0: ((0.5, -1.0),)"),
+    ],
+)
+def test_nan_and_out_of_range_workflow_and_curve_values_rejected(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
 
 
 def test_compute_rejects_wrong_dimension():

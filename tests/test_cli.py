@@ -140,19 +140,31 @@ def test_model_decision_gain(capsys):
 
 
 @pytest.mark.parametrize(
-    "rates, field",
+    "rates, message",
     [
-        (["--remote-rate", "0TF"], "remote_rate"),
-        (["--local-rate", "0TF", "--remote-rate", "10TF", "--work", "10TFLOP"], "local_rate"),
-        (["--local-rate", "0TF"], "local_rate"),
+        (["--remote-rate", "0TF"], "remote_rate must be > 0, got 0.0"),
+        (["--local-rate", "0TF", "--remote-rate", "10TF", "--work", "10TFLOP"], "local_rate must be > 0, got 0.0"),
+        (["--local-rate", "0TF"], "local_rate must be > 0, got 0.0"),
+        # an effective link rate that underflows to 0 used to end in a ZeroDivisionError traceback
+        (["--bw", "1e-300bps", "--alpha", "1e-300"], "alpha x bandwidth must be > 0, got 1e-300 x 1.25e-301"),
     ],
 )
-def test_model_zero_rate_is_rejected_by_name(capsys, rates, field):
+def test_model_zero_rate_is_rejected_by_name(capsys, rates, message):
     # a zero rate used to be replaced: by 1 FLOP/s, or locally by the remote rate
     code, out, err = run_cli(capsys, "model", "--size", "1GB", "--bw", "8Gbps", *rates)
-    assert code == 1
-    assert out == ""
-    assert f"{field} must be > 0" in err
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--size", "0B", "--remote-rate", "1TF"], "--work > 0 requires --size > 0"),
+        (["--size", "1GB"], "--remote-rate is required when --work > 0"),
+    ],
+)
+def test_model_work_needs_a_size_and_a_remote_rate(capsys, flags, message):
+    code, out, err = run_cli(capsys, "model", "--bw", "8Gbps", "--work", "1TFLOP", *flags)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_model_out_writes_the_text_table(capsys, tmp_path):
@@ -510,6 +522,18 @@ def test_analyze_all_failed_log_exits_1_naming_the_log(capsys, tmp_path):
     code, out, err = run_cli(capsys, "analyze", "--in", str(failed))
     assert (code, out) == (1, "")
     assert err == f"error: no successful records in {failed}\n"
+
+
+@pytest.mark.parametrize("command", [_SIM, ["analyze", "--in", str(GOLDEN / "simulate_log.jsonl")]])
+def test_compare_with_an_all_failed_log_exits_1(capsys, tmp_path, command):
+    # fct_stats's empty-list check is the one guard: the percentiles and the CDF assume a success
+    failed = tmp_path / "failed.jsonl"
+    failed.write_text(
+        '{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 0, '
+        '"flows": 1, "status": "error", "error": "refused"}\n'
+    )
+    code, out, err = run_cli(capsys, *command, "--compare", str(failed))
+    assert (code, out, err) == (1, "", "error: no successful records to summarize\n")
 
 
 def test_analyze_zero_worst_fct_reports_no_sss(capsys, tmp_path):
@@ -876,6 +900,28 @@ def test_casestudy_integer_past_float_range_exits_1(capsys, tmp_path, key):
     assert err == f"error: quantity {_HUGE} overflows a float\n"
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"workflows": []}, "case study needs at least one workflow"),
+        ({"worst_fct_curve": []}, "worst-FCT curve needs at least one point"),
+        ({"workflows": [{"name": "a", "throughput": 0, "compute": "1TF"}]}, "throughput must be > 0, got 0.0"),
+        ({"workflows": [{"name": "a", "throughput": "1GBps", "compute": -1}]}, "compute must be >= 0, got -1.0"),
+        ({"worst_fct_curve": [[0.32, -0.5]]}, "curve worst FCTs must be finite and >= 0: ((0.32, -0.5),)"),
+        # an effective link rate that underflows to 0 used to end in a ZeroDivisionError traceback
+        ({"link": {"bandwidth": 1e-300, "alpha": 1e-300}}, "alpha x bandwidth must be > 0, got 1e-300 x 1e-300"),
+    ],
+)
+def test_casestudy_bad_input_exits_1_with_one_error_line(capsys, tmp_path, edit, message):
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({
+        "workflows": [{"name": "a", "throughput": "1GBps", "compute": "1TF"}],
+        "link": {"bandwidth": "25Gbps"}, "worst_fct_curve": [[0.32, "0.5s"]], **edit,
+    }))
+    code, out, err = run_cli(capsys, "casestudy", "--input", str(study))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_casestudy_text_shows_an_error_row_and_an_extrapolated_row(capsys, tmp_path, monkeypatch):
     from streamscore import casestudy
 
@@ -946,15 +992,24 @@ def test_measure_run_all_failed_exits_2(capsys, tmp_path):
     assert json.loads(out) == {"records": 1, "failures": 1, "max_fct_s": None}
 
 
-def test_measure_run_fractional_size_exits_1_before_connecting(capsys):
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--size", "1.5B"], "transfer_bytes must be whole bytes, got 1.5"),
+     (["--size", "1KB", "--connect-timeout", "0s"], "timeouts must be > 0"),
+     (["--size", "1KB", "--transfer-timeout", "0s"], "timeouts must be > 0")],
+)
+def test_measure_run_bad_load_or_timeout_exits_1_before_connecting(capsys, monkeypatch, flags, message):
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "socket", no_socket)
+    monkeypatch.setattr(socket, "getaddrinfo", no_socket)
     code, out, err = run_cli(
         capsys,
         "measure", "run", "--server", "127.0.0.1", "--base-port", "5201",
-        "--duration", "1s", "--concurrency", "1", "--size", "1.5B",
+        "--duration", "1s", "--concurrency", "1", *flags,
     )
-    assert code == 1
-    assert out == ""
-    assert "transfer_bytes must be whole bytes, got 1.5" in err
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -592,8 +592,21 @@ def test_scenario_keys_left_out_take_the_spec_defaults():
     )
 
 
-def test_load_scenario_rejects_unknown_keys(tmp_path):
+_LOAD_JSON = '"bandwidth": "25Gbps", "duration": "1s", "concurrency": 1, "transfer_bytes": "1GB"'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bandwidth = 25Gbps\nbogus = 1\n", "unknown scenario fields: ['bogus']"),
+        ("bandwidth 25Gbps\n", ":1: expected 'key = value', got 'bandwidth 25Gbps'"),
+        ("{" + _LOAD_JSON + ', "link": 3}', "'link' must be an object of link fields"),
+        ("{" + _LOAD_JSON + ', "startup_latency": -1}', "startup_latency must be >= 0, got -1.0"),
+    ],
+)
+def test_load_scenario_rejects_a_malformed_file(tmp_path, text, message):
     path = tmp_path / "bad.txt"
-    path.write_text("bandwidth = 25Gbps\nbogus = 1\n")
-    with pytest.raises(ValueError, match="bogus"):
+    path.write_text(text)
+    with pytest.raises(ValueError) as caught:
         scenario_from_mapping(read_scenario_file(path))
+    assert str(caught.value).endswith(message)

@@ -54,8 +54,6 @@ def test_split_bytes_even_and_remainder():
     assert split_bytes(500_000_000, 4) == [125_000_000] * 4
     assert split_bytes(10, 3) == [3, 3, 4]
     assert split_bytes(0, 2) == [0, 0]
-    with pytest.raises(ValueError):
-        split_bytes(10, 0)
 
 
 def test_payload_pattern_cycles_continuously():
@@ -97,12 +95,20 @@ def test_connection_reuse_multiple_transfers():
                 assert sock.recv(1) == ACK
 
 
-def test_bad_magic_dropped_without_ack():
+@pytest.mark.parametrize(
+    "sent, half_close",
+    [(b"NOPE" + pack_header(0)[4:], False),  # a bad magic: the server closes by itself
+     (pack_header(100) + b"\x00" * 10, True)],  # a peer that stops mid-payload
+)
+def test_bad_preamble_or_cut_payload_dropped_without_ack(sent, half_close):
     base = find_free_port_block(1)
-    with TransferServer(ServerConfig(base_port=base, pool_size=1)):
+    with TransferServer(ServerConfig(base_port=base, pool_size=1)) as server:
         with socket.create_connection(("127.0.0.1", base), timeout=5) as sock:
-            sock.sendall(b"NOPE" + pack_header(0)[4:])
+            sock.sendall(sent)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
             assert sock.recv(1) == b""  # server closed, no acknowledgment
+        assert server.transfers_served == 0
 
 
 def test_port_conflict_fails_fast_and_releases_earlier_ports():

@@ -93,6 +93,42 @@ def test_scan_spec_files_bounded_by_frames():
         ScanSpec(frame_bytes=1.0, frame_count=10, frame_interval=0.1, files=11)
 
 
+def _scan(**fields) -> ScanSpec:
+    return ScanSpec(**{"frame_bytes": 1.0, "frame_count": 10, "frame_interval": 0.1, **fields})
+
+
+# for a library caller each of these is the one check of its value
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: WorkloadSpec(unit_size=1.0, complexity=-1.0), "complexity must be >= 0, got -1.0"),
+        (lambda: WorkloadSpec(unit_size=1.0, generation_interval=0.0), "generation_interval must be > 0, got 0.0"),
+        (lambda: LinkSpec(bandwidth=0.0), "bandwidth must be > 0, got 0.0"),
+        (lambda: LinkSpec(bandwidth=math.nan), "bandwidth must be > 0, got nan"),
+        # the product underflows: every rate and load would divide by 0
+        (lambda: LinkSpec(bandwidth=1e-300, alpha=1e-300), "alpha x bandwidth must be > 0, got 1e-300 x 1e-300"),
+        (lambda: LinkSpec(bandwidth=1e9, rtt=-1.0), "rtt must be >= 0, got -1.0"),
+        (lambda: DelayDecomposition(queue_s=-1.0), "queue_s must be >= 0"),
+        (lambda: TierPolicy((("a", 0.0), ("b", 1.0))), "tier deadlines must be > 0"),
+        (lambda: _scan(frame_bytes=0.0), "frame_bytes must be > 0, got 0.0"),
+        (lambda: _scan(frame_count=0), "frame_count must be > 0, got 0"),
+        (lambda: _scan(frame_interval=0.0), "frame_interval must be > 0, got 0.0"),
+        (lambda: _scan(files=0), "files must be > 0, got 0"),
+        (lambda: _scan(per_file_overhead=-1.0), "per_file_overhead must be >= 0, got -1.0"),
+        (lambda: theoretical_transfer_time(-1.0, LinkSpec(bandwidth=1e9)), "size_bytes must be >= 0, got -1.0"),
+        (lambda: transfer_budget(0.0, 1.0), "deadline must be > 0, got 0.0"),
+        (lambda: transfer_budget(1.0, -1.0), "worst_transfer_s must be >= 0, got -1.0"),
+        (lambda: classify_tier(-1.0), "time must be >= 0, got -1.0"),
+        (lambda: decide(WorkloadSpec(unit_size=1.0), LinkSpec(bandwidth=1e9), ComputeSpec(1.0, 1.0),
+                        worst_case_transfer=-1), "worst_case_transfer must be >= 0"),
+    ],
+)
+def test_exported_api_rejects_an_out_of_range_value_by_name(build, message):
+    with pytest.raises(ValueError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 # --- local / transfer / remote times ---
 
 
@@ -305,6 +341,14 @@ def test_decide_remote_wins_with_gain_five():
     assert d.choice is Choice.REMOTE_STREAM
     assert d.gain == pytest.approx(5.0, rel=1e-12)
     assert d.tier_achieved == "Tier 2"
+
+
+def test_decide_gain_is_inf_against_a_remote_path_that_takes_no_time():
+    w = WorkloadSpec(unit_size=1e9, complexity=10.0)
+    c = ComputeSpec(local_rate=1e9, remote_rate=math.inf)  # local 10 s, remote 0 s
+    d = decide(w, LinkSpec(bandwidth=1e9), c, worst_case_transfer=0.0)
+    assert d.remote.total_s == 0.0
+    assert (d.choice, d.gain, d.tier_achieved) == (Choice.REMOTE_STREAM, math.inf, "Tier 1")
 
 
 def test_decide_local_when_cheaper():

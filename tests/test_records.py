@@ -132,6 +132,13 @@ def test_record_rejects_non_finite_and_negative(field, value):
         check_row(*row.values())
 
 
+def test_negative_fct_within_the_slack_of_complete_minus_spawn_is_rejected():
+    # -1e-12 s passes the 1e-9 slack check against complete_s - spawn_s = 0: only the range check
+    # stops it, and the report's regime relies on it for a worst FCT >= 0
+    with pytest.raises(ValueError, match=r"^fct_s must be finite and >= 0, got -1e-12$"):
+        check_row(0.5, 0.5, -1e-12, 1, 1)
+
+
 # each bad line follows one valid record; the first three are the records of
 # a log that used to analyze to min=nan and p50=-7.0 without an error
 GOOD_LINE = '{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 9, "flows": 1, "status": "ok"}'
