@@ -118,30 +118,26 @@ class WorkflowResult:
 
 
 def evaluate(study: CaseStudyInput) -> list[WorkflowResult]:
-    """Evaluate every workflow; a failing row never blocks the others."""
+    """Evaluate every workflow; a failing row keeps its offered load and never blocks the others."""
     results = []
     for workflow in study.workflows:
+        row = WorkflowResult(name=workflow.name, throughput=workflow.throughput,
+                             offered_load=offered_load(workflow.throughput, study.link))
         try:
-            results.append(_evaluate_one(workflow, study))
+            results.append(_evaluate_one(row, workflow, study))
         except ValueError as exc:
-            results.append(
-                WorkflowResult(
-                    name=workflow.name, throughput=workflow.throughput, error=str(exc)
-                )
-            )
+            results.append(replace(row, error=str(exc)))
     return results
 
 
-def _evaluate_one(workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
-    load = offered_load(workflow.throughput, study.link)
-    row = WorkflowResult(name=workflow.name, throughput=workflow.throughput, offered_load=load)
-    if load > 1:
+def _evaluate_one(row: WorkflowResult, workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
+    if row.offered_load > 1:
         return replace(row, infeasible=True, note=(
             f"required {workflow.throughput:.6g} B/s exceeds effective link "
             f"capacity {study.link.effective_rate:.6g} B/s; streaming infeasible"
         ))
 
-    worst, extrapolated = interpolate_worst_fct(study.worst_fct_curve, load)
+    worst, extrapolated = interpolate_worst_fct(study.worst_fct_curve, row.offered_load)
     # the data unit is one second of generation: unit_size = throughput x 1 s
     unit = WorkloadSpec(
         unit_size=workflow.throughput, complexity=workflow.compute / workflow.throughput
@@ -158,6 +154,10 @@ def _evaluate_one(workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
                 required_remote_rate=rate,
             )
         )
+    # an extrapolated FCT or a rate that overflows to inf is no verdict, and JSON cannot carry it
+    rates = [tier.required_remote_rate for tier in tiers]
+    if not all(map(math.isfinite, [worst, *filter(None, rates)])):
+        raise ValueError(f"worst FCT and required remote rates must be finite, got {worst} s and {rates}")
     return replace(
         row,
         worst_fct=worst,

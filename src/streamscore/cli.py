@@ -332,11 +332,10 @@ def cmd_simulate(args) -> int:
                 )
         return EXIT_OK
 
+    started_unix_ms = int(time.time() * 1000)  # before the run, as loadgen stamps before its first spawn
     result = fluidsim.simulate(base)
     if args.out:
-        meta = base.config_echo()
-        meta["started_unix_ms"] = int(time.time() * 1000)
-        write_jsonl(args.out, result.records, run_meta=meta)
+        write_jsonl(args.out, result.records, run_meta={**base.config_echo(), "started_unix_ms": started_unix_ms})
     if args.trace:
         analysis.write_csv(args.trace, ("start_s", "end_s", "first_client", "end_client", "rate_Bps"),
                            result.replay)
@@ -483,10 +482,10 @@ def cmd_casestudy(args) -> int:
         for row in results:
             lines.append(f"{row.name}")
             lines.append(f"  throughput   {_fmt(row.throughput)} B/s")
+            lines.append(f"  offered load {_fmt(row.offered_load)}")
             if row.error:
                 lines.append(f"  error        {row.error}")
                 continue
-            lines.append(f"  offered load {_fmt(row.offered_load)}")
             if row.infeasible:
                 lines.append(f"  INFEASIBLE   {row.note}")
                 continue

@@ -22,18 +22,18 @@ that opened the busy period, and an FCT is
 gets exactly ``startup + S/C`` at any spawn time.
 
 ``simulate`` keeps only what it returns: spawn and FCT times per client
-(float64 arrays of 8 bytes a client), the interval count, and the
-``utilization`` (``model.carried_utilization`` of the records, as
-``analyze`` reports it) and ``max_fct`` summary. The loop holds only the
+(float64 arrays of 8 bytes a client) and the ``utilization``
+(``model.carried_utilization`` of the records, as ``analyze`` reports it)
+and ``max_fct`` summary. The loop holds only the
 active clients' clock readings, in a deque, and computes a client's
 activation from its spawn time when its turn comes, so its memory follows
 the active set, not the run: 16.3 B a client at load 0.8 and 21.5 B at
 load 1.12 (tracemalloc peak, 10^5 scheduled clients, CPython 3.11).
 ``SimResult.records`` (a ``FlowTable`` over the two columns, with no row
-objects) is built on first read. ``SimResult.intervals``, the absolute
-``(start, end, lo, hi, rate)`` rows, replays the deterministic loop with a
-row sink on first read, and ``SimResult.trace`` is built from those rows;
-``SimResult.replay`` hands each row to a sink as it is made, and keeps none.
+objects) is built on first read. ``SimResult.replay`` reruns the
+deterministic loop and hands each absolute ``(start, end, lo, hi, rate)``
+row to a sink as it is made, keeping none; ``SimResult.trace`` is one such
+replay, kept as ``AllocationInterval`` objects on first read.
 ``sweep``, which reads only the summary, builds none of them.
 
 Identical scenario inputs produce bit-identical results: the event loop is
@@ -74,10 +74,8 @@ class Scenario(LoadSpec):
         super().__post_init__()
         if self.transfer_bytes <= 0:
             raise ValueError(f"transfer_bytes must be > 0, got {self.transfer_bytes}")
-        if self.startup_latency is not None and self.startup_latency < 0:
-            raise ValueError(
-                f"startup_latency must be >= 0, got {self.startup_latency}"
-            )
+        if self.startup_latency is not None and not self.startup_latency >= 0:
+            raise ValueError(f"startup_latency must be >= 0, got {self.startup_latency}")
 
     @property
     def startup(self) -> float:
@@ -108,17 +106,15 @@ class AllocationInterval:
 class SimResult:
     """The event loop's columns and summary; record table and trace on demand.
 
-    ``records``, ``intervals`` and ``trace`` are built on first read and
-    cached: ``intervals`` replays the deterministic loop, which returns the
-    same rows on every run. Equality and hashing use the fields, not these
-    views, and hashing skips the two arrays (the rest fixes them). A sweep
-    reads none of the views.
+    ``records`` and ``trace`` are built on first read and cached: ``trace``
+    replays the deterministic loop, which returns the same rows on every
+    run. Equality and hashing use the fields, not these views, and hashing
+    skips the two arrays (the rest fixes them). A sweep reads neither view.
     """
 
     scenario: Scenario
     spawns: array[float] = field(hash=False)  # per client id
     fcts: array[float] = field(hash=False)
-    interval_count: int
     utilization: float  # model.carried_utilization of the records
     max_fct: float
 
@@ -132,22 +128,15 @@ class SimResult:
         )
 
     def replay(self, emit) -> None:
-        """Pass ``emit`` each ``(start, end, lo, hi, rate)`` row as the replayed loop makes it."""
+        """Pass ``emit`` each ``(start, end, lo, hi, rate)`` row as the replayed loop makes it:
+        clients ``range(lo, hi)`` at ``rate`` B/s each."""
         _run(self.scenario, emit)
 
     @cached_property
-    def intervals(self) -> tuple[tuple[float, float, int, int, float], ...]:
-        """``(start, end, lo, hi, rate)`` per interval: clients ``range(lo, hi)`` at ``rate`` B/s each."""
-        rows: list[tuple[float, float, int, int, float]] = []
-        self.replay(rows.append)
-        return tuple(rows)
-
-    @cached_property
     def trace(self) -> tuple[AllocationInterval, ...]:
-        return tuple(
-            AllocationInterval(start, end, range(lo, hi), rate)
-            for start, end, lo, hi, rate in self.intervals
-        )
+        trace: list[AllocationInterval] = []
+        self.replay(lambda row: trace.append(AllocationInterval(row[0], row[1], range(row[2], row[3]), row[4])))
+        return tuple(trace)
 
     def summary(self) -> dict:
         return {
@@ -160,8 +149,8 @@ class SimResult:
         }
 
 
-def _run(scenario: Scenario, emit=None) -> tuple[array, array, int]:
-    """The event loop's spawn and FCT columns and interval count; ``emit``, if given, gets each row."""
+def _run(scenario: Scenario, emit=None) -> tuple[array, array]:
+    """The event loop's spawn and FCT columns; ``emit``, if given, gets each row."""
     spawns = scenario.spawn_times()
     capacity = scenario.link.effective_rate
     size = float(scenario.transfer_bytes)  # the loop's clock arithmetic stays in floats
@@ -173,7 +162,6 @@ def _run(scenario: Scenario, emit=None) -> tuple[array, array, int]:
     admit, retire = finish_at.append, finish_at.popleft
     fcts = array("d")  # clients complete in id order
     add_fct = fcts.append
-    count = 0
 
     lo = hi = 0  # the active clients are range(lo, hi)
     # offsets are non-decreasing, so client ids are in activation order
@@ -196,14 +184,12 @@ def _run(scenario: Scenario, emit=None) -> tuple[array, array, int]:
 
         if t_arrival < t_finish - _EVENT_EPS:
             served += capacity * (t_arrival - t) / n
-            count += 1
             if emit is not None:
                 emit((start, origin + t_arrival, lo, hi, rate))
             start = origin + t_arrival
             t = t_arrival
         else:
             served = finish_at[0]
-            count += 1
             if emit is not None:
                 emit((start, origin + t_finish, lo, hi, rate))
             start = origin + t_finish
@@ -212,17 +198,16 @@ def _run(scenario: Scenario, emit=None) -> tuple[array, array, int]:
                 retire()
                 add_fct(startup + (t - (spawns[lo] + startup - origin)))
                 lo += 1
-    return spawns, fcts, count
+    return spawns, fcts
 
 
 def simulate(scenario: Scenario) -> SimResult:
-    """Run the event loop to the last completion and keep its columns and interval count."""
-    spawns, fcts, count = _run(scenario)
+    """Run the event loop to the last completion and keep its columns and summary."""
+    spawns, fcts = _run(scenario)
     return SimResult(
         scenario=scenario,
         spawns=spawns,
         fcts=fcts,
-        interval_count=count,
         # clients complete in id order, so the last one finishes the run
         utilization=carried_utilization(
             float(scenario.transfer_bytes) * len(spawns), spawns[-1] + fcts[-1], scenario.link

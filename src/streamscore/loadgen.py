@@ -151,7 +151,7 @@ class PortPool:
     def __post_init__(self) -> None:
         if not 0 < self.base_port <= 65535:
             raise ValueError(f"base_port must be a TCP port, got {self.base_port}")
-        if self.pool_size <= 0:
+        if not self.pool_size > 0:
             raise ValueError(f"pool_size must be > 0, got {self.pool_size}")
         if self.base_port + self.pool_size - 1 > 65535:
             raise ValueError("port pool extends past 65535")
@@ -271,7 +271,7 @@ class ClientRunConfig(LoadSpec, PortPool):
     def __post_init__(self) -> None:
         LoadSpec.__post_init__(self)
         PortPool.__post_init__(self)
-        if self.connect_timeout <= 0 or self.transfer_timeout <= 0:
+        if not (self.connect_timeout > 0 and self.transfer_timeout > 0):
             raise ValueError("timeouts must be > 0")
 
     def config_echo(self) -> dict:

@@ -36,14 +36,11 @@ class WorkloadSpec:
     generation_interval: float | None = None  # seconds between units
 
     def __post_init__(self) -> None:
-        if self.unit_size < 0:
-            raise ValueError(f"unit_size must be >= 0, got {self.unit_size}")
-        if self.complexity < 0:
-            raise ValueError(f"complexity must be >= 0, got {self.complexity}")
-        if self.generation_interval is not None and self.generation_interval <= 0:
-            raise ValueError(
-                f"generation_interval must be > 0, got {self.generation_interval}"
-            )
+        for name in ("unit_size", "complexity"):
+            if not (value := getattr(self, name)) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.generation_interval is not None and not self.generation_interval > 0:
+            raise ValueError(f"generation_interval must be > 0, got {self.generation_interval}")
 
     @property
     def work(self) -> float:
@@ -67,10 +64,9 @@ class ComputeSpec:
 
     def __post_init__(self) -> None:
         # remote first: the CLI's default local rate is the remote one
-        if self.remote_rate <= 0:
-            raise ValueError(f"remote_rate must be > 0, got {self.remote_rate}")
-        if self.local_rate <= 0:
-            raise ValueError(f"local_rate must be > 0, got {self.local_rate}")
+        for name in ("remote_rate", "local_rate"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
 
 
 @frozen
@@ -88,7 +84,7 @@ class LinkSpec:
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if not self.alpha * self.bandwidth > 0:  # every rate and load divides by it
             raise ValueError(f"alpha x bandwidth must be > 0, got {self.alpha} x {self.bandwidth}")
-        if self.rtt < 0:
+        if not self.rtt >= 0:
             raise ValueError(f"rtt must be >= 0, got {self.rtt}")
 
     @property
@@ -169,7 +165,7 @@ class DelayDecomposition:
 
     def __post_init__(self) -> None:
         for name in ("proc_s", "queue_s", "trans_s", "prop_s"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
 
 
@@ -183,7 +179,7 @@ class TierPolicy:
         if not self.tiers:
             raise ValueError("tier policy must contain at least one tier")
         deadlines = [d for _, d in self.tiers]
-        if any(d <= 0 for d in deadlines):
+        if any(not d > 0 for d in deadlines):
             raise ValueError("tier deadlines must be > 0")
         if any(b <= a for a, b in zip(deadlines, deadlines[1:])):
             raise ValueError(f"tier deadlines must be strictly increasing: {deadlines}")
@@ -229,22 +225,13 @@ class ScanSpec:
     per_file_overhead: float = 0.0  # fixed staging/metadata seconds per file
 
     def __post_init__(self) -> None:
-        if self.frame_bytes <= 0:
-            raise ValueError(f"frame_bytes must be > 0, got {self.frame_bytes}")
-        if self.frame_count <= 0:
-            raise ValueError(f"frame_count must be > 0, got {self.frame_count}")
-        if self.frame_interval <= 0:
-            raise ValueError(f"frame_interval must be > 0, got {self.frame_interval}")
-        if self.files <= 0:
-            raise ValueError(f"files must be > 0, got {self.files}")
+        for name in ("frame_bytes", "frame_count", "frame_interval", "files"):
+            if not (value := getattr(self, name)) > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.files > self.frame_count:
-            raise ValueError(
-                f"files ({self.files}) cannot exceed frame_count ({self.frame_count})"
-            )
-        if self.per_file_overhead < 0:
-            raise ValueError(
-                f"per_file_overhead must be >= 0, got {self.per_file_overhead}"
-            )
+            raise ValueError(f"files ({self.files}) cannot exceed frame_count ({self.frame_count})")
+        if not self.per_file_overhead >= 0:
+            raise ValueError(f"per_file_overhead must be >= 0, got {self.per_file_overhead}")
 
     @property
     def total_bytes(self) -> float:
@@ -298,9 +285,9 @@ def remote_completion(
 
 def io_overhead_from_times(io_s: float, transfer_s: float) -> IoOverhead:
     """Fit theta from a measured I/O time and its matching transfer time."""
-    if transfer_s <= 0:
+    if not transfer_s > 0:
         raise ValueError(f"transfer_s must be > 0 to fit theta, got {transfer_s}")
-    if io_s < 0:
+    if not io_s >= 0:
         raise ValueError(f"io_s must be >= 0, got {io_s}")
     return IoOverhead((io_s + transfer_s) / transfer_s)
 
@@ -312,16 +299,14 @@ def streaming_speed_score(worst_s: float, theoretical_s: float) -> float:
     inefficiency and congestion both inflate the score; 1.0 is a perfect
     network.
     """
-    if worst_s <= 0 or theoretical_s <= 0:
-        raise ValueError(
-            f"times must be > 0, got worst={worst_s}, theoretical={theoretical_s}"
-        )
+    if not (worst_s > 0 and theoretical_s > 0):
+        raise ValueError(f"times must be > 0, got worst={worst_s}, theoretical={theoretical_s}")
     return worst_s / theoretical_s
 
 
 def theoretical_transfer_time(size_bytes: float, link: LinkSpec) -> float:
     """Transmission-delay-only reference time: size over raw bandwidth."""
-    if size_bytes < 0:
+    if not size_bytes >= 0:
         raise ValueError(f"size_bytes must be >= 0, got {size_bytes}")
     return size_bytes / link.bandwidth
 
@@ -331,23 +316,23 @@ def transfer_budget(deadline_s: float, worst_transfer_s: float) -> float:
 
     Zero means no compute budget remains at that tier.
     """
-    if deadline_s <= 0:
+    if not deadline_s > 0:
         raise ValueError(f"deadline must be > 0, got {deadline_s}")
-    if worst_transfer_s < 0:
+    if not worst_transfer_s >= 0:
         raise ValueError(f"worst_transfer_s must be >= 0, got {worst_transfer_s}")
     return max(0.0, deadline_s - worst_transfer_s)
 
 
 def required_remote_rate(workload: WorkloadSpec, budget_s: float) -> float:
     """Minimum remote FLOP/s that finishes the unit's work within the budget."""
-    if budget_s <= 0:
+    if not budget_s > 0:
         raise ValueError(f"budget must be > 0, got {budget_s}")
     return workload.work / budget_s
 
 
 def classify_tier(t_s: float, policy: TierPolicy = DEFAULT_TIER_POLICY) -> str | None:
     """Most stringent tier whose deadline strictly exceeds t_s, if any."""
-    if t_s < 0:
+    if not t_s >= 0:
         raise ValueError(f"time must be >= 0, got {t_s}")
     for name, deadline in policy.tiers:
         if t_s < deadline:
@@ -386,7 +371,7 @@ def decide(
     workload's sustained generation rate is an offered load above 1.
     """
     if worst_case_transfer is not None:
-        if worst_case_transfer < 0:
+        if not worst_case_transfer >= 0:
             raise ValueError("worst_case_transfer must be >= 0")
         t_transfer = worst_case_transfer
     else:

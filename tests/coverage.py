@@ -19,12 +19,10 @@ A file's executable lines are the line starts of its compiled code objects;
 a missed line is one that no process ran. Every missed line must be listed
 in ``LISTED`` with its class and reason, and every listed line must be
 missed; a ``LISTED`` key names a function and the text of one line in it,
-and must match exactly one executable line. ``PATCHED`` names the lines a test reaches only by patching the
-library, with the reason no input reaches them; the JSON lists them too.
-The script exits 1 when a line breaks either rule, when a test fails, or
-when the collector is no longer the installed tracer at the end (another
-tracer, such as Hypothesis's explain phase, replaced it, so its hits are
-incomplete).
+and must match exactly one executable line. The script exits 1 when a
+line breaks either rule, when a test fails, or when the collector is no
+longer the installed tracer at the end (another tracer, such as
+Hypothesis's explain phase, replaced it, so its hits are incomplete).
 
 The file name keeps it out of pytest's default collection (``test_*.py``).
 """
@@ -46,17 +44,6 @@ LISTED: dict[tuple[str, str, str], tuple[str, str]] = {
     ("loadgen.py", "TransferServer._accept",
      "continue  # the peer left first, or no descriptor is free until one closes"): ("host-fault", _ACCEPT_FAILS),
 }
-
-# lines a test runs only by patching the library, since no input reaches them: (file, text, reason)
-_NO_ROW_ERROR = ("no case-study input makes casestudy._evaluate_one raise ValueError: Workflow, "
-                 "CaseStudyInput and LinkSpec reject every value that could (NaN, a non-finite or "
-                 "negative worst FCT, a zero effective rate); the row error is kept so that a failing "
-                 "row never blocks the others")
-PATCHED = (
-    ("casestudy.py", "except ValueError as exc:", _NO_ROW_ERROR),
-    ("casestudy.py", "name=workflow.name, throughput=workflow.throughput, error=str(exc)", _NO_ROW_ERROR),
-    ("cli.py", 'lines.append(f"  error        {row.error}")', _NO_ROW_ERROR),
-)
 
 
 class Collector:
@@ -243,14 +230,6 @@ def main(argv: list[str] | None = None) -> int:
              if (name, qualname, text) not in seen_listed]
     stale.extend(f"{name}: {qualname}: {text} (listed line found {count} times)"
                  for (name, qualname, text), count in matches.items() if count != 1)
-    patched = []
-    for name, text, reason in PATCHED:
-        lines = [number for number, line in enumerate(
-            Path(package, name).read_text(encoding="utf-8").splitlines(), start=1) if line.strip() == text]
-        if len(lines) != 1:
-            stale.append(f"{name}: {text} (patched-only line found {len(lines)} times)")
-        patched.extend({"file": f"src/streamscore/{name}", "line": line, "text": text, "reason": reason}
-                       for line in lines)
     children_lost = [child["argv"] for child in children if not child["tracer_installed"]]
 
     doc = {
@@ -271,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
                     "ran": sum(f["ran"] for f in files.values()),
                     "missed": len(missed), "unlisted": unlisted, "stale_listed": stale},
         "missed": missed,
-        "reached_only_by_patching": patched,
     }
     text = json.dumps(doc, indent=1) + "\n"
     if out:

@@ -66,6 +66,7 @@ ONE_FCT = "one copy of each FCT: the CDF alone in report.json, the log headers b
 ACTIVE = "a simulator that keeps only what it returns: no per-client lists, the trace replayed on read"
 SHARED = "record classes that compile one method: five shared frozen methods; a trace written as it is made"
 COVERED = "every src line runs under Tier-1, or goes: each deleted re-check's earlier check, and the new guards"
+ONE_IDIOM = "every bound in one idiom that NaN fails; an overflowed case-study row is an error row; one trace replay"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -86,7 +87,7 @@ MUTANTS = (
     Mutant("decide-feasibility-line-moved", "model.py",
            "offered_load(needed, link) > 1:", "offered_load(needed, link) > 1.1:", ONE_NUMBER),
     Mutant("case-study-feasibility-line-moved", "casestudy.py",
-           "    if load > 1:\n", "    if load > 1.1:\n", ONE_NUMBER),
+           "    if row.offered_load > 1:\n", "    if row.offered_load > 1.1:\n", ONE_NUMBER),
     Mutant("model-breakdown-ignores-worst", "cli.py",
            "decision = decide(workload, link, compute, io, args.tiers, worst_case_transfer=args.worst)",
            "decision = decide(workload, link, compute, io, args.tiers)", ONE_NUMBER),
@@ -183,7 +184,7 @@ MUTANTS = (
            "if not 1 <= self.theta < math.inf:", "if self.theta < 1 or self.theta == math.inf:",
            ONE_COPY),
     Mutant("breakdown-nan-part-accepted", "model.py",
-           "if not getattr(self, name) >= 0:", "if getattr(self, name) < 0:", ONE_COPY),
+           "if not getattr(self, name) >= 0:  # NaN too", "if getattr(self, name) < 0:  # NaN too", ONE_COPY),
     Mutant("breakdown-total-summed-in-another-order", "model.py",
            "self.transfer_s + self.io_s + self.remote_s", "self.transfer_s + self.remote_s + self.io_s",
            ONE_COPY),
@@ -308,9 +309,6 @@ MUTANTS = (
     Mutant("activation-without-startup-in-fct", "fluidsim.py",
            "add_fct(startup + (t - (spawns[lo] + startup - origin)))",
            "add_fct(startup + (t - (spawns[lo] - origin)))", ACTIVE),
-    Mutant("interval-count-skips-arrivals", "fluidsim.py",
-           "            served += capacity * (t_arrival - t) / n\n            count += 1\n",
-           "            served += capacity * (t_arrival - t) / n\n", ACTIVE),
     Mutant("simultaneous-batch-not-rounded-up", "schedule.py",
            "repeat(math.ceil(self.concurrency))", "repeat(self.concurrency)", ACTIVE),
     Mutant("replay-drops-completion-rows", "fluidsim.py",
@@ -336,12 +334,14 @@ MUTANTS = (
            '    raise FrozenInstanceError(f"cannot delete field {name!r}")\n',
            "    object.__delattr__(self, name)\n", SHARED),
     Mutant("trace-built-before-it-is-written", "cli.py",
-           "                           result.replay)", "                           result.intervals)", SHARED),
+           "                           result.replay)",
+           "                           [(i.start, i.end, i.client_ids.start, i.client_ids.stop, i.rate_per_client)"
+           " for i in result.trace])", SHARED),
     Mutant("scenario-flow-count-wins-over-parallel-list", "cli.py",
            "parallel_values = args.parallel_list or [base.parallel_flows]",
            "parallel_values = [base.parallel_flows] if args.scenario else args.parallel_list or [base.parallel_flows]", SHARED),
     Mutant("breakdown-part-check-dropped", "model.py",
-           "            if not getattr(self, name) >= 0:", "            if False:", SHARED),
+           "            if not getattr(self, name) >= 0:  # NaN too", "            if False:  # NaN too", SHARED),
     Mutant("casestudy-error-row-text-dropped", "cli.py",
            '                lines.append(f"  error        {row.error}")\n', "", SHARED),
     Mutant("casestudy-extrapolated-tag-dropped", "cli.py",
@@ -378,6 +378,44 @@ MUTANTS = (
     Mutant("cut-payload-acknowledged", "loadgen.py",
            "                        if not got:\n                            return\n",
            "                        if not got:\n                            break\n", COVERED),
+    # --- each folded bound back in a form that NaN passes ---
+    Mutant("workload-nan-size-accepted", "model.py",
+           'for name in ("unit_size", "complexity"):\n            if not (value := getattr(self, name)) >= 0:',
+           'for name in ("unit_size", "complexity"):\n            if (value := getattr(self, name)) < 0:', ONE_IDIOM),
+    Mutant("compute-nan-rate-accepted", "model.py",
+           'for name in ("remote_rate", "local_rate"):\n            if not (value := getattr(self, name)) > 0:',
+           'for name in ("remote_rate", "local_rate"):\n            if (value := getattr(self, name)) <= 0:', ONE_IDIOM),
+    Mutant("link-nan-rtt-accepted", "model.py",
+           "if not self.rtt >= 0:", "if self.rtt < 0:", ONE_IDIOM),
+    Mutant("delay-nan-part-accepted", "model.py",
+           '"prop_s"):\n            if not getattr(self, name) >= 0:',
+           '"prop_s"):\n            if getattr(self, name) < 0:', ONE_IDIOM),
+    Mutant("tier-nan-deadline-accepted", "model.py",
+           "if any(not d > 0 for d in deadlines):", "if any(d <= 0 for d in deadlines):", ONE_IDIOM),
+    Mutant("scan-nan-field-accepted", "model.py",
+           '"files"):\n            if not (value := getattr(self, name)) > 0:',
+           '"files"):\n            if (value := getattr(self, name)) <= 0:', ONE_IDIOM),
+    Mutant("scenario-nan-startup-accepted", "fluidsim.py",
+           "and not self.startup_latency >= 0:", "and self.startup_latency < 0:", ONE_IDIOM),
+    Mutant("port-pool-nan-size-accepted", "loadgen.py",
+           "if not self.pool_size > 0:", "if self.pool_size <= 0:", ONE_IDIOM),
+    Mutant("client-nan-timeout-accepted", "loadgen.py",
+           "if not (self.connect_timeout > 0 and self.transfer_timeout > 0):",
+           "if self.connect_timeout <= 0 or self.transfer_timeout <= 0:", ONE_IDIOM),
+    # --- an overflowed case-study row, and the simulate header's clock ---
+    Mutant("case-study-overflow-unchecked", "casestudy.py",
+           "    if not all(map(math.isfinite, [worst, *filter(None, rates)])):\n", "    if False:\n", ONE_IDIOM),
+    Mutant("case-study-rate-overflow-unchecked", "casestudy.py",
+           "[worst, *filter(None, rates)]", "[worst]", ONE_IDIOM),
+    Mutant("error-row-drops-its-offered-load", "casestudy.py",
+           "results.append(replace(row, error=str(exc)))",
+           "results.append(WorkflowResult(name=row.name, throughput=row.throughput, error=str(exc)))", ONE_IDIOM),
+    Mutant("simulate-stamped-after-the-run", "cli.py",
+           "    started_unix_ms = int(time.time() * 1000)  # before the run, as loadgen stamps before its first spawn\n"
+           "    result = fluidsim.simulate(base)\n",
+           "    result = fluidsim.simulate(base)\n"
+           "    started_unix_ms = int(time.time() * 1000)  # before the run, as loadgen stamps before its first spawn\n",
+           ONE_IDIOM),
 )
 
 

@@ -82,43 +82,42 @@ def test_zero_budget_tier_has_no_required_rate():
     assert tier1.required_remote_rate is None
 
 
-def test_row_errors_do_not_block_other_rows(monkeypatch):
-    import streamscore.casestudy as cs
+# two inputs whose row overflows a float: a steep curve extrapolated to a worst FCT of inf at load 0.1,
+# and a workflow whose compute over its throughput is inf FLOP per byte, so every required rate is inf
+OVERFLOWS = {
+    "worst-fct": (Workflow("bad", 0.1e9, 1e12), ((0.5, 1e308), (0.5000001, 0.0)),
+                  "worst FCT and required remote rates must be finite, got inf s and [None, None, None]"),
+    "remote-rate": (Workflow("bad", 1e-10, 1e300), CURVE,
+                    "worst FCT and required remote rates must be finite, got 0.0 s and [inf, inf, inf]"),
+}
 
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+def test_row_errors_do_not_block_other_rows(case):
+    bad, curve, message = OVERFLOWS[case]
     study = CaseStudyInput(
-        workflows=(
-            Workflow(name="bad", throughput=1e9, compute=1e12),
-            Workflow(name="fine", throughput=2e9, compute=1e12),
-        ),
-        link=LinkSpec(bandwidth=GBPS_25),
+        workflows=(bad, Workflow(name="fine", throughput=0.6e9, compute=1e12)),
+        link=LinkSpec(bandwidth=1e9),
         tiers=TierPolicy(),
-        worst_fct_curve=CURVE,
+        worst_fct_curve=curve,
     )
-    original = cs._evaluate_one
-
-    def flaky(workflow, inner_study):
-        if workflow.name == "bad":
-            raise ValueError("boom")
-        return original(workflow, inner_study)
-
-    monkeypatch.setattr(cs, "_evaluate_one", flaky)
     results = evaluate(study)
     assert len(results) == 2
-    assert results[0].error == "boom"
-    # the error row's JSON object, key order included
+    # the error row's JSON object, key order included; it keeps the offered load it computed
     assert list(row_dict(results[0]).items()) == [
         ("name", "bad"),
-        ("throughput_bytes_per_s", 1e9),
-        ("offered_load", 0.0),
+        ("throughput_bytes_per_s", bad.throughput),
+        ("offered_load", bad.throughput / 1e9),
         ("infeasible", False),
         ("worst_fct_s", None),
         ("extrapolated", False),
         ("tiers", ()),
         ("note", None),
-        ("error", "boom"),
+        ("error", message),
     ]
     assert results[1].error is None
     assert results[1].worst_fct is not None
+    json.dumps([row_dict(row) for row in results], allow_nan=False)  # every figure left is finite
 
 
 def test_load_case_study_with_unit_literals(tmp_path):

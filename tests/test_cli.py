@@ -198,6 +198,24 @@ def test_simulate_writes_80_records(capsys, tmp_path):
     assert meta["mode"] == "simultaneous"
 
 
+def test_simulate_out_stamps_the_start_before_the_run(capsys, tmp_path, monkeypatch):
+    entered = []
+
+    def slow(scenario):  # a run that takes 0.2 s; the header must say when it began
+        entered.append(time.time() * 1000)
+        time.sleep(0.2)
+        return simulate(scenario)
+
+    simulate = fluidsim.simulate
+    monkeypatch.setattr(fluidsim, "simulate", slow)
+    out_path = tmp_path / "sim.jsonl"
+    code, _, _ = run_cli(capsys, "simulate", "--bw", "25Gbps", "--duration", "1s", "--concurrency", "2",
+                         "--size", "0.5GB", "--out", str(out_path))
+    meta, _ = read_jsonl(out_path)
+    assert code == 0
+    assert meta["started_unix_ms"] <= entered[0]
+
+
 def test_simulate_sweep_table(capsys, tmp_path):
     csv_path = tmp_path / "sweep.csv"
     code, out, _ = run_cli(
@@ -431,8 +449,9 @@ def test_simulate_trace_csv_holds_every_interval_and_every_byte(capsys, tmp_path
             for a, b, lo, hi, rate in (line.split(",") for line in lines[1:])]
     result = fluidsim.simulate(fluidsim.scenario_from_mapping(
         {"bandwidth": "25Gbps", "duration": "20s", "concurrency": 9, "transfer_bytes": "0.5GB", "mode": mode}))
-    assert len(rows) == result.interval_count > 30
-    assert tuple(rows) == result.intervals  # floats round-trip through their CSV text
+    replayed = []
+    result.replay(replayed.append)
+    assert rows == replayed and len(rows) > 30  # floats round-trip through their CSV text
     delivered = math.fsum(rate * (end - start) * (hi - lo) for start, end, lo, hi, rate in rows)
     assert delivered == pytest.approx(len(result.spawns) * 0.5e9, rel=1e-9, abs=0)
 
@@ -922,37 +941,53 @@ def test_casestudy_bad_input_exits_1_with_one_error_line(capsys, tmp_path, edit,
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_casestudy_text_shows_an_error_row_and_an_extrapolated_row(capsys, tmp_path, monkeypatch):
-    from streamscore import casestudy
-
-    def lookup(curve, load):  # a failing lookup for the second workflow only
-        if load > 0.5:
-            raise ValueError("no worst FCT for this load")
-        return interpolate(curve, load)
-
-    interpolate = casestudy.interpolate_worst_fct
-    monkeypatch.setattr(casestudy, "interpolate_worst_fct", lookup)
+# each input overflows one row to inf: a steep curve's worst FCT extrapolated to load 0.1, or the
+# rates of 1e300 FLOP per 1e-10 B; text used to print inf with exit 0, and --json to exit 1
+@pytest.mark.parametrize(
+    "broken, curve, fine_text, error_text",
+    [({"throughput": "0.1GBps", "compute": "1TFLOP"}, [[0.5, 1e308], [0.5000001, 0]],
+      "  worst fct    0 s (extrapolated)\n"
+      "  Tier 1   (<1 s): budget 1 s, min remote rate 1e+12 FLOPS\n"
+      "  Tier 2   (<10 s): budget 10 s, min remote rate 1e+11 FLOPS\n"
+      "  Tier 3   (<60 s): budget 60 s, min remote rate 1.66667e+10 FLOPS\n",
+      "  throughput   1e+08 B/s\n"
+      "  offered load 0.1\n"
+      "  error        worst FCT and required remote rates must be finite, got inf s and [None, None, None]\n"),
+     # load 0.6 lies above this curve: its end segment gives 1 + (2 - 1) x (0.6 - 0.2) / 0.2 = 3 s
+     ({"throughput": "1e-10Bps", "compute": "1e300FLOP"}, [[0.2, "1s"], [0.4, "2s"]],
+      "  worst fct    3 s (extrapolated)\n"
+      "  Tier 1   (<1 s): budget 0 s, min remote rate no budget remains\n"
+      "  Tier 2   (<10 s): budget 7 s, min remote rate 1.42857e+11 FLOPS\n"
+      "  Tier 3   (<60 s): budget 57 s, min remote rate 1.75439e+10 FLOPS\n",
+      "  throughput   1e-10 B/s\n"
+      "  offered load 1e-19\n"
+      "  error        worst FCT and required remote rates must be finite, got 0.0 s and [inf, inf, inf]\n")],
+    ids=["worst-fct", "remote-rate"],
+)
+def test_casestudy_text_shows_an_error_row_and_an_extrapolated_row(capsys, tmp_path, broken, curve, fine_text,
+                                                                   error_text):
     study = tmp_path / "study.json"
     study.write_text(json.dumps({
-        "workflows": [{"name": "low", "throughput": "0.1GBps", "compute": "1TFLOP"},
-                      {"name": "broken", "throughput": "0.6GBps", "compute": "1TFLOP"}],
-        "link": {"bandwidth": "1GBps"}, "worst_fct_curve": [[0.2, "1s"], [0.4, "2s"]],
+        "workflows": [{"name": "fine", "throughput": "0.6GBps", "compute": "1TFLOP"}, {"name": "broken", **broken}],
+        "link": {"bandwidth": "1GBps"}, "worst_fct_curve": curve,
     }))
     code, out, err = run_cli(capsys, "casestudy", "--input", str(study))
-    # load 0.1 lies below the curve: its end segment gives 1 + (2 - 1) x (0.1 - 0.2) / 0.2 = 0.5 s
     assert (code, err) == (2, "")  # an error row blocks, as an infeasible one does
-    assert out == (
-        "low\n"
-        "  throughput   1e+08 B/s\n"
-        "  offered load 0.1\n"
-        "  worst fct    0.5 s (extrapolated)\n"
-        "  Tier 1   (<1 s): budget 0.5 s, min remote rate 2e+12 FLOPS\n"
-        "  Tier 2   (<10 s): budget 9.5 s, min remote rate 1.05263e+11 FLOPS\n"
-        "  Tier 3   (<60 s): budget 59.5 s, min remote rate 1.68067e+10 FLOPS\n"
-        "broken\n"
-        "  throughput   6e+08 B/s\n"
-        "  error        no worst FCT for this load\n"
-    )
+    assert out == "fine\n  throughput   6e+08 B/s\n  offered load 0.6\n" + fine_text + "broken\n" + error_text
+
+    # --json shows the same two rows, with the same figures, and exits alike
+    code, out, err = run_cli(capsys, "casestudy", "--input", str(study), "--json")
+    assert (code, err) == (2, "")
+    fine, bad = json.loads(out)
+    assert fine["error"] is None and fine["extrapolated"]
+    assert f"  worst fct    {fine['worst_fct_s']:.6g} s (extrapolated)\n" in fine_text
+    assert len(fine["tiers"]) == 3
+    for tier, line in zip(fine["tiers"], fine_text.splitlines()[1:]):
+        assert f"budget {tier['budget_s']:.6g} s" in line
+    assert error_text == (f"  throughput   {bad['throughput_bytes_per_s']:.6g} B/s\n"
+                          f"  offered load {bad['offered_load']:.6g}\n"
+                          f"  error        {bad['error']}\n")
+    assert (bad["worst_fct_s"], bad["tiers"]) == (None, [])
 
 
 # --- measure (in-process run against a library server) ---

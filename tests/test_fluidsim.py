@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -269,12 +270,12 @@ def test_trace_conserves_bytes_and_obeys_littles_law(mode, load):
     )
     count = len(result.spawns)
     assert count >= clients
-    delivered = math.fsum(rate * (end - start) * (hi - lo)
-                          for start, end, lo, hi, rate in result.intervals)
+    rows = []
+    result.replay(rows.append)
+    delivered = math.fsum(rate * (end - start) * (hi - lo) for start, end, lo, hi, rate in rows)
     assert delivered == pytest.approx(count * size, rel=1e-9, abs=0)
     on_link = math.fsum(fct - link.rtt for fct in result.fcts)
-    occupancy = math.fsum((end - start) * (hi - lo)
-                          for start, end, lo, hi, _ in result.intervals)
+    occupancy = math.fsum((end - start) * (hi - lo) for start, end, lo, hi, _ in rows)
     assert on_link == pytest.approx(occupancy, rel=1e-9, abs=0)
 
 
@@ -327,7 +328,9 @@ def test_simulate_peak_memory_per_client_follows_the_active_set(load):
     result, peak = traced_peak(lambda: simulate(s))
     count = len(result.spawns)
     assert count >= clients
-    assert result.interval_count > (1.9 if load > 1 else 0.99) * clients  # the trace would be large
+    intervals = itertools.count()
+    result.replay(lambda row: next(intervals))
+    assert next(intervals) > (1.9 if load > 1 else 0.99) * clients  # the trace would be large
     assert peak / count < SIM_CLIENT_BUDGET_B, f"{peak / count:.1f} B per client"
 
 
@@ -382,10 +385,12 @@ def test_records_and_trace_are_built_on_first_read(monkeypatch):
     records = result.records
     assert built == {"FlowTable": 1}
     assert len(records) == 70 and records.fct_s == result.fcts
-    # the trace replays the loop once, and agrees with the count the run kept
-    assert "intervals" not in vars(result)
+    # the trace replays the loop once, one interval a replayed row
     trace = result.trace
-    assert built["AllocationInterval"] == len(result.intervals) == result.interval_count > 70
+    rows = []
+    result.replay(rows.append)
+    assert built["AllocationInterval"] == len(trace) == len(rows) > 70
+    assert [(i.start, i.end, i.client_ids.start, i.client_ids.stop, i.rate_per_client) for i in trace] == rows
     assert result.records is records and result.trace is trace  # cached, built once
     assert built["FlowTable"] == 1
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamscore.fluidsim import Scenario
+from streamscore.loadgen import ClientRunConfig, PortPool
 from streamscore.model import (
     Choice,
     ComputeSpec,
@@ -121,6 +123,39 @@ def _scan(**fields) -> ScanSpec:
         (lambda: classify_tier(-1.0), "time must be >= 0, got -1.0"),
         (lambda: decide(WorkloadSpec(unit_size=1.0), LinkSpec(bandwidth=1e9), ComputeSpec(1.0, 1.0),
                         worst_case_transfer=-1), "worst_case_transfer must be >= 0"),
+        # NaN fails every bound, with the message of any other out-of-range value
+        (lambda: WorkloadSpec(unit_size=math.nan), "unit_size must be >= 0, got nan"),
+        (lambda: WorkloadSpec(unit_size=1.0, complexity=math.nan), "complexity must be >= 0, got nan"),
+        (lambda: WorkloadSpec(unit_size=1.0, generation_interval=math.nan), "generation_interval must be > 0, got nan"),
+        (lambda: ComputeSpec(local_rate=math.nan, remote_rate=1e12), "local_rate must be > 0, got nan"),
+        (lambda: ComputeSpec(local_rate=1e12, remote_rate=math.nan), "remote_rate must be > 0, got nan"),
+        (lambda: LinkSpec(bandwidth=1e9, rtt=math.nan), "rtt must be >= 0, got nan"),
+        (lambda: DelayDecomposition(prop_s=math.nan), "prop_s must be >= 0"),
+        (lambda: TierPolicy((("a", math.nan),)), "tier deadlines must be > 0"),
+        (lambda: _scan(frame_bytes=math.nan), "frame_bytes must be > 0, got nan"),
+        (lambda: _scan(frame_count=math.nan), "frame_count must be > 0, got nan"),
+        (lambda: _scan(frame_interval=math.nan), "frame_interval must be > 0, got nan"),
+        (lambda: _scan(files=math.nan), "files must be > 0, got nan"),
+        (lambda: _scan(per_file_overhead=math.nan), "per_file_overhead must be >= 0, got nan"),
+        (lambda: io_overhead_from_times(1.0, math.nan), "transfer_s must be > 0 to fit theta, got nan"),
+        (lambda: io_overhead_from_times(math.nan, 1.0), "io_s must be >= 0, got nan"),
+        (lambda: streaming_speed_score(math.nan, 1.0), "times must be > 0, got worst=nan, theoretical=1.0"),
+        (lambda: streaming_speed_score(1.0, math.nan), "times must be > 0, got worst=1.0, theoretical=nan"),
+        (lambda: theoretical_transfer_time(math.nan, LinkSpec(bandwidth=1e9)), "size_bytes must be >= 0, got nan"),
+        (lambda: transfer_budget(math.nan, 1.0), "deadline must be > 0, got nan"),
+        (lambda: transfer_budget(1.0, math.nan), "worst_transfer_s must be >= 0, got nan"),
+        (lambda: required_remote_rate(WorkloadSpec(unit_size=1.0), math.nan), "budget must be > 0, got nan"),
+        (lambda: classify_tier(math.nan), "time must be >= 0, got nan"),
+        (lambda: decide(WorkloadSpec(unit_size=1.0), LinkSpec(bandwidth=1e9), ComputeSpec(1.0, 1.0),
+                        worst_case_transfer=math.nan), "worst_case_transfer must be >= 0"),
+        # the two backends' own bounds
+        (lambda: Scenario(link=LinkSpec(bandwidth=1e9), duration=1.0, concurrency=1.0, transfer_bytes=1,
+                          startup_latency=math.nan), "startup_latency must be >= 0, got nan"),
+        (lambda: PortPool(base_port=5201, pool_size=math.nan), "pool_size must be > 0, got nan"),
+        (lambda: ClientRunConfig(server_address="127.0.0.1", base_port=5201, duration=1.0, concurrency=1.0,
+                                 transfer_bytes=1, connect_timeout=math.nan), "timeouts must be > 0"),
+        (lambda: ClientRunConfig(server_address="127.0.0.1", base_port=5201, duration=1.0, concurrency=1.0,
+                                 transfer_bytes=1, transfer_timeout=math.nan), "timeouts must be > 0"),
     ],
 )
 def test_exported_api_rejects_an_out_of_range_value_by_name(build, message):
