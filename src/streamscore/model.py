@@ -148,6 +148,8 @@ class TimeBreakdown:
     total_s: float = field(init=False)  # transfer_s + io_s + remote_s, in that order
 
     def __post_init__(self) -> None:
+        if self.transfer_s == math.inf:  # an overflowed size / rate, which would make io_s 0 x inf = NaN
+            raise ValueError("transfer_s must be finite, got inf")
         for name in ("transfer_s", "remote_s", "io_s"):
             if not getattr(self, name) >= 0:  # NaN too: inf x 0 s of transfer has no I/O time
                 raise ValueError(f"{name} must be >= 0")

@@ -3,12 +3,13 @@
 One record per spawned client, whether the transfer was measured on a real
 network or produced by the simulator; the analysis pipeline consumes both
 through this schema. ``FlowTable`` is the one record type: one column per
-field, and its field order is the key order of a log line. The five numeric
-columns are typed arrays (8 bytes a number: float64 times, int64 counts);
-``client_id`` (any JSON integer) and ``error`` are tuples. ``check_row`` is
-the one row validator. ``error`` (None on success) alone marks a failure; a
-line's ``"status"`` is written from it and checked against it here only. A
-log file is a header line ``{"run": {...}}`` and then one record per line.
+field, and its field order is the key order of a log line. The six numeric
+columns are typed arrays (8 bytes a number: float64 times, int64 client ids
+and counts); ``error`` is a tuple. ``check_row`` is the one row validator,
+and the reader also bounds ``client_id`` to ``[0, 2**63)``. ``error`` (None
+on success) alone marks a failure; a line's ``"status"`` is written from it
+and checked against it here only. A log file is a header line
+``{"run": {...}}`` and then one record per line.
 """
 
 from __future__ import annotations
@@ -66,12 +67,12 @@ class FlowTable:
     report all read and build the columns directly. A producer may hand over
     any sequence per column; construction makes each numeric column an
     ``array`` of its typecode (an array that has it already is kept, not
-    copied) and the other two tuples. Producers hand over rows that already
-    passed ``check_row``.
+    copied) and ``error`` a tuple. Producers hand over rows that already
+    passed ``check_row``, with client ids in ``[0, 2**63)``.
     """
 
     # every default is an empty tuple, typed by __post_init__ like a producer's column
-    client_id: tuple[int, ...] = ()
+    client_id: array[int] = ()
     spawn_s: array[float] = ()
     complete_s: array[float] = ()
     fct_s: array[float] = ()
@@ -104,7 +105,7 @@ class FlowTable:
 _COLUMNS = tuple(f.name for f in fields(FlowTable))
 # per column: the array typecode of a numeric column, or None for a tuple
 _TYPECODES = {name: None for name in _COLUMNS} | {
-    "spawn_s": "d", "complete_s": "d", "fct_s": "d", "bytes": "q", "flows": "q",
+    "client_id": "q", "spawn_s": "d", "complete_s": "d", "fct_s": "d", "bytes": "q", "flows": "q",
 }
 
 
@@ -159,9 +160,10 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
     the first line may be one, and its ``run`` must be an object. A line that
     is not a JSON object, holds NaN or Infinity, is a second header, misses a
     field, holds a string or a boolean where a number belongs, has a
-    fractional count, fails ``check_row``, pairs its status and error other
-    than as "ok" with none or "error" with a string, or repeats a client_id
-    raises LogFormatError naming its line; nothing is skipped.
+    fractional count or a client_id outside ``[0, 2**63)``, fails
+    ``check_row``, pairs its status and error other than as "ok" with none
+    or "error" with a string, or repeats a client_id raises LogFormatError
+    naming its line; nothing is skipped.
     """
 
     def _read(fh: TextIOBase) -> tuple[dict, FlowTable]:
@@ -208,6 +210,8 @@ def read_jsonl(source: Path | str | TextIOBase) -> tuple[dict, FlowTable]:
                 complete = complete if complete.__class__ is float else _time("complete_s", complete)
                 fct = fct if fct.__class__ is float else _time("fct_s", fct)
                 client_id = client_id if client_id.__class__ is int else _count("client_id", client_id)
+                if not 0 <= client_id < 2**63:  # an int64 column, as bytes
+                    raise ValueError(f"client_id must be in [0, 2**63), got {client_id}")
                 nbytes = nbytes if nbytes.__class__ is int else _count("bytes", nbytes)
                 flows = flows if flows.__class__ is int else _count("flows", flows)
                 check_row(spawn, complete, fct, nbytes, flows)

@@ -55,8 +55,8 @@ class LoadSpec:
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if not (self.transfer_bytes >= 0 and math.isfinite(self.transfer_bytes)):
-            raise ValueError(f"transfer_bytes must be finite and >= 0, got {self.transfer_bytes}")
+        if not 0 <= self.transfer_bytes < 2**63:  # a record's int64 bytes (records.check_row)
+            raise ValueError(f"transfer_bytes must be in [0, 2**63), got {self.transfer_bytes}")
         if not float(self.transfer_bytes).is_integer():
             raise ValueError(f"transfer_bytes must be whole bytes, got {self.transfer_bytes}")
         object.__setattr__(self, "transfer_bytes", int(self.transfer_bytes))

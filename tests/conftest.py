@@ -30,15 +30,15 @@ def table_of(rows) -> FlowTable:
     return FlowTable(*zip(*full))
 
 
-NUMERIC_TYPECODES = {"spawn_s": "d", "complete_s": "d", "fct_s": "d", "bytes": "q", "flows": "q"}
+NUMERIC_TYPECODES = {"client_id": "q", "spawn_s": "d", "complete_s": "d", "fct_s": "d", "bytes": "q", "flows": "q"}
 
 
 def assert_typed_columns(table: FlowTable) -> None:
-    """The table's numbers sit in float64 and int64 arrays; client_id and error are tuples."""
+    """The table's numbers sit in float64 and int64 arrays; error alone is a tuple."""
     for name, code in NUMERIC_TYPECODES.items():
         column = getattr(table, name)
         assert type(column) is array and column.typecode == code, (name, column)
-    assert type(table.client_id) is tuple and type(table.error) is tuple
+    assert type(table.error) is tuple
 
 
 def traced_peak(fn):

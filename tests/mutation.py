@@ -67,6 +67,7 @@ ACTIVE = "a simulator that keeps only what it returns: no per-client lists, the 
 SHARED = "record classes that compile one method: five shared frozen methods; a trace written as it is made"
 COVERED = "every src line runs under Tier-1, or goes: each deleted re-check's earlier check, and the new guards"
 ONE_IDIOM = "every bound in one idiom that NaN fails; an overflowed case-study row is an error row; one trace replay"
+INT64 = "int64 client ids from the simulator and the log reader; int64 bytes in a load; a named transfer overflow"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -101,8 +102,7 @@ MUTANTS = (
     Mutant("infinite-duration-or-concurrency-accepted", "schedule.py",
            "if not (value > 0 and math.isfinite(value)):", "if not value > 0:", ONE_LOAD),
     Mutant("infinite-transfer-bytes-accepted", "schedule.py",
-           "if not (self.transfer_bytes >= 0 and math.isfinite(self.transfer_bytes)):",
-           "if not self.transfer_bytes >= 0:", ONE_LOAD),
+           "if not 0 <= self.transfer_bytes < 2**63:", "if not 0 <= self.transfer_bytes:", ONE_LOAD),
     Mutant("clamp-warns-on-rounding", "model.py",
            "if fraction > 1.0 + 1e-9:", "if fraction > 1.0:", ONE_LOAD),
     Mutant("clamp-tolerance-1e-6", "model.py",
@@ -359,8 +359,7 @@ MUTANTS = (
            "if not (1 <= (flows := self.parallel_flows) <= MAX_FLOWS",
            "if not ((flows := self.parallel_flows) <= MAX_FLOWS", COVERED),
     Mutant("load-negative-bytes-accepted", "schedule.py",
-           "if not (self.transfer_bytes >= 0 and math.isfinite(self.transfer_bytes)):",
-           "if not math.isfinite(self.transfer_bytes):", COVERED),
+           "if not 0 <= self.transfer_bytes < 2**63:", "if not self.transfer_bytes < 2**63:", COVERED),
     Mutant("check-row-negative-fct-accepted", "records.py",
            "if not 0 <= fct_s < math.inf:", "if not fct_s < math.inf:", COVERED),
     # --- a zero effective rate, NaN inputs and a cut payload ---
@@ -416,6 +415,21 @@ MUTANTS = (
            "    result = fluidsim.simulate(base)\n"
            "    started_unix_ms = int(time.time() * 1000)  # before the run, as loadgen stamps before its first spawn\n",
            ONE_IDIOM),
+    # --- int64 client ids, a load's bytes bounded as a record's, and an overflowing transfer named ---
+    Mutant("client-id-column-boxed", "records.py", '"client_id": "q", ', "", INT64),
+    Mutant("reader-id-bound-dropped", "records.py",
+           "                if not 0 <= client_id < 2**63:  # an int64 column, as bytes\n",
+           "                if False:\n", INT64),
+    Mutant("reader-id-bound-inclusive", "records.py",
+           "if not 0 <= client_id < 2**63:", "if not 0 <= client_id <= 2**63:", INT64),
+    Mutant("reader-negative-id-accepted", "records.py",
+           "if not 0 <= client_id < 2**63:", "if not client_id < 2**63:", INT64),
+    Mutant("load-byte-bound-dropped", "schedule.py",
+           "if not 0 <= self.transfer_bytes < 2**63:", "if not 0 <= self.transfer_bytes < math.inf:", INT64),
+    Mutant("load-byte-bound-inclusive", "schedule.py",
+           "if not 0 <= self.transfer_bytes < 2**63:", "if not 0 <= self.transfer_bytes <= 2**63:", INT64),
+    Mutant("transfer-overflow-blamed-on-io", "model.py",
+           "        if self.transfer_s == math.inf:", "        if False:", INT64),
 )
 
 

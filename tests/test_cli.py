@@ -155,6 +155,16 @@ def test_model_zero_rate_is_rejected_by_name(capsys, rates, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("form", [[], ["--json"]])
+@pytest.mark.parametrize("theta", ["1", "2"])
+def test_model_names_an_overflowing_transfer_time(capsys, theta, form):
+    # 1e300 B over 1e-10 B/s is inf s: theta 1 used to blame io_s (0 x inf is NaN), and theta 2
+    # printed inf with exit 0 in text, while --json exited 1 from the strict encoder
+    code, out, err = run_cli(capsys, "model", "--size", "1e300B", "--bw", "1e-10Bps", "--work", "1TFLOP",
+                             "--remote-rate", "1TF", "--theta", theta, *form)
+    assert (code, out, err) == (1, "", "error: transfer_s must be finite, got inf\n")
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -196,6 +206,18 @@ def test_simulate_writes_80_records(capsys, tmp_path):
     assert meta["concurrency"] == 8.0
     assert meta["transfer_bytes"] == 0.5e9
     assert meta["mode"] == "simultaneous"
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]])
+@pytest.mark.parametrize("size", ["1e300B", "9223372036854775808B"])
+def test_simulate_bytes_past_int64_exits_1_before_writing(capsys, tmp_path, size, form):
+    # a record's bytes are int64: --out used to end in an OverflowError traceback from the column
+    out_path = tmp_path / "sim.jsonl"
+    code, out, err = run_cli(capsys, "simulate", "--bw", "1e-10Bps", "--duration", "1s", "--concurrency", "1",
+                             "--size", size, "--out", str(out_path), *form)
+    got = "1e+300" if size == "1e300B" else "9.223372036854776e+18"
+    assert (code, out, err) == (1, "", f"error: transfer_bytes must be in [0, 2**63), got {got}\n")
+    assert not out_path.exists()
 
 
 def test_simulate_out_stamps_the_start_before_the_run(capsys, tmp_path, monkeypatch):
@@ -1031,7 +1053,10 @@ def test_measure_run_all_failed_exits_2(capsys, tmp_path):
     "flags, message",
     [(["--size", "1.5B"], "transfer_bytes must be whole bytes, got 1.5"),
      (["--size", "1KB", "--connect-timeout", "0s"], "timeouts must be > 0"),
-     (["--size", "1KB", "--transfer-timeout", "0s"], "timeouts must be > 0")],
+     (["--size", "1KB", "--transfer-timeout", "0s"], "timeouts must be > 0"),
+     # a size past a record's int64 bytes used to escape main as a struct.error from pack_header
+     (["--size", "1e300B"], "transfer_bytes must be in [0, 2**63), got 1e+300"),
+     (["--size", "9223372036854775808B"], "transfer_bytes must be in [0, 2**63), got 9.223372036854776e+18")],
 )
 def test_measure_run_bad_load_or_timeout_exits_1_before_connecting(capsys, monkeypatch, flags, message):
     def no_socket(*args, **kwargs):
@@ -1281,7 +1306,7 @@ def test_measure_run_unresolvable_server_logs_every_client_and_exits_2(
     )
     assert code == 2
     _, records = read_jsonl(out_path)
-    assert records.client_id == (0, 1)
+    assert records.client_id.tolist() == [0, 1]
     expected = f"[Errno {socket.EAI_NONAME}] Name or service not known"
     assert records.error == (f"flow 0: {expected}; flow 1: {expected}",) * 2
     assert records.bytes.tolist() == [0, 0]

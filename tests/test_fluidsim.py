@@ -298,11 +298,12 @@ def test_overloaded_run_memory_is_linear():
     assert peak < 64 * 2**20
 
 
-# The tracemalloc peak of simulate(...).records on the 20,000-client burst below is 88.9 B a
-# client on CPython 3.11 with typed columns and the trace left to a replay; it was 154 B when
-# simulate kept one boxed row per interval, and 204 B with one tuple per column as well. The
-# budget is the measured figure plus 15%, so a kept trace or boxed columns fail it.
-SIM_PEAK_BUDGET_B = 102
+# The tracemalloc peak of simulate(...).records on the 20,000-client burst below is 57.8 B a
+# client on CPython 3.11 with every numeric column typed, client_id too, and the trace left to a
+# replay; a client_id tuple of int objects made it 88.9 B, one boxed row per interval 154 B, and
+# one tuple per column as well 204 B. The budget is the measured figure plus 15%, so a boxed id
+# column, a kept trace or boxed columns fail it.
+SIM_PEAK_BUDGET_B = 67
 # simulate alone keeps its two 8-byte columns and a deque of the active clients: 16.3 B a
 # client at load 0.8 and 21.5 B at load 1.12 (10^5 scheduled clients), against 320 and 464 B
 # with per-client lists and a kept trace. Any per-client list of boxed floats (32 B a client) fails it.
@@ -341,7 +342,7 @@ def test_result_columns_and_records_are_typed_arrays():
     records = result.records
     assert_typed_columns(records)
     assert records.spawn_s is result.spawns and records.fct_s is result.fcts  # kept, not copied
-    assert records.client_id == tuple(range(24))
+    assert records.client_id.tolist() == list(range(24))
 
 
 def test_sweep_simulates_each_concurrency_once(monkeypatch):
