@@ -149,7 +149,7 @@ def _row_values(pairs) -> dict:
 
 
 def row_dict(row) -> dict:
-    """A sweep or case-study row as its JSON/CSV object, in field order."""
+    """A sweep or case-study row, or a decision, as its JSON/CSV object, in field order."""
     return asdict(row, dict_factory=_row_values)
 
 

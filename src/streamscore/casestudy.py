@@ -108,7 +108,7 @@ class TierBudget:
 class WorkflowResult:
     name: str
     throughput: float
-    offered_load: float = 0.0
+    offered_load: float | None = 0.0  # None where it overflowed: JSON cannot carry inf
     infeasible: bool = False
     worst_fct: float | None = None
     extrapolated: bool = False
@@ -121,8 +121,9 @@ def evaluate(study: CaseStudyInput) -> list[WorkflowResult]:
     """Evaluate every workflow; a failing row keeps its offered load and never blocks the others."""
     results = []
     for workflow in study.workflows:
+        load = offered_load(workflow.throughput, study.link)
         row = WorkflowResult(name=workflow.name, throughput=workflow.throughput,
-                             offered_load=offered_load(workflow.throughput, study.link))
+                             offered_load=load if load < math.inf else None)
         try:
             results.append(_evaluate_one(row, workflow, study))
         except ValueError as exc:
@@ -131,6 +132,9 @@ def evaluate(study: CaseStudyInput) -> list[WorkflowResult]:
 
 
 def _evaluate_one(row: WorkflowResult, workflow: Workflow, study: CaseStudyInput) -> WorkflowResult:
+    if row.offered_load is None:
+        raise ValueError(f"offered load must be finite, got inf ({workflow.throughput:.6g} B/s over "
+                         f"{study.link.effective_rate:.6g} B/s)")
     if row.offered_load > 1:
         return replace(row, infeasible=True, note=(
             f"required {workflow.throughput:.6g} B/s exceeds effective link "

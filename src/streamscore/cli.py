@@ -30,6 +30,7 @@ from .model import (
     theoretical_transfer_time,
 )
 from .quantities import (
+    parse_byte_count,
     parse_bytes,
     parse_compute_rate,
     parse_rate,
@@ -74,14 +75,13 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in _parts(text)]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
+def _fmt(value: float | None, spec: str = ".6g") -> str:
+    # a figure that overflowed is null in the document, and prints as inf
+    return "inf" if value is None else format(value, spec)
 
 
 def _delay_row(block: dict) -> tuple[str, str]:
-    # a figure that overflowed is null in the block, and prints as inf
-    total, prop = ("inf" if block[key] is None else _fmt(block[key])
-                   for key in ("total_s", "propagation_only_s"))
+    total, prop = (_fmt(block[key]) for key in ("total_s", "propagation_only_s"))
     return ("delay total", f"{total} s (propagation only {prop} s, {block['label']})")
 
 
@@ -94,6 +94,16 @@ def _json(doc) -> str:
     # NaN and Infinity are not JSON: an SSS that overflowed is null by now, as in
     # report.json, and any other non-finite figure stops the command with exit 1
     return json.dumps(doc, indent=2, allow_nan=False)
+
+
+def _render(doc, table, args) -> str:
+    """The command's output: its document's JSON with --json, else the table made from the document alone.
+
+    Both forms encode the document, so a figure that is not finite stops either
+    with the same ``error:`` line, and both show the same figures.
+    """
+    text = _json(doc)
+    return text if args.json else table(doc)
 
 
 def _write_or_print(payload: str, out: str | None) -> None:
@@ -137,7 +147,7 @@ def build_parser() -> _Parser:
     load = _Parser(add_help=False)  # one load description for simulate and measure run
     load.add_argument("--duration", type=parse_seconds, help="spawning window, e.g. 10s")
     load.add_argument("--concurrency", type=float, help="clients per second")
-    load.add_argument("--size", type=parse_bytes, help="bytes per client")
+    load.add_argument("--size", type=parse_byte_count, help="bytes per client")
     load.add_argument("--parallel", type=int, help="TCP flows per client")
     load.add_argument("--mode", type=SpawnMode.parse, help="simultaneous|scheduled")
     pool = _Parser(add_help=False)  # the server's ports, for measure serve and measure run
@@ -235,59 +245,39 @@ def cmd_model(args) -> int:
 
     decision = decide(workload, link, compute, io, args.tiers, worst_case_transfer=args.worst)
     breakdown = decision.remote
+    verdict = analysis.row_dict(decision)
+    del verdict["remote"]  # the breakdown, which the document holds already
     if args.local_rate is None:
         # without a local rate only outright infeasibility is a verdict, and
         # its local figure is dropped since no local rate was supplied
-        decision = (
-            dataclasses.replace(decision, local_s=None)
-            if decision.choice is Choice.INFEASIBLE
-            else None
-        )
+        verdict = {**verdict, "local_s": None} if decision.choice is Choice.INFEASIBLE else None
 
-    tier = classify_tier(breakdown.total_s, args.tiers)
-    delay_block = analysis.delay_comparator(trans_s=theoretical, prop_s=args.rtt / 2)
+    doc = {
+        "breakdown": dataclasses.asdict(breakdown),
+        "sss": None if sss_value is None else analysis.finite_or_none(sss_value),
+        "tier": classify_tier(breakdown.total_s, args.tiers),
+        "delay_model": analysis.delay_comparator(trans_s=theoretical, prop_s=args.rtt / 2),
+        "decision": verdict,
+    }
+    _write_or_print(_render(doc, lambda doc: _model_table(doc, args), args), args.out)
+    return EXIT_INFEASIBLE if verdict and verdict["choice"] == Choice.INFEASIBLE.value else EXIT_OK
 
-    if args.json:
-        doc = {
-            "breakdown": dataclasses.asdict(breakdown),
-            "sss": None if sss_value is None else analysis.finite_or_none(sss_value),
-            "tier": tier,
-            "delay_model": delay_block,
-            "decision": None
-            if decision is None
-            else {
-                "choice": decision.choice.value,
-                "gain": decision.gain,
-                "tier_achieved": decision.tier_achieved,
-                "rationale": decision.rationale,
-                "local_s": decision.local_s,
-            },
-        }
-        _write_or_print(_json(doc), args.out)
-    else:
-        rows = [
-            ("transfer", f"{_fmt(breakdown.transfer_s)} s"),
-            ("io overhead", f"{_fmt(breakdown.io_s)} s (theta {_fmt(args.theta)})"),
-            ("remote compute", f"{_fmt(breakdown.remote_s)} s"),
-            ("remote total", f"{_fmt(breakdown.total_s)} s"),
-            ("tier", tier or "none"),
-        ]
-        if sss_value is not None:
-            rows.append(("sss", _fmt(sss_value)))
-        rows.append(_delay_row(delay_block))
-        if decision is not None:
-            rows.append(
-                (
-                    "decision",
-                    f"{decision.choice.value} (gain {_fmt(decision.gain)}): "
-                    f"{decision.rationale}",
-                )
-            )
-        _write_or_print(_table(rows), args.out)
 
-    if decision is not None and decision.choice is Choice.INFEASIBLE:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+def _model_table(doc: dict, args) -> str:
+    parts = doc["breakdown"]
+    rows = [
+        ("transfer", f"{_fmt(parts['transfer_s'])} s"),
+        ("io overhead", f"{_fmt(parts['io_s'])} s (theta {_fmt(args.theta)})"),
+        ("remote compute", f"{_fmt(parts['remote_s'])} s"),
+        ("remote total", f"{_fmt(parts['total_s'])} s"),
+        ("tier", doc["tier"] or "none"),
+    ]
+    if args.worst is not None:  # a null SSS is one that overflowed
+        rows.append(("sss", _fmt(doc["sss"])))
+    rows.append(_delay_row(doc["delay_model"]))
+    if (decision := doc["decision"]) is not None:
+        rows.append(("decision", f"{decision['choice']} (gain {_fmt(decision['gain'])}): {decision['rationale']}"))
+    return _table(rows)
 
 
 def _scenario_from_args(args) -> fluidsim.Scenario:
@@ -317,62 +307,55 @@ def cmd_simulate(args) -> int:
         # a sweep list replaces the scenario file's key: this one its parallel_flows, --sweep its concurrency
         parallel_values = args.parallel_list or [base.parallel_flows]
         rows = fluidsim.sweep(base, args.sweep, parallel_values)
+        doc = [{**analysis.row_dict(row), "sss": analysis.finite_or_none(row.sss)} for row in rows]
+        output = _render(doc, _sweep_table, args)  # checked before the CSV is written
         if args.out:
             analysis.write_sweep_csv(rows, args.out)
-        if args.json:
-            print(_json([{**analysis.row_dict(row), "sss": analysis.finite_or_none(row.sss)}
-                         for row in rows]))
-        else:
-            print("concurrency  parallel  mode          load    worst_fct  sss")
-            for row in rows:
-                print(
-                    f"{row.concurrency:<11g}  {row.parallel_flows:<8d}  "
-                    f"{row.mode.value:<12s}  {row.offered_load:<6.3g}  "
-                    f"{row.worst_fct:<9.4g}  {row.sss:.4g}"
-                )
+        print(output)
         return EXIT_OK
 
     started_unix_ms = int(time.time() * 1000)  # before the run, as loadgen stamps before its first spawn
     result = fluidsim.simulate(base)
+    summary = result.summary()
+    doc = {"summary": {**summary, "sss": analysis.finite_or_none(summary["sss"])},
+           "clients": len(result.spawns)}
+    _json(doc)  # checked before any file is written: a log of inf FCTs would not be JSON
     if args.out:
         write_jsonl(args.out, result.records, run_meta={**base.config_echo(), "started_unix_ms": started_unix_ms})
     if args.trace:
         analysis.write_csv(args.trace, ("start_s", "end_s", "first_client", "end_client", "rate_Bps"),
                            result.replay)
 
-    summary = result.summary()
-    comparison = None
     if args.compare:
         _, measured = read_jsonl(args.compare)
-        report = analysis.build_report(
-            result.records,
-            link=base.link,
-            compare_records=measured,
-            comparison_labels=("simulated", "measured"),
-        )
-        comparison = report["comparison"]
-
-    if args.json:
-        doc = {"summary": {**summary, "sss": analysis.finite_or_none(summary["sss"])},
-               "clients": len(result.spawns)}
-        if comparison is not None:
-            doc["comparison"] = comparison
-        print(_json(doc))
-    else:
-        print(_table([
-            ("clients", str(len(result.spawns))),
-            ("worst fct", f"{_fmt(summary['max_fct'])} s"),
-            ("utilization", _fmt(summary["utilization"])),
-            ("sss", _fmt(summary["sss"])),
-        ]))
-        if comparison is not None:
-            ratios = ", ".join(
-                f"{name}={_fmt(value)}"
-                for name, value in comparison["ratios"].items()
-                if value is not None
-            )
-            print(f"simulated/measured ratios: {ratios}")
+        report = analysis.build_report(result.records, link=base.link, compare_records=measured,
+                                       comparison_labels=("simulated", "measured"))
+        doc["comparison"] = report["comparison"]
+    print(_render(doc, _simulate_table, args))
     return EXIT_OK
+
+
+def _sweep_table(doc: list) -> str:
+    return "\n".join(["concurrency  parallel  mode          load    worst_fct  sss"] + [
+        f"{row['concurrency']:<11g}  {row['parallel_flows']:<8d}  {row['mode']:<12s}  "
+        f"{row['offered_load']:<6.3g}  {row['worst_fct_s']:<9.4g}  {_fmt(row['sss'], '.4g')}"
+        for row in doc
+    ])
+
+
+def _simulate_table(doc: dict) -> str:
+    summary = doc["summary"]
+    text = _table([
+        ("clients", str(doc["clients"])),
+        ("worst fct", f"{_fmt(summary['max_fct'])} s"),
+        ("utilization", _fmt(summary["utilization"])),
+        ("sss", _fmt(summary["sss"])),
+    ])
+    if "comparison" not in doc:
+        return text
+    ratios = ", ".join(f"{name}={_fmt(value)}" for name, value in doc["comparison"]["ratios"].items()
+                       if value is not None)
+    return f"{text}\nsimulated/measured ratios: {ratios}"
 
 
 def cmd_measure_serve(args) -> int:
@@ -407,18 +390,22 @@ def cmd_measure_run(args) -> int:
     if args.out:
         write_jsonl(args.out, records, run_meta=meta)
 
-    worst = max(compress(records.fct_s, records.ok_mask()), default=None)
-    failures = len(records) - records.error.count(None)
-    if args.json:
-        doc = {"records": len(records), "failures": failures, "max_fct_s": worst}
-        print(_json(doc))
-    else:
-        print(_table([
-            ("records", str(len(records))),
-            ("failures", str(failures)),
-            ("worst fct", "n/a" if worst is None else f"{_fmt(worst)} s"),
-        ]))
-    return EXIT_INFEASIBLE if worst is None else EXIT_OK
+    doc = {
+        "records": len(records),
+        "failures": len(records) - records.error.count(None),
+        "max_fct_s": max(compress(records.fct_s, records.ok_mask()), default=None),
+    }
+    print(_render(doc, _measure_run_table, args))
+    return EXIT_INFEASIBLE if doc["max_fct_s"] is None else EXIT_OK
+
+
+def _measure_run_table(doc: dict) -> str:
+    worst = doc["max_fct_s"]  # null when no transfer succeeded
+    return _table([
+        ("records", str(doc["records"])),
+        ("failures", str(doc["failures"])),
+        ("worst fct", "n/a" if worst is None else f"{_fmt(worst)} s"),
+    ])
 
 
 def cmd_analyze(args) -> int:
@@ -426,9 +413,7 @@ def cmd_analyze(args) -> int:
     if None not in records.error:
         raise UsageError(f"no successful records in {args.infile}")
 
-    link = None
-    if args.link_bw is not None:
-        link = LinkSpec(bandwidth=args.link_bw, rtt=args.rtt)
+    link = None if args.link_bw is None else LinkSpec(bandwidth=args.link_bw, rtt=args.rtt)
 
     compare_run = compare_records = None
     if args.compare:
@@ -436,77 +421,65 @@ def cmd_analyze(args) -> int:
 
     report = analysis.build_report(records, link=link, policy=args.tiers, compare_records=compare_records,
                                    run=run, comparison_run=compare_run)
-    text = analysis.report_json(report) if args.out or args.json else None
+    if args.out or args.json:
+        text = analysis.report_json(report)
+    else:  # the table prints no CDF, and check_row keeps its values finite: only the rest is checked
+        text = _json({**report, "cdf": None})
     if args.out:
         analysis.write_report(report, args.out, text)
-
-    if args.json:
-        print(text)
-    else:
-        stats = report["stats"]
-        rows = [
-            ("records", str(stats["count"] + stats["failures"])),
-            ("failures", str(stats["failures"])),
-            ("max fct", f"{_fmt(stats['max'])} s"),
-            ("mean fct", f"{_fmt(stats['mean'])} s"),
-            ("p50/p90/p99", f"{_fmt(stats['p50'])} / {_fmt(stats['p90'])} / {_fmt(stats['p99'])} s"),
-            ("regime", report["regime"]["regime"]),
-        ]
-        if report["regime"]["sss"] is not None:
-            rows.append(("sss", _fmt(report["regime"]["sss"])))
-        if report["regime"]["utilization"] is not None:
-            rows.append(("utilization", _fmt(report["regime"]["utilization"])))
-        if report["delay_model"] is not None:
-            rows.append(_delay_row(report["delay_model"]))
-        print(_table(rows))
-        for name, feasible in report["regime"]["tier_feasibility"].items():
-            print(f"  {name}: {'yes' if feasible else 'no'}")
+    print(text if args.json else _analyze_table(report))
     return EXIT_OK
+
+
+def _analyze_table(report: dict) -> str:
+    stats, regime = report["stats"], report["regime"]
+    rows = [
+        ("records", str(stats["count"] + stats["failures"])),
+        ("failures", str(stats["failures"])),
+        ("max fct", f"{_fmt(stats['max'])} s"),
+        ("mean fct", f"{_fmt(stats['mean'])} s"),
+        ("p50/p90/p99", f"{_fmt(stats['p50'])} / {_fmt(stats['p90'])} / {_fmt(stats['p99'])} s"),
+        ("regime", regime["regime"]),
+    ]
+    rows += [(key, _fmt(regime[key])) for key in ("sss", "utilization") if regime[key] is not None]
+    if report["delay_model"] is not None:
+        rows.append(_delay_row(report["delay_model"]))
+    return "\n".join([_table(rows), *(f"  {name}: {'yes' if feasible else 'no'}"
+                                      for name, feasible in regime["tier_feasibility"].items())])
 
 
 def cmd_casestudy(args) -> int:
     from . import casestudy
 
-    study = (
-        casestudy.load_case_study(args.input)
-        if args.input
-        else casestudy.DEMO_CASE_STUDY
-    )
-    results = casestudy.evaluate(study)
+    study = casestudy.load_case_study(args.input) if args.input else casestudy.DEMO_CASE_STUDY
+    doc = [analysis.row_dict(row) for row in casestudy.evaluate(study)]
+    _write_or_print(_render(doc, _casestudy_table, args), args.out)
+    return EXIT_INFEASIBLE if any(row["infeasible"] or row["error"] for row in doc) else EXIT_OK
 
-    if args.json:
-        doc = [analysis.row_dict(row) for row in results]
-        _write_or_print(_json(doc), args.out)
-    else:
-        lines = []
-        for row in results:
-            lines.append(f"{row.name}")
-            lines.append(f"  throughput   {_fmt(row.throughput)} B/s")
-            lines.append(f"  offered load {_fmt(row.offered_load)}")
-            if row.error:
-                lines.append(f"  error        {row.error}")
-                continue
-            if row.infeasible:
-                lines.append(f"  INFEASIBLE   {row.note}")
-                continue
-            worst = f"{_fmt(row.worst_fct)} s"
-            if row.extrapolated:
-                worst += " (extrapolated)"
-            lines.append(f"  worst fct    {worst}")
-            for tier in row.tiers:
-                rate = (
-                    f"{_fmt(tier.required_remote_rate)} FLOPS"
-                    if tier.required_remote_rate is not None
-                    else "no budget remains"
-                )
-                lines.append(
-                    f"  {tier.tier:<8s} (<{_fmt(tier.deadline_s)} s): "
-                    f"budget {_fmt(tier.budget_s)} s, min remote rate {rate}"
-                )
-        _write_or_print("\n".join(lines), args.out)
 
-    any_blocked = any(row.infeasible or row.error for row in results)
-    return EXIT_INFEASIBLE if any_blocked else EXIT_OK
+def _casestudy_table(doc: list) -> str:
+    lines = []
+    for row in doc:
+        lines += [row["name"], f"  throughput   {_fmt(row['throughput_bytes_per_s'])} B/s",
+                  f"  offered load {_fmt(row['offered_load'])}"]
+        if row["error"]:
+            lines.append(f"  error        {row['error']}")
+            continue
+        if row["infeasible"]:
+            lines.append(f"  INFEASIBLE   {row['note']}")
+            continue
+        worst = f"{_fmt(row['worst_fct_s'])} s"
+        if row["extrapolated"]:
+            worst += " (extrapolated)"
+        lines.append(f"  worst fct    {worst}")
+        for tier in row["tiers"]:
+            rate = tier["required_remote_rate_flops"]
+            rate = "no budget remains" if rate is None else f"{_fmt(rate)} FLOPS"
+            lines.append(
+                f"  {tier['tier']:<8s} (<{_fmt(tier['deadline_s'])} s): "
+                f"budget {_fmt(tier['budget_s'])} s, min remote rate {rate}"
+            )
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:

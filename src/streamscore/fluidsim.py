@@ -55,7 +55,7 @@ from pathlib import Path
 from ._frozen import frozen
 from .model import (LinkSpec, carried_utilization, link_from_mapping, offered_load,
                     streaming_speed_score, theoretical_transfer_time)
-from .quantities import coerce_quantity, parse_bytes, parse_seconds
+from .quantities import coerce_quantity, parse_byte_count, parse_seconds
 from .records import FlowTable
 from .schedule import LoadSpec, SpawnMode
 
@@ -265,7 +265,7 @@ _SCENARIO_KEYS = {f.name for f in fields(LinkSpec)} | (
 _LOAD_READERS = {
     "duration": partial(coerce_quantity, parser=parse_seconds),
     "concurrency": coerce_quantity,
-    "transfer_bytes": partial(coerce_quantity, parser=parse_bytes),
+    "transfer_bytes": parse_byte_count,
     "parallel_flows": coerce_quantity,  # LoadSpec checks it is whole and in range
     "mode": SpawnMode.parse,
     # null, like a missing key, means one RTT

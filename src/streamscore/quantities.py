@@ -82,8 +82,8 @@ _LITERAL = re.compile(
 )
 
 
-def parse_quantity(text: str) -> tuple[float, Dimension]:
-    """Parse ``<decimal><suffix>`` into an SI value and its dimension."""
+def _exact(text: str) -> tuple[Decimal, Dimension]:
+    """The exact SI value of ``<decimal><suffix>``, and its dimension."""
     match = _LITERAL.match(text)
     if match is None:
         raise QuantityError(
@@ -98,7 +98,13 @@ def parse_quantity(text: str) -> tuple[float, Dimension]:
             f"(units are case-sensitive: Gbps is bits/s, GBps is bytes/s)"
         )
     factor, dimension = entry
-    value = float(_EXACT.multiply(Decimal(number), factor))
+    return _EXACT.multiply(Decimal(number), factor), dimension
+
+
+def parse_quantity(text: str) -> tuple[float, Dimension]:
+    """Parse ``<decimal><suffix>`` into an SI value and its dimension."""
+    exact, dimension = _exact(text)
+    value = float(exact)
     if not math.isfinite(value):
         raise QuantityError(f"quantity {text!r} overflows to {value}")
     return value, dimension
@@ -116,6 +122,18 @@ def _parse_dimension(text: str, want: Dimension, what: str) -> float:
 def parse_bytes(text: str) -> float:
     """Data volume in bytes (suffixes B..TB decimal, KiB..TiB binary)."""
     return _parse_dimension(text, Dimension.BYTES, "a data size")
+
+
+def parse_byte_count(value) -> int | float:
+    """A whole byte count, read exactly: a literal such as ``9007199254740993B``, or a config number.
+
+    A whole count below 2**64 is an int; any other size is the float that
+    ``coerce_quantity`` reads, a fraction or a count no byte field holds,
+    which ``LoadSpec`` rejects by name.
+    """
+    size = coerce_quantity(value, parse_bytes)
+    exact = _exact(value)[0] if isinstance(value, str) else value
+    return int(exact) if 0 <= exact < 2**64 and exact == int(exact) else size
 
 
 def parse_rate(text: str) -> float:

@@ -68,6 +68,7 @@ SHARED = "record classes that compile one method: five shared frozen methods; a 
 COVERED = "every src line runs under Tier-1, or goes: each deleted re-check's earlier check, and the new guards"
 ONE_IDIOM = "every bound in one idiom that NaN fails; an overflowed case-study row is an error row; one trace replay"
 INT64 = "int64 client ids from the simulator and the log reader; int64 bytes in a load; a named transfer overflow"
+ONE_DOC = "one document per command: each text table rendered from the checked document; exact byte counts"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -136,8 +137,8 @@ MUTANTS = (
            "lambda value: None if value is None else coerce_quantity(value, parse_seconds)",
            "lambda value: coerce_quantity(value or 0, parse_seconds)", ONE_LOAD),
     Mutant("quantity-parsed-as-float", "quantities.py",
-           "value = float(_EXACT.multiply(Decimal(number), factor))",
-           "value = float(number) * float(factor)", ONE_LOAD),
+           "return _EXACT.multiply(Decimal(number), factor), dimension",
+           "return Decimal(float(number) * float(factor)), dimension", ONE_LOAD),
     # --- named in the notes of the change that made one exact load ---
     Mutant("origin-not-reset-at-idle-restart", "fluidsim.py",
            "            origin = start = activation\n",
@@ -173,7 +174,7 @@ MUTANTS = (
     Mutant("analyze-empty-log-check-inverted", "cli.py",
            "if None not in records.error:", "if not records.error:", ONE_COPY),
     Mutant("measure-run-counts-no-failures", "cli.py",
-           "failures = len(records) - records.error.count(None)", "failures = 0", ONE_COPY),
+           '"failures": len(records) - records.error.count(None),', '"failures": 0,', ONE_COPY),
     # --- one port pool ---
     Mutant("client-config-skips-port-pool-check", "loadgen.py",
            "        PortPool.__post_init__(self)\n", "", ONE_COPY),
@@ -300,7 +301,7 @@ MUTANTS = (
     Mutant("report-drops-the-comparison-header", "cli.py",
            "run=run, comparison_run=compare_run)", "run=run, comparison_run=None)", ONE_FCT),
     Mutant("model-infeasible-without-local-rate-dropped", "cli.py",
-           "            if decision.choice is Choice.INFEASIBLE\n", "            if False\n", ONE_FCT),
+           "if decision.choice is Choice.INFEASIBLE else None", "if False else None", ONE_FCT),
     Mutant("sweep-requires-concurrency", "cli.py",
            "        args.concurrency = args.sweep[0]", "        pass", ONE_FCT),
     Mutant("sweep-concurrency-ignored-silently", "cli.py",
@@ -343,9 +344,9 @@ MUTANTS = (
     Mutant("breakdown-part-check-dropped", "model.py",
            "            if not getattr(self, name) >= 0:  # NaN too", "            if False:  # NaN too", SHARED),
     Mutant("casestudy-error-row-text-dropped", "cli.py",
-           '                lines.append(f"  error        {row.error}")\n', "", SHARED),
+           """            lines.append(f"  error        {row['error']}")\n""", "", SHARED),
     Mutant("casestudy-extrapolated-tag-dropped", "cli.py",
-           '                worst += " (extrapolated)"', "                pass", SHARED),
+           '            worst += " (extrapolated)"', "            pass", SHARED),
     Mutant("closed-connection-taken-as-ack", "loadgen.py",
            "            if ack != ACK:", "            if ack and ack != ACK:", SHARED),
     Mutant("wrong-reply-reported-as-missing", "loadgen.py",
@@ -430,6 +431,27 @@ MUTANTS = (
            "if not 0 <= self.transfer_bytes < 2**63:", "if not 0 <= self.transfer_bytes <= 2**63:", INT64),
     Mutant("transfer-overflow-blamed-on-io", "model.py",
            "        if self.transfer_s == math.inf:", "        if False:", INT64),
+    # --- one document per command, and exact byte counts ---
+    Mutant("model-sss-rendered-outside-the-document", "cli.py",
+           'rows.append(("sss", _fmt(doc["sss"])))',
+           'rows.append(("sss", _fmt(args.worst / theoretical_transfer_time(args.size, LinkSpec(args.bw, args.alpha)))))',
+           ONE_DOC),
+    Mutant("text-form-unchecked", "cli.py",
+           "    text = _json(doc)\n    return text if args.json else table(doc)\n",
+           "    return _json(doc) if args.json else table(doc)\n", ONE_DOC),
+    Mutant("model-text-unchecked", "cli.py",
+           "_write_or_print(_render(doc, lambda doc: _model_table(doc, args), args), args.out)",
+           "_write_or_print(_json(doc) if args.json else _model_table(doc, args), args.out)", ONE_DOC),
+    Mutant("sweep-rows-unchecked-in-text", "cli.py",
+           "output = _render(doc, _sweep_table, args)", "output = _json(doc) if args.json else _sweep_table(doc)",
+           ONE_DOC),
+    Mutant("simulate-log-written-before-the-check", "cli.py",
+           "    _json(doc)  # checked before any file is written: a log of inf FCTs would not be JSON\n", "", ONE_DOC),
+    Mutant("case-study-overflowed-load-kept", "casestudy.py",
+           "offered_load=load if load < math.inf else None)", "offered_load=load)", ONE_DOC),
+    Mutant("byte-count-read-as-a-float", "quantities.py",
+           "return int(exact) if 0 <= exact < 2**64 and exact == int(exact) else size",
+           "return int(size) if size == int(size) and size < 2**64 else size", ONE_DOC),
 )
 
 

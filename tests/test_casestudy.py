@@ -120,6 +120,21 @@ def test_row_errors_do_not_block_other_rows(case):
     json.dumps([row_dict(row) for row in results], allow_nan=False)  # every figure left is finite
 
 
+def test_an_overflowed_offered_load_is_an_error_row_with_a_null_load():
+    # 1e300 B/s over 1e-10 B/s: the load was inf, an INFEASIBLE row that JSON could not carry
+    study = CaseStudyInput(
+        workflows=(Workflow("bad", 1e300, 1e12), Workflow(name="fine", throughput=0.5e-10, compute=1e12)),
+        link=LinkSpec(bandwidth=1e-10),
+        tiers=TierPolicy(),
+        worst_fct_curve=CURVE,
+    )
+    bad, fine = evaluate(study)
+    assert (bad.offered_load, bad.infeasible, bad.tiers) == (None, False, ())
+    assert bad.error == "offered load must be finite, got inf (1e+300 B/s over 1e-10 B/s)"
+    assert (fine.error, fine.offered_load) == (None, 0.5)
+    json.dumps([row_dict(row) for row in (bad, fine)], allow_nan=False)
+
+
 def test_load_case_study_with_unit_literals(tmp_path):
     path = tmp_path / "study.json"
     path.write_text(

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from streamscore import fluidsim
+from streamscore import cli, fluidsim
 from streamscore.cli import UsageError, build_parser, main
 from streamscore.loadgen import ACK, pack_header
 from streamscore.records import read_jsonl
@@ -215,9 +215,41 @@ def test_simulate_bytes_past_int64_exits_1_before_writing(capsys, tmp_path, size
     out_path = tmp_path / "sim.jsonl"
     code, out, err = run_cli(capsys, "simulate", "--bw", "1e-10Bps", "--duration", "1s", "--concurrency", "1",
                              "--size", size, "--out", str(out_path), *form)
-    got = "1e+300" if size == "1e300B" else "9.223372036854776e+18"
+    got = "1e+300" if size == "1e300B" else "9223372036854775808"  # a whole count is read exactly
     assert (code, out, err) == (1, "", f"error: transfer_bytes must be in [0, 2**63), got {got}\n")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("given", ["--size", "scenario literal", "scenario integer"])
+@pytest.mark.parametrize("size", [2**53 + 1, 2**63 - 1])
+def test_simulate_reads_a_whole_byte_count_exactly(capsys, tmp_path, given, size):
+    # a float byte size rounded 2**53 + 1 down, and 2**63 - 1 up past the int64 bound
+    scenario = tmp_path / "scenario.json"
+    value = f'"{size}B"' if given == "scenario literal" else str(size)
+    scenario.write_text('{"bandwidth": "1e30Bps", "duration": "1s", "concurrency": 1, "transfer_bytes": %s}' % value)
+    flags = ["--bw", "1e30Bps", "--duration", "1s", "--concurrency", "1", "--size", f"{size}B"]
+    out_path = tmp_path / "sim.jsonl"
+    code, _, err = run_cli(capsys, "simulate", *(flags if given == "--size" else ["--scenario", str(scenario)]),
+                           "--out", str(out_path))
+    assert (code, err) == (0, "")
+    meta, records = read_jsonl(out_path)
+    assert meta["transfer_bytes"] == size
+    assert records.bytes.tolist() == [size]
+
+
+def test_simulate_overflowing_byte_literal_exits_1_with_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--bw", "25Gbps", "--duration", "1s", "--concurrency", "1",
+                             "--size", "1e400B")
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert "argument --size: invalid" in err and err.endswith(" value: '1e400B'\n")
+
+
+def test_model_size_stays_a_float_magnitude(capsys):
+    # model reads no byte count: a 1e300 B unit only takes 3.2e290 s to move
+    code, out, _ = run_cli(capsys, "model", "--size", "1e300B", "--bw", "25Gbps")
+    assert code == 0
+    assert out.startswith("transfer        3.2e+290 s\n")
 
 
 def test_simulate_out_stamps_the_start_before_the_run(capsys, tmp_path, monkeypatch):
@@ -666,6 +698,39 @@ def test_analyze_writes_an_overflowed_delay_total_as_null(capsys, tmp_path):
     assert "delay total  inf s (propagation only 0 s" in out
 
 
+_OVERFLOWING_LINK = ["--bw", "5e-324Bps", "--duration", "2s", "--size", "1B", "--mode", "simultaneous"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", *_OVERFLOWING_LINK, "--concurrency", "3"],  # text said worst fct inf s, sss nan
+        ["simulate", *_OVERFLOWING_LINK, "--sweep", "1,3"],  # text printed inf and nan rows
+        ["model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s", "--theta", "3"],  # io overhead inf s
+    ],
+    ids=["simulate", "sweep", "model"],
+)
+def test_an_overflowed_figure_exits_1_in_both_forms(capsys, argv):
+    # each used to exit 0 in text and 1 with --json: the table is rendered from the checked document
+    for form in ([], ["--json"]):
+        code, out, err = run_cli(capsys, *argv, *form)
+        assert (code, out, err) == (1, "", "error: Out of range float values are not JSON compliant: inf\n")
+
+
+def test_casestudy_overflowed_offered_load_is_one_error_row_in_both_forms(capsys, tmp_path):
+    # text said offered load inf / INFEASIBLE and exited 2; --json exited 1
+    study = tmp_path / "study.json"
+    study.write_text('{"workflows": [{"name": "big", "throughput": "1e300Bps", "compute": "1TFLOP"}], '
+                     '"link": {"bandwidth": "1e-10Bps"}, "worst_fct_curve": [[0.5, "1s"]]}')
+    message = "offered load must be finite, got inf (1e+300 B/s over 1e-10 B/s)"
+    code, out, _ = run_cli(capsys, "casestudy", "--input", str(study))
+    assert (code, out) == (2, f"big\n  throughput   1e+300 B/s\n  offered load inf\n  error        {message}\n")
+    code, out, _ = run_cli(capsys, "casestudy", "--input", str(study), "--json")
+    assert code == 2
+    [row] = strict_json(out)
+    assert (row["offered_load"], row["infeasible"], row["error"]) == (None, False, message)
+
+
 def test_json_with_another_non_finite_figure_exits_1(capsys):
     # a 1e308 s worst case x theta 3 overflows the io time: fail, not "io_s": Infinity
     code, out, err = run_cli(capsys, "model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s",
@@ -855,6 +920,55 @@ def test_text_output_matches_golden_bytes(capsys, golden, argv, exit_code):
     code, out, _ = run_cli(capsys, *argv)
     assert code == exit_code
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def _doctor(doc) -> None:
+    """Set every number in ``doc`` to 21 (an int) or 42.0 (a float) and every string to "S", in place.
+
+    Keys, booleans and nulls stay, so the layout does not change; a tuple's items are
+    doctored where they are containers.
+    """
+    for key, value in list(doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        if isinstance(value, (dict, list, tuple)):
+            _doctor(value)
+        elif isinstance(doc, tuple) or value is None or isinstance(value, bool):
+            continue
+        elif isinstance(value, (int, float, str)):
+            doc[key] = {int: 21, float: 42.0, str: "S"}[type(value)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--in", _GOLDEN_LOG, "--link-bw", "10Gbps", "--rtt", "7ms"],
+        ["simulate", *_GOLDEN_RUN, "--alpha", "0.7", "--sweep", "1,2.5", "--parallel-list", "1,2"],
+        ["casestudy"],
+        ["simulate", *_GOLDEN_RUN, "--concurrency", "5.5", "--compare", _GOLDEN_LOG],
+        ["model", "--size", "0.3GB", "--bw", "10Gbps", "--theta", "1.5", "--work", "10TFLOP",
+         "--local-rate", "10TF", "--remote-rate", "40TF", "--worst", "1.2s"],
+        ["measure", "run", "--server", "dtn.example.org", "--base-port", "5201", "--duration", "1s",
+         "--concurrency", "2", "--size", "1KB"],
+    ],
+    ids=["analyze", "sweep", "casestudy", "compare", "model", "measure-run"],
+)
+def test_every_text_figure_comes_from_the_checked_document(capsys, monkeypatch, argv):
+    # the check hands the table its document: doctored there, every figure the table prints
+    # must read 21 or 42 (analyze's records is the count plus the failures: 21 + 21)
+    def doctor_then_encode(doc):
+        _doctor(doc)
+        return encode(doc)
+
+    def getaddrinfo(*args, **kwargs):
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    encode = cli._json
+    monkeypatch.setattr(cli, "_json", doctor_then_encode)
+    monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+    _, out, _ = run_cli(capsys, *argv)
+    # labels and input echoes hold digits of their own
+    unlabelled = re.sub(r"p50/p90/p99|\bp\d\d=|^  Tier \d:|\(theta 1\.5\)", "", out, flags=re.M)
+    figures = set(re.findall(r"\d[\d.e+-]*", unlabelled))
+    assert figures and figures <= {"21", "42"}, out
 
 
 def test_analyze_rejects_bad_records_naming_the_line(capsys, tmp_path):
@@ -1056,7 +1170,7 @@ def test_measure_run_all_failed_exits_2(capsys, tmp_path):
      (["--size", "1KB", "--transfer-timeout", "0s"], "timeouts must be > 0"),
      # a size past a record's int64 bytes used to escape main as a struct.error from pack_header
      (["--size", "1e300B"], "transfer_bytes must be in [0, 2**63), got 1e+300"),
-     (["--size", "9223372036854775808B"], "transfer_bytes must be in [0, 2**63), got 9.223372036854776e+18")],
+     (["--size", "9223372036854775808B"], "transfer_bytes must be in [0, 2**63), got 9223372036854775808")],
 )
 def test_measure_run_bad_load_or_timeout_exits_1_before_connecting(capsys, monkeypatch, flags, message):
     def no_socket(*args, **kwargs):
@@ -1137,6 +1251,19 @@ def test_measure_commands_leave_unset_fields_to_the_spec_defaults(capsys, monkey
         ),
         loadgen.ServerConfig(base_port=5201),
     ]
+
+
+@pytest.mark.parametrize("size", [2**53 + 1, 2**63 - 1])
+def test_measure_run_reads_a_whole_byte_count_exactly(capsys, monkeypatch, size):
+    from streamscore import loadgen
+    from streamscore.records import FlowTable
+
+    built = []
+    monkeypatch.setattr(loadgen, "run_clients", lambda config: built.append(config) or ({}, FlowTable()))
+    code, _, _ = run_cli(capsys, "measure", "run", "--server", "dtn.example.org", "--base-port", "5201",
+                         "--duration", "1s", "--concurrency", "1", "--size", f"{size}B")
+    assert code == 2  # no client ran
+    assert [config.transfer_bytes for config in built] == [size]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from streamscore.quantities import (
     Dimension,
     QuantityError,
     coerce_quantity,
+    parse_byte_count,
     parse_bytes,
     parse_compute_rate,
     parse_quantity,
@@ -86,6 +87,34 @@ def test_work(text, expected):
 )
 def test_times(text, expected):
     assert parse_seconds(text) == expected
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        # a whole count is an int, read exactly; as a float, 2**53 + 1 is 2**53
+        ("9007199254740993B", 9007199254740993),
+        ("9223372036854775807B", 2**63 - 1),
+        ("9223372036854775808B", 2**63),  # for LoadSpec to reject by name
+        ("1.5KiB", 1536),
+        ("2.01KB", 2010),
+        (9007199254740993, 9007199254740993),  # a config's JSON integer
+        (5e8, 500_000_000),
+        # a fraction, or a count no byte field holds, stays the float that names it
+        ("1000.6B", 1000.6),
+        ("1e300B", 1e300),
+        ("18446744073709551616B", 2.0**64),
+    ],
+)
+def test_byte_counts_are_read_exactly(value, expected):
+    count = parse_byte_count(value)
+    assert count == expected and type(count) is type(expected)
+
+
+@pytest.mark.parametrize("value", ["1e400B", "10s", 10**400, math.inf])
+def test_byte_count_rejects_what_parse_bytes_rejects(value):
+    with pytest.raises(QuantityError):
+        parse_byte_count(value)
 
 
 def test_scientific_notation_and_whitespace():
