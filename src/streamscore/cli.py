@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from itertools import compress
@@ -55,6 +56,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage().rstrip()}\n{self.prog}: {message}")
 
 
+def _typed(parse):
+    """``parse`` as an argparse ``type=`` whose ``ValueError`` text argparse prints after the flag.
+
+    For a ``ValueError`` argparse names only the function (``invalid parse_byte_count value``).
+    """
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return typed
+
+
+_seconds, _byte_count, _bytes, _rate, _work, _compute_rate, _mode = map(_typed, (
+    parse_seconds, parse_byte_count, parse_bytes, parse_rate, parse_work, parse_compute_rate, SpawnMode.parse,
+))
+
+
 def _parts(text: str) -> list[str]:
     # an empty list is an error, not a flag left out
     parts = [part for part in text.split(",") if part.strip()]
@@ -63,14 +82,17 @@ def _parts(text: str) -> list[str]:
     return parts
 
 
+@_typed
 def _tiers_arg(text: str) -> TierPolicy:
     return TierPolicy.from_deadlines([parse_seconds(part) for part in _parts(text)])
 
 
+@_typed
 def _float_list(text: str) -> list[float]:
     return [float(part) for part in _parts(text)]
 
 
+@_typed
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in _parts(text)]
 
@@ -90,10 +112,24 @@ def _table(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
 
 
+def _non_finite(doc, path: str = ""):
+    """The key path (``.breakdown.io_s``, ``[1].worst_fct_s``) and value of each non-finite float in ``doc``."""
+    if isinstance(doc, float) and not math.isfinite(doc):
+        yield path, doc
+    elif isinstance(doc, dict | list | tuple):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _non_finite(value, f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}")
+
+
 def _json(doc) -> str:
     # NaN and Infinity are not JSON: an SSS that overflowed is null by now, as in
-    # report.json, and any other non-finite figure stops the command with exit 1
-    return json.dumps(doc, indent=2, allow_nan=False)
+    # report.json, and any other non-finite figure stops the command with exit 1,
+    # named by its key path in the document
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        path, value = next(_non_finite(doc))
+        raise ValueError(f"{path.lstrip('.')} must be finite, got {value}") from None
 
 
 def _render(doc, table, args) -> str:
@@ -145,11 +181,11 @@ def build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--out", help="output file (or directory for analyze)")
     load = _Parser(add_help=False)  # one load description for simulate and measure run
-    load.add_argument("--duration", type=parse_seconds, help="spawning window, e.g. 10s")
+    load.add_argument("--duration", type=_seconds, help="spawning window, e.g. 10s")
     load.add_argument("--concurrency", type=float, help="clients per second")
-    load.add_argument("--size", type=parse_byte_count, help="bytes per client")
+    load.add_argument("--size", type=_byte_count, help="bytes per client")
     load.add_argument("--parallel", type=int, help="TCP flows per client")
-    load.add_argument("--mode", type=SpawnMode.parse, help="simultaneous|scheduled")
+    load.add_argument("--mode", type=_mode, help="simultaneous|scheduled")
     pool = _Parser(add_help=False)  # the server's ports, for measure serve and measure run
     pool.add_argument("--base-port", type=int)
     pool.add_argument("--pool-size", type=int)
@@ -159,16 +195,16 @@ def build_parser() -> _Parser:
     p_model = sub.add_parser(
         "model", parents=[common], help="evaluate the completion-time model"
     )
-    p_model.add_argument("--size", required=True, type=parse_bytes, help="data unit size, e.g. 0.5GB")
-    p_model.add_argument("--bw", required=True, type=parse_rate, help="link bandwidth, e.g. 25Gbps")
+    p_model.add_argument("--size", required=True, type=_bytes, help="data unit size, e.g. 0.5GB")
+    p_model.add_argument("--bw", required=True, type=_rate, help="link bandwidth, e.g. 25Gbps")
     p_model.add_argument("--alpha", type=float, default=1.0, help="transfer efficiency in (0,1]")
     p_model.add_argument("--theta", type=float, default=1.0, help="file I/O overhead coefficient >= 1")
-    p_model.add_argument("--work", type=parse_work, default=0.0, help="compute per unit, e.g. 34TFLOP")
-    p_model.add_argument("--local-rate", type=parse_compute_rate, help="local compute rate, e.g. 34TF")
-    p_model.add_argument("--remote-rate", type=parse_compute_rate, help="remote compute rate, e.g. 68TF")
-    p_model.add_argument("--interval", type=parse_seconds, help="seconds between data units")
-    p_model.add_argument("--worst", type=parse_seconds, help="measured worst-case transfer time")
-    p_model.add_argument("--rtt", type=parse_seconds, default=0.0, help="round-trip time, e.g. 16ms")
+    p_model.add_argument("--work", type=_work, default=0.0, help="compute per unit, e.g. 34TFLOP")
+    p_model.add_argument("--local-rate", type=_compute_rate, help="local compute rate, e.g. 34TF")
+    p_model.add_argument("--remote-rate", type=_compute_rate, help="remote compute rate, e.g. 68TF")
+    p_model.add_argument("--interval", type=_seconds, help="seconds between data units")
+    p_model.add_argument("--worst", type=_seconds, help="measured worst-case transfer time")
+    p_model.add_argument("--rtt", type=_seconds, default=0.0, help="round-trip time, e.g. 16ms")
     p_model.add_argument("--tiers", type=_tiers_arg, default=TierPolicy(), help="deadlines, e.g. 1s,10s,60s")
     p_model.set_defaults(func=cmd_model)
 
@@ -176,10 +212,10 @@ def build_parser() -> _Parser:
         "simulate", parents=[common, load], help="run the bottleneck-link fluid simulator"
     )
     p_sim.add_argument("--scenario", help="scenario file (JSON or key = value lines)")
-    p_sim.add_argument("--bw", type=parse_rate, help="link bandwidth")
+    p_sim.add_argument("--bw", type=_rate, help="link bandwidth")
     p_sim.add_argument("--alpha", type=float, help="transfer efficiency")
-    p_sim.add_argument("--rtt", type=parse_seconds, help="round-trip time")
-    p_sim.add_argument("--startup", type=parse_seconds, help="per-client startup latency")
+    p_sim.add_argument("--rtt", type=_seconds, help="round-trip time")
+    p_sim.add_argument("--startup", type=_seconds, help="per-client startup latency")
     p_sim.add_argument("--sweep", type=_float_list, help="concurrency values, e.g. 1,2,3,4,5,6,7,8")
     p_sim.add_argument("--parallel-list", type=_int_list, help="parallel-flow values, e.g. 2,4,8")
     p_sim.add_argument("--compare", help="measured JSONL log to compare against")
@@ -199,16 +235,16 @@ def build_parser() -> _Parser:
         "run", parents=[common, load, pool], help="spawn transfer clients against a server pool"
     )
     p_run.add_argument("--server")
-    p_run.add_argument("--connect-timeout", type=parse_seconds)
-    p_run.add_argument("--transfer-timeout", type=parse_seconds)
+    p_run.add_argument("--connect-timeout", type=_seconds)
+    p_run.add_argument("--transfer-timeout", type=_seconds)
     p_run.set_defaults(func=cmd_measure_run)
 
     p_analyze = sub.add_parser(
         "analyze", parents=[common], help="statistics and report from a JSONL log"
     )
     p_analyze.add_argument("--in", dest="infile", required=True, help="JSONL transfer log")
-    p_analyze.add_argument("--link-bw", type=parse_rate, help="link bandwidth for SSS/utilization")
-    p_analyze.add_argument("--rtt", type=parse_seconds, default=0.0)
+    p_analyze.add_argument("--link-bw", type=_rate, help="link bandwidth for SSS/utilization")
+    p_analyze.add_argument("--rtt", type=_seconds, default=0.0)
     p_analyze.add_argument("--tiers", type=_tiers_arg, default=TierPolicy())
     p_analyze.add_argument("--compare", help="second JSONL log for per-stat ratios")
     p_analyze.set_defaults(func=cmd_analyze)

@@ -5,12 +5,15 @@ connection: every socket is driven by one small generator that yields
 ``(sock, event, timeout)`` before each call on it, and the loop resumes it once
 the socket is ready, or throws ``socket.timeout`` into it when the wait's
 deadline passes first. The server binds a pool of sequential ports and runs one
-loop thread for the whole pool; each accepted connection reads the declared
-payload into the loop's one buffer, is acknowledged with one byte, and repeats
-until the peer closes, and ``stop()`` closes every live connection.
-``run_clients`` runs its loop on the calling thread and spawns each client at
-its offset from the loop's timer. ``PortPool`` alone checks a pool, as the
-base of both configs. ``ClientRunConfig`` is also the shared
+loop thread for the whole pool; each accepted connection counts the declared
+payload off the socket with ``MSG_TRUNC``, which on Linux drops the bytes in
+the kernel uncopied, is acknowledged with one byte, and repeats until the peer
+closes, and ``stop()`` closes every live connection. ``run_clients`` runs its
+loop on the calling thread and spawns each client at its offset from the
+loop's timer; every flow sends its payload with ``os.sendfile`` (Unix) from
+one page-cache file of the byte pattern, so no payload passes through user
+space on either side. ``PortPool`` alone checks a pool, as the base of both
+configs. ``ClientRunConfig`` is also the shared
 ``schedule.LoadSpec`` (alone it validates a load, fixes its whole bytes and
 bounds its client and flow counts), so the client side spawns on the
 simulator's schedule, echoes the same load keys, and logs one record row per
@@ -27,8 +30,8 @@ byte 0x06 once the server has read everything.
 from __future__ import annotations
 
 import errno
-import itertools
 import math
+import mmap
 import os
 import selectors
 import socket
@@ -47,7 +50,6 @@ _HEADER = struct.Struct(">4sB3xQ")
 HEADER_SIZE = _HEADER.size  # 16
 
 _CHUNK = 256 * 4096  # 1 MiB, a multiple of 256 so the byte cycle stays aligned
-_PATTERN_BLOCK = memoryview(bytes(range(256)) * 4096)
 _STALLED_PEER_S = 300.0  # the server's wait deadline, well above any test load
 _SPAWN_POLL_S = 0.002  # epoll can wake ~2 ms late: the spawn timer polls the last stretch
 DEFAULT_POOL_SIZE = 8  # listeners in a server's pool, and ports a client run spreads over
@@ -85,12 +87,6 @@ def split_bytes(total: int, flows: int) -> list[int]:
     """Split a transfer across flows evenly, remainder to the last flow (``LoadSpec`` bounds both)."""
     per_flow = total // flows
     return [per_flow] * (flows - 1) + [total - per_flow * (flows - 1)]
-
-
-def payload_chunks(length: int):
-    """Yield the deterministic payload pattern in cycle-aligned, zero-copy chunks."""
-    for start in range(0, length, _CHUNK):
-        yield _PATTERN_BLOCK[: min(_CHUNK, length - start)]
 
 
 class _Loop:
@@ -192,12 +188,14 @@ class TransferServer:
             sock.setblocking(False)
             bound.append(sock)
         loop = _Loop()
-        buffer = memoryview(bytearray(_CHUNK))  # every connection reads into it, discarding
+        # every connection names it to recv_into with MSG_TRUNC, which on Linux never
+        # writes it, so its pages are never made resident
+        sink = mmap.mmap(-1, _CHUNK)
         for sock in bound:
-            loop.resume(self._accept(loop, sock, buffer))
+            loop.resume(self._accept(loop, sock, sink))
         self._wake = socket.socketpair()
         loop.resume(_until_readable(self._wake[0]))
-        self._thread = threading.Thread(target=self._serve, args=(loop,), daemon=True)
+        self._thread = threading.Thread(target=self._serve, args=(loop, sink), daemon=True)
         self._thread.start()
 
     def stop(self) -> None:
@@ -217,14 +215,15 @@ class TransferServer:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    def _serve(self, loop: _Loop) -> None:
-        try:
-            while self._thread is not None:
-                loop.run_once()
-        finally:
-            loop.close()
+    def _serve(self, loop: _Loop, sink: mmap.mmap) -> None:
+        with sink:
+            try:
+                while self._thread is not None:
+                    loop.run_once()
+            finally:
+                loop.close()
 
-    def _accept(self, loop: _Loop, listener: socket.socket, buffer: memoryview):
+    def _accept(self, loop: _Loop, listener: socket.socket, sink: mmap.mmap):
         with listener:
             while True:
                 yield listener, selectors.EVENT_READ, None
@@ -233,9 +232,9 @@ class TransferServer:
                 except OSError:
                     continue  # the peer left first, or no descriptor is free until one closes
                 conn.setblocking(False)
-                loop.resume(self._serve_connection(conn, buffer))
+                loop.resume(self._serve_connection(conn, sink))
 
-    def _serve_connection(self, conn: socket.socket, buffer: memoryview):
+    def _serve_connection(self, conn: socket.socket, sink: mmap.mmap):
         with conn:
             try:
                 while True:
@@ -249,7 +248,7 @@ class TransferServer:
                     remaining = parse_header(header)
                     while remaining > 0:
                         yield conn, selectors.EVENT_READ, _STALLED_PEER_S
-                        got = conn.recv_into(buffer, min(remaining, _CHUNK))
+                        got = conn.recv_into(sink, min(remaining, _CHUNK), socket.MSG_TRUNC)
                         if not got:
                             return
                         remaining -= got
@@ -286,8 +285,12 @@ class ClientRunConfig(LoadSpec, PortPool):
         }
 
 
-def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_timeout: float):
-    """One flow on the client loop: connect, send the payload and await the ack.
+def _transfer(targets, port: int, nbytes: int, pattern: int, connect_timeout: float,
+              transfer_timeout: float):
+    """One flow on the client loop: connect, send the payload from ``pattern`` and await the ack.
+
+    ``pattern`` is the descriptor of a ``_CHUNK``-byte file of the byte cycle;
+    the payload is sent from it with ``os.sendfile``, wrapping at its end.
 
     ``targets`` is the resolver's address list, tried in order, the last
     address's error raised, as ``socket.create_connection`` does; or it is the
@@ -309,10 +312,15 @@ def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_
                 if attempt == len(targets):
                     raise
                 continue
-            for chunk in itertools.chain([pack_header(nbytes)], payload_chunks(nbytes)):
-                while chunk:
-                    yield sock, selectors.EVENT_WRITE, transfer_timeout
-                    chunk = chunk[sock.send(chunk) :]
+            header = pack_header(nbytes)
+            while header:
+                yield sock, selectors.EVENT_WRITE, transfer_timeout
+                header = header[sock.send(header) :]
+            sent = 0
+            while sent < nbytes:
+                yield sock, selectors.EVENT_WRITE, transfer_timeout
+                sent += os.sendfile(sock.fileno(), pattern, sent % _CHUNK,
+                                    min(_CHUNK - sent % _CHUNK, nbytes - sent))
             yield sock, selectors.EVENT_READ, transfer_timeout
             ack = sock.recv(1)
             if ack != ACK:
@@ -324,6 +332,8 @@ def _transfer(targets, port: int, nbytes: int, connect_timeout: float, transfer_
 
 def run_clients(config: ClientRunConfig) -> tuple[dict, FlowTable]:
     """Spawn transfer clients on schedule; return the header and records, as ``read_jsonl`` does."""
+    import tempfile  # here, so that `measure serve` never loads it
+
     offsets = config.spawn_times()
     sizes = split_bytes(config.transfer_bytes, config.parallel_flows)
     try:  # once per run, so a slow resolver cannot stall the spawn timer
@@ -345,7 +355,8 @@ def run_clients(config: ClientRunConfig) -> tuple[dict, FlowTable]:
             nonlocal open_flows
             try:
                 acked[index] = yield from _transfer(
-                    targets, port, sizes[index], config.connect_timeout, config.transfer_timeout
+                    targets, port, sizes[index], pattern, config.connect_timeout,
+                    config.transfer_timeout,
                 )
             except (OSError, WireProtocolError) as exc:
                 errors[index] = f"flow {index}: {exc}"
@@ -363,17 +374,23 @@ def run_clients(config: ClientRunConfig) -> tuple[dict, FlowTable]:
         for index in range(len(sizes)):
             loop.resume(flow(index))
 
-    started_unix_ms = int(time.time() * 1000)
-    epoch = time.monotonic()
-    try:
-        for client_id, offset in enumerate(offsets):
-            while (wait := epoch + offset - time.monotonic()) > 0:
-                loop.run_once(wait - _SPAWN_POLL_S)
-            start_client(client_id)
-        while len(rows) < len(offsets):  # every client reports
-            loop.run_once()
-    finally:
-        loop.close()
+    with tempfile.TemporaryFile() as pattern_file:  # every flow's payload, from the page cache
+        piece = bytes(range(256)) * 256  # 64 KiB pieces: no 1 MiB object is made
+        for _ in range(_CHUNK // len(piece)):
+            pattern_file.write(piece)
+        pattern_file.flush()
+        pattern = pattern_file.fileno()
+        started_unix_ms = int(time.time() * 1000)
+        epoch = time.monotonic()
+        try:
+            for client_id, offset in enumerate(offsets):
+                while (wait := epoch + offset - time.monotonic()) > 0:
+                    loop.run_once(wait - _SPAWN_POLL_S)
+                start_client(client_id)
+            while len(rows) < len(offsets):  # every client reports
+                loop.run_once()
+        finally:
+            loop.close()
 
     meta = config.config_echo()
     meta["started_unix_ms"] = started_unix_ms

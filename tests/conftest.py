@@ -86,10 +86,10 @@ class CountingServer(TransferServer):
 
     live_connections = 0  # written only by the loop thread
 
-    def _serve_connection(self, conn, buffer):
+    def _serve_connection(self, conn, sink):
         self.live_connections += 1
         try:
-            yield from super()._serve_connection(conn, buffer)
+            yield from super()._serve_connection(conn, sink)
         finally:
             self.live_connections -= 1
 

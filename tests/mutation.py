@@ -69,6 +69,7 @@ COVERED = "every src line runs under Tier-1, or goes: each deleted re-check's ea
 ONE_IDIOM = "every bound in one idiom that NaN fails; an overflowed case-study row is an error row; one trace replay"
 INT64 = "int64 client ids from the simulator and the log reader; int64 bytes in a load; a named transfer overflow"
 ONE_DOC = "one document per command: each text table rendered from the checked document; exact byte counts"
+ZERO_COPY = "a zero-copy live harness: the payload sent by sendfile and discarded by MSG_TRUNC; errors name their cause"
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -121,8 +122,8 @@ MUTANTS = (
            'load.add_argument("--parallel", type=int,', 'load.add_argument("--parallel", type=int, default=2,',
            ONE_LOAD),
     Mutant("cli-default-on-transfer-timeout", "cli.py",
-           'p_run.add_argument("--transfer-timeout", type=parse_seconds)',
-           'p_run.add_argument("--transfer-timeout", type=parse_seconds, default=60.0)', ONE_LOAD),
+           'p_run.add_argument("--transfer-timeout", type=_seconds)',
+           'p_run.add_argument("--transfer-timeout", type=_seconds, default=60.0)', ONE_LOAD),
     Mutant("cli-default-on-bind", "cli.py",
            'p_serve.add_argument("--bind")', 'p_serve.add_argument("--bind", default="0.0.0.0")', ONE_LOAD),
     Mutant("scenario-reader-restates-load-defaults", "fluidsim.py",
@@ -376,8 +377,8 @@ MUTANTS = (
            "        if any(not 0 <= worst < math.inf for _, worst in self.worst_fct_curve):\n",
            "        if False:\n", COVERED),
     Mutant("cut-payload-acknowledged", "loadgen.py",
-           "                        if not got:\n                            return\n",
-           "                        if not got:\n                            break\n", COVERED),
+           "socket.MSG_TRUNC)\n                        if not got:\n                            return\n",
+           "socket.MSG_TRUNC)\n                        if not got:\n                            break\n", COVERED),
     # --- each folded bound back in a form that NaN passes ---
     Mutant("workload-nan-size-accepted", "model.py",
            'for name in ("unit_size", "complexity"):\n            if not (value := getattr(self, name)) >= 0:',
@@ -452,6 +453,19 @@ MUTANTS = (
     Mutant("byte-count-read-as-a-float", "quantities.py",
            "return int(exact) if 0 <= exact < 2**64 and exact == int(exact) else size",
            "return int(size) if size == int(size) and size < 2**64 else size", ONE_DOC),
+    # --- the payload out of a page-cache file and into no buffer; flag and figure errors named ---
+    Mutant("pattern-offset-not-wrapped", "loadgen.py",
+           "os.sendfile(sock.fileno(), pattern, sent % _CHUNK,", "os.sendfile(sock.fileno(), pattern, sent,",
+           ZERO_COPY),
+    Mutant("payload-copied-into-the-sink", "loadgen.py",
+           "min(remaining, _CHUNK), socket.MSG_TRUNC)", "min(remaining, _CHUNK))", ZERO_COPY),
+    Mutant("flag-error-reason-dropped", "cli.py",
+           "            raise argparse.ArgumentTypeError(str(exc)) from None\n", "            raise\n", ZERO_COPY),
+    Mutant("overflow-error-names-no-figure", "cli.py",
+           """        raise ValueError(f"{path.lstrip('.')} must be finite, got {value}") from None\n""",
+           "        raise\n", ZERO_COPY),
+    Mutant("overflow-path-list-index-as-a-key", "cli.py",
+           'f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"', 'f"{path}.{key}"', ZERO_COPY),
 )
 
 

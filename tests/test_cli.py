@@ -237,12 +237,19 @@ def test_simulate_reads_a_whole_byte_count_exactly(capsys, tmp_path, given, size
     assert records.bytes.tolist() == [size]
 
 
-def test_simulate_overflowing_byte_literal_exits_1_with_one_error_line(capsys):
-    code, out, err = run_cli(capsys, "simulate", "--bw", "25Gbps", "--duration", "1s", "--concurrency", "1",
-                             "--size", "1e400B")
+@pytest.mark.parametrize("form", [[], ["--json"]])
+@pytest.mark.parametrize("argv, line", [
+    (["simulate", "--bw", "25Gbps", "--duration", "1s", "--concurrency", "1", "--size", "1e400B"],
+     "streamscore simulate: argument --size: quantity '1e400B' overflows to inf"),
+    (["model", "--size", "1GB", "--bw", "1e400bps"],
+     "streamscore model: argument --bw: quantity '1e400bps' overflows to inf"),
+], ids=["simulate-size", "model-bw"])
+def test_an_overflowing_flag_literal_exits_1_naming_its_cause(capsys, argv, line, form):
+    # argparse used to name the parser function and drop the reason: invalid parse_byte_count value
+    code, out, err = run_cli(capsys, *argv, *form)
     assert (code, out) == (1, "")
     assert err.count("error:") == 1 and "Traceback" not in err
-    assert "argument --size: invalid" in err and err.endswith(" value: '1e400B'\n")
+    assert err.endswith(f"\n{line}\n")
 
 
 def test_model_size_stays_a_float_magnitude(capsys):
@@ -702,19 +709,20 @@ _OVERFLOWING_LINK = ["--bw", "5e-324Bps", "--duration", "2s", "--size", "1B", "-
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, figure",
     [
-        ["simulate", *_OVERFLOWING_LINK, "--concurrency", "3"],  # text said worst fct inf s, sss nan
-        ["simulate", *_OVERFLOWING_LINK, "--sweep", "1,3"],  # text printed inf and nan rows
-        ["model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s", "--theta", "3"],  # io overhead inf s
+        (["simulate", *_OVERFLOWING_LINK, "--concurrency", "3"], "summary.max_fct"),  # text said worst fct inf s
+        (["simulate", *_OVERFLOWING_LINK, "--sweep", "1,3"], "[0].offered_load"),  # text printed inf and nan rows
+        (["model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s", "--theta", "3"], "breakdown.io_s"),
     ],
     ids=["simulate", "sweep", "model"],
 )
-def test_an_overflowed_figure_exits_1_in_both_forms(capsys, argv):
-    # each used to exit 0 in text and 1 with --json: the table is rendered from the checked document
+def test_an_overflowed_figure_exits_1_in_both_forms(capsys, argv, figure):
+    # each used to exit 0 in text and 1 with --json: the table is rendered from the checked document.
+    # The error names the figure's key path, not the encoder's "not JSON compliant: inf"
     for form in ([], ["--json"]):
         code, out, err = run_cli(capsys, *argv, *form)
-        assert (code, out, err) == (1, "", "error: Out of range float values are not JSON compliant: inf\n")
+        assert (code, out, err) == (1, "", f"error: {figure} must be finite, got inf\n")
 
 
 def test_casestudy_overflowed_offered_load_is_one_error_row_in_both_forms(capsys, tmp_path):
@@ -731,12 +739,21 @@ def test_casestudy_overflowed_offered_load_is_one_error_row_in_both_forms(capsys
     assert (row["offered_load"], row["infeasible"], row["error"]) == (None, False, message)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"a": [1.0, {"b": math.nan}], "c": math.inf}, "a[1].b must be finite, got nan"),
+    ([{"x": 0.5, "y": (1.0, -math.inf)}], "[0].y[1] must be finite, got -inf"),
+])
+def test_the_encoder_error_names_the_first_non_finite_figure_by_its_key_path(doc, message):
+    with pytest.raises(ValueError) as info:
+        cli._json(doc)
+    assert str(info.value) == message
+
+
 def test_json_with_another_non_finite_figure_exits_1(capsys):
     # a 1e308 s worst case x theta 3 overflows the io time: fail, not "io_s": Infinity
     code, out, err = run_cli(capsys, "model", "--size", "1GB", "--bw", "25Gbps", "--worst", "1e308s",
                              "--theta", "3", "--json")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert (code, out, err) == (1, "", "error: breakdown.io_s must be finite, got inf\n")
 
 
 def test_analyze_json_clamp_warning_goes_to_stderr(tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -17,7 +18,6 @@ from streamscore.loadgen import (
     WireProtocolError,
     pack_header,
     parse_header,
-    payload_chunks,
     run_clients,
     split_bytes,
 )
@@ -56,12 +56,6 @@ def test_split_bytes_even_and_remainder():
     assert split_bytes(0, 2) == [0, 0]
 
 
-def test_payload_pattern_cycles_continuously():
-    data = b"".join(payload_chunks(70_000))
-    assert len(data) == 70_000
-    assert all(data[i] == i % 256 for i in range(0, 70_000, 997))
-
-
 # --- server pool ---
 
 
@@ -71,10 +65,73 @@ def test_server_binds_sequential_ports_and_acks():
         assert server.config.ports == (base, base + 1, base + 2)
         for port in server.config.ports:
             with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-                sock.sendall(pack_header(1000))
-                for chunk in payload_chunks(1000):
-                    sock.sendall(chunk)
+                sock.sendall(pack_header(1000) + bytes(1000))
                 assert sock.recv(1) == ACK
+
+
+def recv_exactly(conn: socket.socket, nbytes: int) -> bytes:
+    data = bytearray()
+    while len(data) < nbytes:
+        part = conn.recv(min(nbytes - len(data), 1 << 20))
+        assert part, f"peer closed after {len(data)} of {nbytes} bytes"
+        data += part
+    return bytes(data)
+
+
+def test_every_flow_carries_the_byte_cycle_across_the_pattern_wrap():
+    # 2.5 MiB + 17 B a flow: each crosses the 1 MiB end of the client's pattern file twice
+    per_flow = 5 * 2**19 + 17
+    base = find_free_port_block(1)
+    payloads = []
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as listener:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind(("127.0.0.1", base))
+        listener.listen(8)
+        listener.settimeout(10)
+
+        def read_flows():  # one flow at a time; the others wait in the kernel's queues
+            for _ in range(3):
+                conn, _addr = listener.accept()
+                with conn:
+                    conn.settimeout(10)
+                    payloads.append(recv_exactly(conn, parse_header(recv_exactly(conn, HEADER_SIZE))))
+                    conn.sendall(ACK)
+
+        reader = threading.Thread(target=read_flows, daemon=True)
+        reader.start()
+        _, records = run_clients(
+            ClientRunConfig(
+                server_address="127.0.0.1", base_port=base, pool_size=1, duration=1.0,
+                concurrency=1.0, transfer_bytes=3 * per_flow, parallel_flows=3,
+                transfer_timeout=10.0,
+            )
+        )
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert records.error == (None,)
+    cycle = bytes(range(256)) * (per_flow // 256 + 1)
+    assert [len(payload) for payload in payloads] == [per_flow] * 3
+    assert all(payload == cycle[:per_flow] for payload in payloads)  # byte i is i % 256
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="Linux alone drops TCP bytes uncopied on MSG_TRUNC")
+def test_server_discards_the_payload_without_writing_its_sink():
+    sinks = []
+
+    class SinkServer(TransferServer):
+        def _serve_connection(self, conn, sink):
+            sinks.append(sink)
+            yield from super()._serve_connection(conn, sink)
+
+    base = find_free_port_block(1)
+    payload = bytes(range(256)) * 4096 * 2 + bytes(range(1, 100))
+    with SinkServer(ServerConfig(base_port=base, pool_size=1)):
+        with socket.create_connection(("127.0.0.1", base), timeout=5) as sock:
+            sock.sendall(pack_header(len(payload)) + payload)
+            assert sock.recv(1) == ACK
+        [sink] = sinks
+        assert sink[:] == bytes(len(sink))  # the kernel counted the bytes and copied none
+    assert sink.closed  # the loop closed it when it ended
 
 
 def test_zero_length_payload_acked_immediately():
