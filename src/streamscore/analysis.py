@@ -3,10 +3,11 @@
 ``build_report`` is the path from flow records to statistics. It reads a
 ``FlowTable``'s columns, sorts the successful FCTs once and feeds two
 primitives over that sorted list: ``fct_stats`` (max, mean, nearest-rank
-percentiles) and ``fct_cdf`` (the empirical CDF). The report adds the
-operational regime against a tier policy, its SSS and carried utilization
-(``model.carried_utilization``, the figure ``simulate`` also prints), and a
-JSON text plus CSV series for external plotting. Failed transfers never
+percentiles) and ``fct_cdf`` (the empirical CDF); ``compare_runs`` builds
+every comparison block. The report adds the operational regime against a
+tier policy, its SSS and carried utilization (``model.carried_utilization``,
+the figure ``simulate`` also prints), and a JSON text plus CSV series for
+external plotting. Failed transfers never
 enter FCT statistics; they are surfaced as a failure count instead. A
 figure that overflows a float is reported as null, so the JSON text never
 holds NaN or Infinity.
@@ -124,15 +125,6 @@ def delay_comparator(trans_s: float, prop_s: float, queue_s: float = 0.0) -> dic
     }
 
 
-def stats_ratios(a: FctStats, b: FctStats) -> dict[str, float | None]:
-    """Per-statistic a/b ratios for comparing two runs; None where b's is 0 or a ratio overflows."""
-    out: dict[str, float | None] = {}
-    for name in ("min", "max", "mean", "p50", "p90", "p99"):
-        denom = getattr(b, name)
-        out[name] = None if denom == 0 else finite_or_none(getattr(a, name) / denom)
-    return out
-
-
 # result fields whose JSON and CSV keys carry their unit
 _ROW_KEYS = {
     "worst_fct": "worst_fct_s",
@@ -164,12 +156,26 @@ def _ok_fcts(table: FlowTable, ok: list[bool]) -> tuple[list[float], int]:
     return fcts, len(table) - len(fcts)
 
 
+def compare_runs(a: FlowTable, b: FlowTable, labels: tuple[str, str] = ("primary", "comparison"),
+                 a_stats: FctStats | None = None) -> dict:
+    """Each run's FCT statistics under its label, then the a/b ``ratios``; ``a_stats`` are a's, if known.
+
+    A ratio is None where b's figure is 0 or the ratio overflows.
+    """
+    a_stats = a_stats or fct_stats(*_ok_fcts(a, a.ok_mask()))
+    b_stats = fct_stats(*_ok_fcts(b, b.ok_mask()))
+    ratios: dict[str, float | None] = {}
+    for name in ("min", "max", "mean", "p50", "p90", "p99"):
+        denom = getattr(b_stats, name)
+        ratios[name] = None if denom == 0 else finite_or_none(getattr(a_stats, name) / denom)
+    return {labels[0]: asdict(a_stats), labels[1]: asdict(b_stats), "ratios": ratios}
+
+
 def build_report(
     records: FlowTable,
     link: LinkSpec | None = None,
     policy: TierPolicy = DEFAULT_TIER_POLICY,
     compare_records: FlowTable | None = None,
-    comparison_labels: tuple[str, str] = ("primary", "comparison"),
     run: dict | None = None,
     comparison_run: dict | None = None,
 ) -> dict:
@@ -215,16 +221,7 @@ def build_report(
             }
         delay_block = delay_comparator(trans_s=theoretical, prop_s=link.rtt / 2)
 
-    comparison: dict | None = None
-    if compare_records is not None:
-        other_stats = fct_stats(*_ok_fcts(compare_records, compare_records.ok_mask()))
-        label_a, label_b = comparison_labels
-        comparison = {
-            label_a: asdict(stats),
-            label_b: asdict(other_stats),
-            "ratios": stats_ratios(stats, other_stats),
-        }
-
+    comparison = None if compare_records is None else compare_runs(records, compare_records, a_stats=stats)
     return {
         "schema": REPORT_SCHEMA,
         "stats": asdict(stats),
@@ -296,17 +293,12 @@ def write_report(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
     report_path = out / "report.json"
     if text is None:
         text = report_json(report)
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.writelines((text, "\n"))  # no concatenated copy of a large text
-    written.append(report_path)
-
-    written.append(write_csv(out / "series_cdf.csv", ("fct_s", "cumulative_probability"), report["cdf"]))
-    return written
+    return [report_path, write_csv(out / "series_cdf.csv", ("fct_s", "cumulative_probability"), report["cdf"])]
 
 
 def write_sweep_csv(rows, path: Path | str) -> Path:

@@ -107,6 +107,14 @@ def _delay_row(block: dict) -> tuple[str, str]:
     return ("delay total", f"{total} s (propagation only {prop} s, {block['label']})")
 
 
+def _ratios_row(block: dict | None) -> list[str]:
+    # a comparison block's line (its two labels, then "ratios"); none without a block
+    if block is None:
+        return []
+    ratios = ", ".join(f"{name}={_fmt(value)}" for name, value in block["ratios"].items() if value is not None)
+    return [f"{'/'.join(list(block)[:2])} ratios: {ratios}"]
+
+
 def _table(rows: list[tuple[str, str]]) -> str:
     width = max(len(key) for key, _ in rows)
     return "\n".join(f"{key:<{width}}  {value}" for key, value in rows)
@@ -122,9 +130,7 @@ def _non_finite(doc, path: str = ""):
 
 
 def _json(doc) -> str:
-    # NaN and Infinity are not JSON: an SSS that overflowed is null by now, as in
-    # report.json, and any other non-finite figure stops the command with exit 1,
-    # named by its key path in the document
+    # NaN and Infinity are not JSON: a non-finite figure is named by its key path
     try:
         return json.dumps(doc, indent=2, allow_nan=False)
     except ValueError:
@@ -244,7 +250,7 @@ def build_parser() -> _Parser:
     )
     p_analyze.add_argument("--in", dest="infile", required=True, help="JSONL transfer log")
     p_analyze.add_argument("--link-bw", type=_rate, help="link bandwidth for SSS/utilization")
-    p_analyze.add_argument("--rtt", type=_seconds, default=0.0)
+    p_analyze.add_argument("--rtt", type=_seconds)
     p_analyze.add_argument("--tiers", type=_tiers_arg, default=TierPolicy())
     p_analyze.add_argument("--compare", help="second JSONL log for per-stat ratios")
     p_analyze.set_defaults(func=cmd_analyze)
@@ -284,8 +290,7 @@ def cmd_model(args) -> int:
     verdict = analysis.row_dict(decision)
     del verdict["remote"]  # the breakdown, which the document holds already
     if args.local_rate is None:
-        # without a local rate only outright infeasibility is a verdict, and
-        # its local figure is dropped since no local rate was supplied
+        # without a local rate only outright infeasibility is a verdict, with no local figure
         verdict = {**verdict, "local_s": None} if decision.choice is Choice.INFEASIBLE else None
 
     doc = {
@@ -355,19 +360,16 @@ def cmd_simulate(args) -> int:
     summary = result.summary()
     doc = {"summary": {**summary, "sss": analysis.finite_or_none(summary["sss"])},
            "clients": len(result.spawns)}
-    _json(doc)  # checked before any file is written: a log of inf FCTs would not be JSON
+    if args.compare:  # read before --out is written, which may be the same file
+        measured = read_jsonl(args.compare)[1]
+        doc["comparison"] = analysis.compare_runs(result.records, measured, ("simulated", "measured"))
+    output = _render(doc, _simulate_table, args)  # checked before any file: a log of inf FCTs is not JSON
     if args.out:
         write_jsonl(args.out, result.records, run_meta={**base.config_echo(), "started_unix_ms": started_unix_ms})
     if args.trace:
         analysis.write_csv(args.trace, ("start_s", "end_s", "first_client", "end_client", "rate_Bps"),
                            result.replay)
-
-    if args.compare:
-        _, measured = read_jsonl(args.compare)
-        report = analysis.build_report(result.records, link=base.link, compare_records=measured,
-                                       comparison_labels=("simulated", "measured"))
-        doc["comparison"] = report["comparison"]
-    print(_render(doc, _simulate_table, args))
+    print(output)
     return EXIT_OK
 
 
@@ -381,17 +383,12 @@ def _sweep_table(doc: list) -> str:
 
 def _simulate_table(doc: dict) -> str:
     summary = doc["summary"]
-    text = _table([
+    return "\n".join([_table([
         ("clients", str(doc["clients"])),
         ("worst fct", f"{_fmt(summary['max_fct'])} s"),
         ("utilization", _fmt(summary["utilization"])),
         ("sss", _fmt(summary["sss"])),
-    ])
-    if "comparison" not in doc:
-        return text
-    ratios = ", ".join(f"{name}={_fmt(value)}" for name, value in doc["comparison"]["ratios"].items()
-                       if value is not None)
-    return f"{text}\nsimulated/measured ratios: {ratios}"
+    ]), *_ratios_row(doc.get("comparison"))])
 
 
 def cmd_measure_serve(args) -> int:
@@ -445,22 +442,18 @@ def _measure_run_table(doc: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
+    if args.link_bw is None and args.rtt is not None:
+        raise UsageError("--rtt requires --link-bw")
     run, records = read_jsonl(args.infile)
     if None not in records.error:
         raise UsageError(f"no successful records in {args.infile}")
-
-    link = None if args.link_bw is None else LinkSpec(bandwidth=args.link_bw, rtt=args.rtt)
-
-    compare_run = compare_records = None
-    if args.compare:
-        compare_run, compare_records = read_jsonl(args.compare)
+    link = None if args.link_bw is None else LinkSpec(bandwidth=args.link_bw, **_spec_fields(args, "analyze", ()))
+    compare_run, compare_records = read_jsonl(args.compare) if args.compare else (None, None)
 
     report = analysis.build_report(records, link=link, policy=args.tiers, compare_records=compare_records,
                                    run=run, comparison_run=compare_run)
-    if args.out or args.json:
-        text = analysis.report_json(report)
-    else:  # the table prints no CDF, and check_row keeps its values finite: only the rest is checked
-        text = _json({**report, "cdf": None})
+    # the table prints no CDF, and check_row keeps its values finite: only the rest is checked
+    text = analysis.report_json(report) if args.out or args.json else _json({**report, "cdf": None})
     if args.out:
         analysis.write_report(report, args.out, text)
     print(text if args.json else _analyze_table(report))
@@ -480,8 +473,8 @@ def _analyze_table(report: dict) -> str:
     rows += [(key, _fmt(regime[key])) for key in ("sss", "utilization") if regime[key] is not None]
     if report["delay_model"] is not None:
         rows.append(_delay_row(report["delay_model"]))
-    return "\n".join([_table(rows), *(f"  {name}: {'yes' if feasible else 'no'}"
-                                      for name, feasible in regime["tier_feasibility"].items())])
+    tiers = [f"  {name}: {'yes' if feasible else 'no'}" for name, feasible in regime["tier_feasibility"].items()]
+    return "\n".join([_table(rows), *tiers, *_ratios_row(report["comparison"])])
 
 
 def cmd_casestudy(args) -> int:

@@ -70,6 +70,22 @@ ONE_IDIOM = "every bound in one idiom that NaN fails; an overflowed case-study r
 INT64 = "int64 client ids from the simulator and the log reader; int64 bytes in a load; a named transfer overflow"
 ONE_DOC = "one document per command: each text table rendered from the checked document; exact byte counts"
 ZERO_COPY = "a zero-copy live harness: the payload sent by sendfile and discarded by MSG_TRUNC; errors name their cause"
+ONE_COMPARISON = "one run comparison for both --compare commands, built and checked before simulate writes a file"
+_COMPARE_BLOCK = (
+    "    if args.compare:  # read before --out is written, which may be the same file\n"
+    "        measured = read_jsonl(args.compare)[1]\n"
+    '        doc["comparison"] = analysis.compare_runs(result.records, measured, ("simulated", "measured"))\n'
+)
+_RENDER_LINE = "    output = _render(doc, _simulate_table, args)  # checked before any file: a log of inf FCTs is not JSON\n"
+_LOG_WRITE = (
+    "    if args.out:\n"
+    '        write_jsonl(args.out, result.records, run_meta={**base.config_echo(), "started_unix_ms": started_unix_ms})\n'
+)
+_TRACE_WRITE = (
+    "    if args.trace:\n"
+    '        analysis.write_csv(args.trace, ("start_s", "end_s", "first_client", "end_client", "rate_Bps"),\n'
+    "                           result.replay)\n"
+)
 MUTANTS = (
     # --- named in the notes of the change that made one definition per number ---
     Mutant("offered-load-over-raw-bandwidth", "model.py",
@@ -223,7 +239,8 @@ MUTANTS = (
     Mutant("simulate-sss-not-mapped-to-null", "cli.py",
            '{**summary, "sss": analysis.finite_or_none(summary["sss"])}', "summary", COLD_START),
     Mutant("compare-ratio-not-mapped-to-null", "analysis.py",
-           "else finite_or_none(getattr(a, name) / denom)", "else getattr(a, name) / denom", COLD_START),
+           "else finite_or_none(getattr(a_stats, name) / denom)", "else getattr(a_stats, name) / denom",
+           COLD_START),
     Mutant("sweep-sss-not-mapped-to-null", "cli.py",
            '{**analysis.row_dict(row), "sss": analysis.finite_or_none(row.sss)}', "analysis.row_dict(row)",
            COLD_START),
@@ -447,7 +464,7 @@ MUTANTS = (
            "output = _render(doc, _sweep_table, args)", "output = _json(doc) if args.json else _sweep_table(doc)",
            ONE_DOC),
     Mutant("simulate-log-written-before-the-check", "cli.py",
-           "    _json(doc)  # checked before any file is written: a log of inf FCTs would not be JSON\n", "", ONE_DOC),
+           _RENDER_LINE + _LOG_WRITE, _LOG_WRITE + _RENDER_LINE, ONE_DOC),
     Mutant("case-study-overflowed-load-kept", "casestudy.py",
            "offered_load=load if load < math.inf else None)", "offered_load=load)", ONE_DOC),
     Mutant("byte-count-read-as-a-float", "quantities.py",
@@ -466,6 +483,21 @@ MUTANTS = (
            "        raise\n", ZERO_COPY),
     Mutant("overflow-path-list-index-as-a-key", "cli.py",
            'f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}"', 'f"{path}.{key}"', ZERO_COPY),
+    # --- one comparison block for both --compare commands, built before simulate writes a file ---
+    Mutant("simulate-compare-labels-swapped", "cli.py",
+           '("simulated", "measured"))', '("measured", "simulated"))', ONE_COMPARISON),
+    Mutant("comparison-stats-under-the-other-label", "analysis.py",
+           "{labels[0]: asdict(a_stats), labels[1]: asdict(b_stats),",
+           "{labels[1]: asdict(a_stats), labels[0]: asdict(b_stats),", ONE_COMPARISON),
+    Mutant("analyze-ratios-row-dropped", "cli.py",
+           '*tiers, *_ratios_row(report["comparison"])])', "*tiers])", ONE_COMPARISON),
+    Mutant("simulate-log-written-before-the-comparison", "cli.py",
+           _COMPARE_BLOCK + _RENDER_LINE + _LOG_WRITE, _LOG_WRITE + _COMPARE_BLOCK + _RENDER_LINE, ONE_COMPARISON),
+    Mutant("simulate-trace-written-before-the-comparison", "cli.py",
+           _COMPARE_BLOCK + _RENDER_LINE + _LOG_WRITE + _TRACE_WRITE,
+           _TRACE_WRITE + _COMPARE_BLOCK + _RENDER_LINE + _LOG_WRITE, ONE_COMPARISON),
+    Mutant("analyze-rtt-check-dropped", "cli.py",
+           "    if args.link_bw is None and args.rtt is not None:\n", "    if False:\n", ONE_COMPARISON),
 )
 
 

@@ -17,11 +17,11 @@ from streamscore.analysis import (
     Regime,
     build_report,
     classify_regime,
+    compare_runs,
     delay_comparator,
     fct_stats,
     nearest_rank,
     report_json,
-    stats_ratios,
     write_report,
     write_sweep_csv,
 )
@@ -253,24 +253,27 @@ def test_report_comparison_counts_the_second_run_on_its_own():
 
 def test_report_comparison_block():
     simulated = make_records([0.16, 0.2])
-    measured = make_records([0.2, 0.25])
-    report = build_report(
-        simulated,
-        compare_records=measured,
-        comparison_labels=("simulated", "measured"),
-    )
-    comparison = report["comparison"]
-    assert comparison["simulated"]["max"] == 0.2
-    assert comparison["measured"]["max"] == 0.25
+    measured = make_records([0.2, 0.25], failures=1)
+    comparison = compare_runs(simulated, measured, ("simulated", "measured"))
+    # the two labels in order, then the ratios of the first run's figures over the second's
+    assert list(comparison) == ["simulated", "measured", "ratios"]
+    assert comparison["simulated"] == asdict(fct_stats([0.16, 0.2]))
+    assert comparison["measured"] == asdict(fct_stats([0.2, 0.25], failures=1))
     assert comparison["ratios"]["max"] == pytest.approx(0.2 / 0.25)
+    assert comparison["ratios"]["min"] == pytest.approx(0.16 / 0.2)
+    # build_report's block is the same function's, under the default labels
+    report = build_report(simulated, compare_records=measured)
+    assert report["comparison"] == compare_runs(simulated, measured)
+    assert list(report["comparison"]) == ["primary", "comparison", "ratios"]
 
 
-def test_stats_ratios_handles_zero_denominator():
-    a = fct_stats([1.0, 2.0])
-    b = fct_stats([1.0, 2.0])
-    ratios = stats_ratios(a, b)
-    assert ratios["max"] == 1.0
-    assert ratios["p50"] == 1.0
+def test_compare_runs_ratios_handle_a_zero_denominator():
+    ratios = compare_runs(make_records([1.0, 2.0]), make_records([1.0, 2.0]))["ratios"]
+    assert ratios == dict.fromkeys(("min", "max", "mean", "p50", "p90", "p99"), 1.0)
+    # a zero figure over a zero figure is no ratio, and a figure over zero none either
+    ratios = compare_runs(make_records([0.0, 2.0]), make_records([0.0, 0.0]))["ratios"]
+    assert ratios == dict.fromkeys(("min", "max", "mean", "p50", "p90", "p99"), None)
+    assert compare_runs(make_records([0.0, 2.0]), make_records([1.0, 4.0]))["ratios"]["min"] == 0.0
 
 
 def test_delay_comparator_always_labeled():
@@ -351,11 +354,17 @@ def test_report_json_equals_json_dumps_indent_2(fcts, failures, with_link):
     assert report_json(edited) == json.dumps(edited, indent=2)
 
 
+def _report_with_labels(labels: tuple[str, str], run: dict | None) -> dict:
+    """A report of two runs whose comparison block carries ``labels``."""
+    records, other = make_records([0.2, 0.1]), make_records([0.3])
+    report = build_report(records, compare_records=other, run=run)
+    return {**report, "comparison": compare_runs(records, other, labels)}
+
+
 def test_report_json_falls_back_when_a_string_looks_like_a_splice_mark():
     # in a comparison label, and in a log header
     for labels, run in ((("\x00cdf", "comparison"), None), (("primary", "comparison"), {"note": "\x00cdf"})):
-        report = build_report(make_records([0.2, 0.1]), compare_records=make_records([0.3]),
-                              comparison_labels=labels, run=run)
+        report = _report_with_labels(labels, run)
         assert report_json(report) == json.dumps(report, indent=2)
 
 
@@ -364,8 +373,7 @@ def test_report_json_falls_back_when_a_string_looks_like_a_splice_mark():
 def test_report_json_refuses_a_non_finite_figure(labels, where):
     # on the splice path, in the spliced CDF and on the json.dumps fallback: never Infinity or NaN
     for figure in (math.inf, math.nan):
-        report = build_report(make_records([0.2, 0.1]), compare_records=make_records([0.3]),
-                              comparison_labels=labels, run={"bandwidth": 1.0})
+        report = _report_with_labels(labels, {"bandwidth": 1.0})
         if where == "regime":
             report["regime"]["worst_fct"] = figure
         elif where == "cdf":

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from streamscore import cli, fluidsim
+from streamscore import analysis, cli, fluidsim
 from streamscore.cli import UsageError, build_parser, main
 from streamscore.loadgen import ACK, pack_header
 from streamscore.records import read_jsonl
@@ -456,6 +456,65 @@ def test_simulate_compare_overlays_measured_log(capsys, tmp_path):
     assert doc["comparison"]["ratios"]["max"] < 1.0  # zero-startup run is faster
 
 
+_FAILED_LOG = ('{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 0, '
+               '"flows": 1, "status": "error", "error": "refused"}\n')
+_COMPARE_RUN = ["simulate", "--bw", "25Gbps", "--duration", "2s", "--concurrency", "4", "--size", "0.5GB"]
+
+
+@pytest.mark.parametrize("measured", ["missing", "all-failed"])
+def test_simulate_failed_compare_writes_neither_log_nor_trace(capsys, tmp_path, measured):
+    # the comparison is built before any file is written: a failed one used to leave both behind
+    compare = tmp_path / "measured.jsonl"
+    if measured == "all-failed":
+        compare.write_text(_FAILED_LOG)
+    log, trace = tmp_path / "sim.jsonl", tmp_path / "trace.csv"
+    for form in ([], ["--json"]):
+        code, out, err = run_cli(capsys, *_COMPARE_RUN, "--out", str(log), "--trace", str(trace),
+                                 "--compare", str(compare), *form)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not log.exists() and not trace.exists()
+
+
+def test_simulate_compare_with_its_own_out_log_compares_the_older_run(capsys, tmp_path):
+    # --out and --compare naming one log: the comparison used to read the log
+    # the run had just written, so every ratio was 1
+    log, older = tmp_path / "m.jsonl", tmp_path / "older.jsonl"
+    assert run_cli(capsys, *_COMPARE_RUN, "--startup", "16ms", "--out", str(log))[0] == 0
+    older.write_bytes(log.read_bytes())
+    code, out, _ = run_cli(capsys, *_COMPARE_RUN, "--startup", "0s", "--out", str(log),
+                           "--compare", str(log), "--json")
+    assert code == 0
+    comparison = strict_json(out)["comparison"]
+    assert comparison["ratios"]["max"] < 1.0
+    # the measured side is the older run; the log now holds this one
+    for path, label in ((older, "measured"), (log, "simulated")):
+        code, out, _ = run_cli(capsys, "analyze", "--in", str(path), "--json")
+        assert strict_json(out)["stats"] == comparison[label]
+
+
+def test_simulate_compare_is_the_analyze_comparison_of_its_own_log(capsys, tmp_path, monkeypatch):
+    # one function builds both blocks; simulate builds no report for it
+    measured, own = tmp_path / "measured.jsonl", tmp_path / "own.jsonl"
+    run_cli(capsys, *_COMPARE_RUN, "--parallel", "2", "--startup", "16ms", "--out", str(measured))
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("simulate --compare built a report")
+
+    monkeypatch.setattr(analysis, "build_report", no_report)
+    code, out, _ = run_cli(capsys, *_COMPARE_RUN, "--startup", "0s", "--out", str(own),
+                           "--compare", str(measured), "--json")
+    assert code == 0
+    simulated = strict_json(out)["comparison"]
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "analyze", "--in", str(own), "--compare", str(measured), "--json")
+    analyzed = strict_json(out)["comparison"]
+    assert list(simulated) == ["simulated", "measured", "ratios"]
+    assert list(analyzed) == ["primary", "comparison", "ratios"]
+    assert list(simulated.values()) == list(analyzed.values())
+    assert simulated["ratios"]["max"] < 1.0
+
+
 _SIM = ["simulate", "--bw", "25Gbps", "--duration", "2s", "--concurrency", "1", "--size", "0.5GB"]
 
 
@@ -773,6 +832,19 @@ def test_analyze_json_clamp_warning_goes_to_stderr(tmp_path):
     assert strict_json(done.stdout)["regime"]["utilization"] == 1.0
 
 
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_analyze_rtt_without_link_bw_exits_1(capsys, form):
+    # the report reads the RTT only from a link, so without --link-bw it was dropped without a word
+    log = str(GOLDEN / "simulate_log.jsonl")
+    code, out, err = run_cli(capsys, "analyze", "--in", log, "--rtt", "16ms", *form)
+    assert (code, out, err) == (1, "", "error: --rtt requires --link-bw\n")
+    # with a link and no --rtt, the link spec's own default RTT of 0 holds
+    reports = [run_cli(capsys, "analyze", "--in", log, "--link-bw", "10Gbps", *rtt, "--json")[1]
+               for rtt in ([], ["--rtt", "0s"])]
+    assert reports[0] == reports[1]
+    assert strict_json(reports[0])["delay_model"]["propagation_only_s"] == 0.0
+
+
 def test_analyze_takes_no_alpha(capsys):
     # the report reads only the link's bandwidth and RTT
     log = str(GOLDEN / "simulate_log.jsonl")
@@ -1023,6 +1095,21 @@ def test_analyze_compare_runs(capsys, tmp_path):
     headers = [read_jsonl(path)[0] for path in (log_a, log_b)]
     assert [report["inputs"]["run"], report["inputs"]["comparison_run"]] == headers
     assert [header["concurrency"] for header in headers] == [8.0, 4.0]
+
+
+def test_analyze_compare_text_prints_the_json_ratios(capsys, tmp_path):
+    # the text table used to print no comparison at all; now one row, after the rest
+    measured = tmp_path / "measured.jsonl"
+    run_cli(capsys, *_COMPARE_RUN, "--startup", "16ms", "--out", str(measured))
+    argv = ["analyze", "--in", _GOLDEN_LOG, "--link-bw", "10Gbps"]
+    code, out, _ = run_cli(capsys, *argv, "--compare", str(measured))
+    assert code == 0
+    code, json_out, _ = run_cli(capsys, *argv, "--compare", str(measured), "--json")
+    ratios = strict_json(json_out)["comparison"]["ratios"]
+    assert len(set(ratios.values())) > 1  # figures of their own, not all 1
+    row = ", ".join(f"{name}={value:.6g}" for name, value in ratios.items())
+    assert out.splitlines()[-1] == f"primary/comparison ratios: {row}"
+    assert out.splitlines()[:-1] == run_cli(capsys, *argv)[1].splitlines()
 
 
 # --- casestudy ---

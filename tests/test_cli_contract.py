@@ -3,14 +3,18 @@
 Each drawn argv runs in-process through ``cli.main`` twice, as text and with
 ``--json``. Whatever the figures, no exception escapes, the exit code is 0, 1
 or 2, an exit 1 prints exactly one ``error:`` line, both forms exit alike, the
-JSON holds no NaN or Infinity, and no table prints ``nan``. Simulated runs stay
-near 100 clients, so an example costs a few ms.
+JSON holds no NaN or Infinity, and no table prints ``nan``; a failed run leaves
+no ``--out`` or ``--trace`` file. Simulated runs stay near 100 clients, so an
+example costs a few ms. ``analyze`` reads a log that a drawn ``simulate`` wrote,
+and each ``--compare`` a log of one drawn FCT, an all-failed log, a missing one
+or the golden log.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -21,6 +25,8 @@ from hypothesis import strategies as st
 from streamscore.cli import main
 
 from conftest import strict_json
+
+GOLDEN_LOG = str(Path(__file__).parent / "golden" / "simulate_log.jsonl")
 
 _MAGNITUDES = st.one_of(
     st.sampled_from([5e-324, 1e-300, 1e-10, 1.0, 3.0, 1e10, 1e300, 1e308, 1.7e308]),
@@ -49,10 +55,22 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _check_contract(argv: list[str]) -> tuple[int, str]:
-    """Run ``argv`` as text and with --json, check the contract, and return the exit and the text."""
-    code, text, err = _run(argv)
-    json_code, json_text, json_err = _run([*argv, "--json"])
+def _check_contract(argv: list[str], outputs: tuple[Path, ...] = ()) -> tuple[int, str]:
+    """Run ``argv`` as text and with --json, check the contract, and return the exit and the text.
+
+    Each of ``outputs`` (the ``--out`` and ``--trace`` paths) exists after a run that exits 0
+    and after no other; it is removed before the next run.
+    """
+    runs = []
+    for form in ([], ["--json"]):
+        runs.append(_run([*argv, *form]))
+        for path in outputs:
+            assert path.exists() == (runs[-1][0] == 0), (path, runs[-1])
+            if path.is_dir():
+                shutil.rmtree(path)
+            else:
+                path.unlink(missing_ok=True)
+    (code, text, err), (json_code, json_text, json_err) = runs
     assert code in (0, 1, 2) and code == json_code, (code, json_code, err, json_err)
     for stderr in (err, json_err):
         errors = [line for line in stderr.splitlines() if line.startswith("error:")]
@@ -95,6 +113,31 @@ def _simulate_argv(draw, sweep: bool) -> list[str]:
     return argv
 
 
+# a --compare log: missing, all-failed, the golden log, or one record of a drawn FCT
+_COMPARE = st.one_of(st.sampled_from(["missing", "all-failed", GOLDEN_LOG]), _MAGNITUDES)
+
+
+def _compare_log(tmp: str, compare) -> str:
+    path = Path(tmp) / "compare.jsonl"
+    if compare == "all-failed":
+        path.write_text('{"client_id": 0, "spawn_s": 0.0, "complete_s": 1.0, "fct_s": 1.0, "bytes": 0, '
+                        '"flows": 1, "status": "error", "error": "refused"}\n')
+    elif isinstance(compare, float):
+        path.write_text(f'{{"client_id": 0, "spawn_s": 0.0, "complete_s": {compare!r}, "fct_s": {compare!r}, '
+                        '"bytes": 1000, "flows": 1}\n')
+    return GOLDEN_LOG if compare == GOLDEN_LOG else str(path)
+
+
+@st.composite
+def _analyze_flags(draw) -> list[str]:
+    argv: list[str] = []
+    _optional(draw, argv, [
+        ("--link-bw", _RATE), ("--rtt", _SECONDS),
+        ("--tiers", st.lists(_SECONDS, min_size=1, max_size=3).map(",".join)),
+    ])
+    return argv
+
+
 @st.composite
 def _study(draw) -> dict:
     workflows = [{"name": f"w{i}", "throughput": draw(_RATE), "compute": draw(st.one_of(_WORK, _COMPUTE_RATE))}
@@ -130,9 +173,39 @@ def test_model_keeps_the_exit_contract(argv):
 def test_simulate_keeps_the_exit_contract(argv, with_out):
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "run.jsonl"
-        code, _ = _check_contract([*argv, "--out", str(log)] if with_out else argv)
         # a run that fails writes no log: a log of overflowed FCTs would not be JSON
-        assert log.exists() == (with_out and code == 0)
+        _check_contract([*argv, "--out", str(log)] if with_out else argv, (log,) if with_out else ())
+
+
+@given(argv=_simulate_argv(sweep=False), compare=_COMPARE,
+       outputs=st.lists(st.sampled_from(["--out", "--trace"]), unique=True))
+# a missing or all-failed --compare log: --out and --trace used to be written before the exit 1
+@example(argv=["simulate", "--bw", "25Gbps", "--duration", "1s", "--concurrency", "2", "--size", "1GB"],
+         compare="missing", outputs=["--out", "--trace"])
+@example(argv=["simulate", "--bw", "25Gbps", "--duration", "1s", "--concurrency", "2", "--size", "1GB"],
+         compare="all-failed", outputs=["--out", "--trace"])
+def test_simulate_compare_keeps_the_exit_contract(argv, compare, outputs):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {"--out": Path(tmp) / "run.jsonl", "--trace": Path(tmp) / "trace.csv"}
+        argv = [*argv, "--compare", _compare_log(tmp, compare)]
+        for flag in outputs:
+            argv += [flag, str(files[flag])]
+        _check_contract(argv, tuple(files[flag] for flag in outputs))
+
+
+@given(run=_simulate_argv(sweep=False), flags=_analyze_flags(),
+       compare=st.one_of(st.none(), st.just("--in"), _COMPARE), with_out=st.booleans())
+# --rtt without --link-bw, once dropped without a word: exit 1 in both forms
+@example(run=["simulate", "--bw", "25Gbps", "--duration", "1s", "--concurrency", "2", "--size", "1GB"],
+         flags=["--rtt", "16ms"], compare=None, with_out=True)
+def test_analyze_keeps_the_exit_contract(run, flags, compare, with_out):
+    with tempfile.TemporaryDirectory() as tmp:
+        log, report = Path(tmp) / "run.jsonl", Path(tmp) / "report"
+        _run([*run, "--out", str(log)])  # a run that fails leaves no log, and analyze exits 1
+        argv = ["analyze", "--in", str(log), *flags]
+        if compare is not None:
+            argv += ["--compare", str(log) if compare == "--in" else _compare_log(tmp, compare)]
+        _check_contract([*argv, "--out", str(report)] if with_out else argv, (report,) if with_out else ())
 
 
 @given(argv=_simulate_argv(sweep=True))
